@@ -33,7 +33,6 @@ from .core import (
     identity_operator,
     linear_operator,
     solve_shifted,
-    weighted_inner_product,
     zero_map,
 )
 from .discrepancy import (
@@ -51,7 +50,6 @@ from .errors import (
     BudgetExceeded,
     ConfigError,
     ConstraintViolated,
-    DegenerateNoise,
     GridMismatch,
     HorizonExceeded,
     InvalidConfig,
@@ -59,6 +57,7 @@ from .errors import (
     MonoregError,
     NoDerivative,
     NonConvergence,
+    NonFinite,
     NoRoot,
     PreconditionFailed,
     SolveFailed,

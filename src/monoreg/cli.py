@@ -4,12 +4,13 @@ Subcommands: `dp` (parameter choice), `flow` and `iterate` (continuation
 runs over noise levels and seeds), `bench` (the reference table),
 `schedule-check` (admissibility report), `ineq` (inequality bound check).
 One JSON config file describes the experiment; selected flags override
-config keys.  Exit codes: 0 success, 2 solver non-convergence, 3 config
-error.
+config keys.  Exit codes: 0 success, 2 solver non-convergence or
+non-finite values, 3 config error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -216,6 +217,31 @@ def _rel_error(u, u_exact) -> float | None:
     return (u - u_exact).norm() / u_exact.norm()
 
 
+def _sweep(cfg: dict, args, problem: ProblemBundle, stem: str, solve) -> int:
+    """One output row per noise level and seed; solve(f_delta, delta,
+    history) returns the run's fields, its solution and the last columns."""
+    delta_rels, seeds = _noise_grid(cfg, args)
+    path, fmt, history = _output(cfg, args, stem)
+    rows = []
+    for delta_rel in delta_rels:
+        for seed in seeds:
+            f_delta, delta = problem.make_noise(delta_rel, seed)
+            fields, u, extra = solve(f_delta, delta, history)
+            rows.append(
+                {
+                    "delta_rel": delta_rel,
+                    "seed": seed,
+                    "delta": delta,
+                    **fields,
+                    "rel_error": _rel_error(u, problem.u_exact),
+                    **extra,
+                }
+            )
+    emit_report(rows, fmt, path)
+    print(f"wrote {path}")
+    return 0
+
+
 # --------------------------------------------------------------- subcommands
 
 
@@ -230,29 +256,18 @@ def _cmd_dp(cfg: dict, args) -> int:
         dp_cfg = DPConfig(**section)
     except (InvalidConfig, TypeError) as exc:
         raise ConfigError(str(exc), key="dp") from exc
-    delta_rels, seeds = _noise_grid(cfg, args)
-    rows = []
-    for delta_rel in delta_rels:
-        for seed in seeds:
-            f_delta, delta = problem.make_noise(delta_rel, seed)
-            result = solve_dp(problem.F, f_delta, delta, dp_cfg)
-            row = {
-                "delta_rel": delta_rel,
-                "seed": seed,
-                "delta": delta,
-                **result.to_dict(),
-                "rel_error": _rel_error(result.V, problem.u_exact),
-            }
-            if problem.name == "rank_one" and dp_cfg.gamma == 1.0:
-                c = math.sqrt(dp_cfg.C**2 - 1.0)
-                analytic = c * delta / (1.0 - c * delta)
-                row["analytic_a"] = analytic
-                row["a_over_analytic"] = result.a_delta / analytic
-            rows.append(row)
-    path, fmt, _ = _output(cfg, args, "dp")
-    emit_report(rows, fmt, path)
-    print(f"wrote {path}")
-    return 0
+
+    def solve(f_delta, delta, history):
+        result = solve_dp(problem.F, f_delta, delta, dp_cfg)
+        extra = {}
+        if problem.name == "rank_one" and dp_cfg.gamma == 1.0:
+            c = math.sqrt(dp_cfg.C**2 - 1.0)
+            analytic = c * delta / (1.0 - c * delta)
+            extra = {"analytic_a": analytic,
+                     "a_over_analytic": result.a_delta / analytic}
+        return result.to_dict(), result.V, extra
+
+    return _sweep(cfg, args, problem, "dp", solve)
 
 
 def _schedule_from(section: dict, where: str):
@@ -274,110 +289,60 @@ def _schedule_from(section: dict, where: str):
     raise ConfigError("form must be 'continuous' or 'discrete'", key=where)
 
 
-_FLOW_RUNNERS = {
-    "newton": flows.flow_newton,
-    "gradient": flows.flow_gradient,
-    "simple": flows.flow_simple,
-}
-_ITER_RUNNERS = {
-    "newton": iterations.iter_newton,
-    "gradient": iterations.iter_gradient,
-    "simple": iterations.iter_simple,
-}
-
-
-def _cmd_flow(cfg: dict, args) -> int:
-    _expect_keys(
-        cfg, {"problem", "method", "schedule", "stop", "noise", "output"}, "<top>"
-    )
-    method = args.method or cfg.get("method")
-    if method not in _FLOW_RUNNERS:
-        raise ConfigError(
-            f"method must be one of {sorted(_FLOW_RUNNERS)}, got {method!r}",
-            key="method",
-        )
-    problem = build_problem(cfg.get("problem", {}))
-    schedule = _schedule_from(cfg.get("schedule", {}), "schedule")
-    stop = dict(cfg.get("stop", {}))
-    _expect_keys(
-        stop,
+# subcommand -> (runners by method, config class, allowed `stop` keys,
+# start point from (problem, f_delta, schedule, stop.start)); the key
+# "gamma" sets IterConfig's gamma_or_zeta
+_CONTINUATION = {
+    "flow": (
+        {"newton": flows.flow_newton, "gradient": flows.flow_gradient,
+         "simple": flows.flow_simple},
+        flows.FlowConfig,
         {"C1", "zeta", "step_init", "step_min", "step_max", "t_max",
          "inner_tol", "start"},
-        "stop",
-    )
-    start = stop.pop("start", "regularized")
-    try:
-        flow_cfg = flows.FlowConfig(schedule=schedule, **stop)
-    except (InvalidConfig, TypeError) as exc:
-        raise ConfigError(str(exc), key="stop") from exc
-    runner = _FLOW_RUNNERS[method]
-    delta_rels, seeds = _noise_grid(cfg, args)
-    path, fmt, history = _output(cfg, args, f"flow_{method}")
-    rows = []
-    for delta_rel in delta_rels:
-        for seed in seeds:
-            f_delta, delta = problem.make_noise(delta_rel, seed)
-            u0 = flows.init_u0(
-                problem.F, f_delta, float(schedule.a(0.0)), zero=start == "zero"
-            )
-            report = runner(problem.F, f_delta, delta, flow_cfg, u0)
-            rows.append(
-                {
-                    "delta_rel": delta_rel,
-                    "seed": seed,
-                    "delta": delta,
-                    **report.to_dict(include_history=history),
-                    "rel_error": _rel_error(report.u_final, problem.u_exact),
-                }
-            )
-    emit_report(rows, fmt, path)
-    print(f"wrote {path}")
-    return 0
+        lambda problem, f_delta, schedule, start: flows.init_u0(
+            problem.F, f_delta, float(schedule.a(0.0)), zero=start == "zero"),
+    ),
+    "iterate": (
+        {"newton": iterations.iter_newton, "gradient": iterations.iter_gradient,
+         "simple": iterations.iter_simple},
+        iterations.IterConfig,
+        {"C1", "gamma", "n_max", "m1", "inner_tol"},
+        lambda problem, f_delta, schedule, start: HilbertVector.zeros(
+            problem.weights),
+    ),
+}
 
 
-def _cmd_iterate(cfg: dict, args) -> int:
+def _cmd_continuation(command: str, cfg: dict, args) -> int:
+    runners, config_class, stop_keys, make_start = _CONTINUATION[command]
     _expect_keys(
         cfg, {"problem", "method", "schedule", "stop", "noise", "output"}, "<top>"
     )
     method = args.method or cfg.get("method")
-    if method not in _ITER_RUNNERS:
+    if method not in runners:
         raise ConfigError(
-            f"method must be one of {sorted(_ITER_RUNNERS)}, got {method!r}",
+            f"method must be one of {sorted(runners)}, got {method!r}",
             key="method",
         )
     problem = build_problem(cfg.get("problem", {}))
     schedule = _schedule_from(cfg.get("schedule", {}), "schedule")
     stop = dict(cfg.get("stop", {}))
-    _expect_keys(
-        stop, {"C1", "gamma", "n_max", "m1", "inner_tol"}, "stop"
-    )
+    _expect_keys(stop, stop_keys, "stop")
+    start = stop.pop("start", "regularized")
     if "gamma" in stop:
         stop["gamma_or_zeta"] = stop.pop("gamma")
     try:
-        iter_cfg = iterations.IterConfig(schedule=schedule, **stop)
+        run_cfg = config_class(schedule=schedule, **stop)
     except (InvalidConfig, TypeError) as exc:
         raise ConfigError(str(exc), key="stop") from exc
-    runner = _ITER_RUNNERS[method]
-    delta_rels, seeds = _noise_grid(cfg, args)
-    path, fmt, history = _output(cfg, args, f"iterate_{method}")
-    rows = []
-    for delta_rel in delta_rels:
-        for seed in seeds:
-            f_delta, delta = problem.make_noise(delta_rel, seed)
-            u0 = HilbertVector.zeros(problem.weights)
-            report = runner(problem.F, f_delta, delta, iter_cfg, u0)
-            rows.append(
-                {
-                    "delta_rel": delta_rel,
-                    "seed": seed,
-                    "delta": delta,
-                    **report.to_dict(include_history=history),
-                    "rel_error": _rel_error(report.u_final, problem.u_exact),
-                }
-            )
-    emit_report(rows, fmt, path)
-    print(f"wrote {path}")
-    return 0
+    runner = runners[method]
+
+    def solve(f_delta, delta, history):
+        u0 = make_start(problem, f_delta, schedule, start)
+        report = runner(problem.F, f_delta, delta, run_cfg, u0)
+        return report.to_dict(include_history=history), report.u_final, {}
+
+    return _sweep(cfg, args, problem, f"{command}_{method}", solve)
 
 
 _TABLE1_HEADER = [
@@ -560,8 +525,8 @@ def _cmd_ineq(cfg: dict, args) -> int:
 
 _COMMANDS = {
     "dp": _cmd_dp,
-    "flow": _cmd_flow,
-    "iterate": _cmd_iterate,
+    "flow": functools.partial(_cmd_continuation, "flow"),
+    "iterate": functools.partial(_cmd_continuation, "iterate"),
     "bench": _cmd_bench,
     "schedule-check": _cmd_schedule_check,
     "ineq": _cmd_ineq,

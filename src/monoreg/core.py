@@ -99,11 +99,6 @@ class HilbertVector:
         return HilbertVector(-self.values, self.weights)
 
 
-def weighted_inner_product(u: HilbertVector, v: HilbertVector) -> float:
-    """Weighted inner product sum_i w_i u_i v_i of two same-grid vectors."""
-    return u.inner(v)
-
-
 class LinearMap:
     """A linear operator on a fixed grid with weighted-adjoint access.
 
@@ -145,9 +140,6 @@ class LinearMap:
         return cls(apply_fn, adjoint_fn, weights, matrix=matrix)
 
     def __call__(self, v: HilbertVector) -> HilbertVector:
-        return self._apply(v)
-
-    def apply(self, v: HilbertVector) -> HilbertVector:
         return self._apply(v)
 
     def adjoint_apply(self, v: HilbertVector) -> HilbertVector:
@@ -241,7 +233,7 @@ def identity_operator(weights: np.ndarray) -> NonlinearOperator:
 
 def linear_operator(A: LinearMap, m1: float | None = None) -> NonlinearOperator:
     bounds = None if m1 is None else OperatorBounds(m1=m1)
-    return NonlinearOperator(A.apply, lambda u: A, bounds)
+    return NonlinearOperator(A, lambda u: A, bounds)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 from .core import HilbertVector, NonlinearOperator
 from .errors import InvalidConfig, NonConvergence
 from .regularized import _bracket_search, solve_regularized
+from .reports import stop_level
 
 CONVERGED = "converged"
 ALREADY_COMPATIBLE = "already_compatible"
@@ -60,7 +61,7 @@ class DPConfig:
         )
 
     def target(self, delta: float) -> float:
-        return self.C * delta ** self.gamma
+        return stop_level(self.C, delta, self.gamma)
 
     def check_delta(self, delta: float) -> None:
         if delta <= 0:

@@ -98,9 +98,9 @@ class BoundViolated(MonoregError):
         )
 
 
-class DegenerateNoise(MonoregError):
-    """A noise draw came out identically zero (should never persist; the
-    generator re-draws with an incremented seed)."""
+class NonFinite(MonoregError):
+    """A residual came out NaN or infinite, from non-finite data, a
+    non-finite start or a run that overflowed."""
 
 
 class ConfigError(MonoregError):

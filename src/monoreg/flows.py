@@ -1,7 +1,8 @@
 """The three continuation flows with a-posteriori residual stopping.
 
-Each flow integrates a Cauchy problem whose right-hand side is built from
-the shifted defect G(u, t) = F(u) + a(t) u - f_delta:
+Each flow integrates du/dt = -d with its direction d from
+`reports.DIRECTIONS`, built from the shifted defect
+G(u, t) = F(u) + a(t) u - f_delta:
 
     newton    du/dt = -(F'(u) + a I)^{-1} G
     gradient  du/dt = -(F'(u) + a I)*  G
@@ -17,21 +18,27 @@ tracked path the residual equals the strictly decreasing phi(a(t)), so
 acceptance is the monotonicity that the stopping rule relies on.  (The
 shifted defect is NOT monotone here: a start near the path must first
 climb to the drift equilibrium, so controlling on it would stall.)  With
-unit step the newton flow's Euler update coincides exactly with the
-newton-type iteration.
+step alpha_n (1 for newton) each flow's Euler update coincides exactly
+with the iteration of the same name.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HilbertVector, NonlinearOperator, solve_shifted
+from .core import HilbertVector, NonlinearOperator
 from .errors import InvalidConfig, PreconditionFailed
 from .regularized import solve_regularized
 from .reports import (
+    DIRECTIONS,
     EXHAUSTED_HORIZON,
     STEP_FLOOR,
     STOPPED_BY_DISCREPANCY,
     SolveReport,
+    Trajectory,
+    a_end,
+    check_stop_constants,
+    require_kind,
+    stop_level,
 )
 from .schedules import GRADIENT_FLOW, NEWTON_FLOW, SIMPLE_FLOW, ContinuousSchedule
 
@@ -61,23 +68,19 @@ class FlowConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not self.C1 > 1:
-            raise InvalidConfig("C1 must exceed 1")
-        if not 0 < self.zeta <= 1:
-            raise InvalidConfig("zeta must lie in (0, 1]")
+        check_stop_constants(self.C1, self.zeta, "zeta")
         if not 0 < self.step_min <= self.step_init <= self.step_max:
             raise InvalidConfig("need 0 < step_min <= step_init <= step_max")
 
     def threshold(self, delta: float) -> float:
-        return self.C1 * delta ** self.zeta
+        return stop_level(self.C1, delta, self.zeta)
 
     def resolve_t_max(self, delta: float) -> float:
         if self.t_max is not None:
             return self.t_max
         if self.y_norm is not None:
-            C = (self.C1 + 1.0) / 2.0
-            a_end = delta * (C - 1.0) / self.y_norm
-            t_end = self.schedule.time_for_level(a_end)
+            t_end = self.schedule.time_for_level(
+                a_end(self.C1, delta, self.y_norm))
             if t_end > 0:
                 return t_end
         return 1e6
@@ -144,12 +147,8 @@ def flow_newton(
     u0: HilbertVector,
 ) -> SolveReport:
     """Integrate the derivative-inverting flow; one shifted solve per step."""
-    _require_kind(cfg, NEWTON_FLOW)
-
-    def direction(u, a, G):
-        return solve_shifted(F.deriv(u), a, G, tol=cfg.inner_tol)
-
-    return _integrate(F, f_delta, delta, cfg, u0, direction)
+    require_kind(cfg.schedule, NEWTON_FLOW, "flow")
+    return _integrate(F, f_delta, delta, cfg, u0, "newton")
 
 
 def flow_gradient(
@@ -167,16 +166,8 @@ def flow_gradient(
     margin) when bounds are declared; beyond it the fast modes of the
     defect alternate in sign and residual control stalls.
     """
-    _require_kind(cfg, GRADIENT_FLOW)
-
-    def direction(u, a, G):
-        return F.deriv(u).adjoint_apply(G) + a * G
-
-    cap = None
-    if F.bounds is not None:
-        a0 = float(cfg.schedule.a(0.0))
-        cap = 1.5 / (F.bounds.m1 + a0) ** 2
-    return _integrate(F, f_delta, delta, cfg, u0, direction, step_cap=cap)
+    require_kind(cfg.schedule, GRADIENT_FLOW, "flow")
+    return _integrate(F, f_delta, delta, cfg, u0, "gradient", cap_power=2)
 
 
 def flow_simple(
@@ -191,39 +182,28 @@ def flow_simple(
     Steps are capped at the stability limit 2 / (M1 + a) with margin when
     bounds are declared.
     """
-    _require_kind(cfg, SIMPLE_FLOW)
-    cap = None
-    if F.bounds is not None:
-        a0 = float(cfg.schedule.a(0.0))
-        cap = 1.5 / (F.bounds.m1 + a0)
-    return _integrate(F, f_delta, delta, cfg, u0, lambda u, a, G: G,
-                      step_cap=cap)
+    require_kind(cfg.schedule, SIMPLE_FLOW, "flow")
+    return _integrate(F, f_delta, delta, cfg, u0, "simple", cap_power=1)
 
 
-def _require_kind(cfg: FlowConfig, kind: str) -> None:
-    if cfg.schedule.kind != kind:
-        raise InvalidConfig(
-            f"schedule kind {cfg.schedule.kind!r} does not match this flow "
-            f"(expected {kind!r})"
-        )
-
-
-def _integrate(F, f_delta, delta, cfg, u0, direction,
-               step_cap: float | None = None) -> SolveReport:
-    if delta <= 0:
-        raise InvalidConfig("delta must be positive")
+def _integrate(F, f_delta, delta, cfg, u0, method,
+               cap_power: int | None = None) -> SolveReport:
+    trajectory = Trajectory(cfg, delta)
+    direction = DIRECTIONS[method]
     sched = cfg.schedule
-    thresh = cfg.threshold(delta)
+    thresh = trajectory.threshold
     t_max = cfg.resolve_t_max(delta)
-    step_max = cfg.step_max if step_cap is None else min(cfg.step_max, step_cap)
+    step_max = cfg.step_max
+    if cap_power is not None and F.bounds is not None:
+        # the stability limit 2 / (M1 + a)**cap_power, with margin
+        step_max = min(step_max,
+                       1.5 / (F.bounds.m1 + float(sched.a(0.0))) ** cap_power)
 
     F_u = F(u0)
     res = (F_u - f_delta).norm()
-    history = [(0.0, res)]
-    iterates = [u0] if cfg.keep_iterates else None
-    if res <= thresh:
-        return _report(u0, STOPPED_BY_DISCREPANCY, sched.a(0.0), thresh,
-                       0.0, history, iterates)
+    if trajectory.record(0.0, u0, res):
+        return trajectory.report(u0, STOPPED_BY_DISCREPANCY, sched.a(0.0),
+                                 t_stop=0.0)
 
     t = 0.0
     u = u0
@@ -231,8 +211,8 @@ def _integrate(F, f_delta, delta, cfg, u0, direction,
     streak = 0
     while t < t_max:
         # one direction evaluation per state, reused across halved retries
-        G = F_u + sched.a(t) * u - f_delta
-        d = direction(u, sched.a(t), G)
+        a = sched.a(t)
+        d = direction(F, u, a, F_u + a * u - f_delta, cfg.inner_tol)
         accepted = False
         while not accepted:
             h_step = min(h, t_max - t)
@@ -245,27 +225,21 @@ def _integrate(F, f_delta, delta, cfg, u0, direction,
                 h = h_step * 0.5
                 streak = 0
                 if h < cfg.step_min:
-                    return _report(u, STEP_FLOOR, sched.a(t), thresh, t,
-                                   history, iterates)
+                    return trajectory.report(u, STEP_FLOOR, a, t_stop=t)
         if res_try <= thresh:
             t_stop, u_stop, res_stop = _refine_crossing(
                 F, f_delta, thresh, u, d, t, h_step, cfg.refine_rtol
             )
-            history.append((t_stop, res_stop))
-            if iterates is not None:
-                iterates.append(u_stop)
-            return _report(u_stop, STOPPED_BY_DISCREPANCY, sched.a(t_stop),
-                           thresh, t_stop, history, iterates)
+            trajectory.record(t_stop, u_stop, res_stop)
+            return trajectory.report(u_stop, STOPPED_BY_DISCREPANCY,
+                                     sched.a(t_stop), t_stop=t_stop)
         t, u, F_u, res = t + h_step, u_try, F_try, res_try
-        history.append((t, res))
-        if iterates is not None:
-            iterates.append(u)
+        trajectory.record(t, u, res)
         streak += 1
         if streak >= DOUBLE_AFTER:
             h = min(2.0 * h, step_max)
             streak = 0
-    return _report(u, EXHAUSTED_HORIZON, sched.a(t), thresh, t, history,
-                   iterates)
+    return trajectory.report(u, EXHAUSTED_HORIZON, sched.a(t), t_stop=t)
 
 
 def _refine_crossing(F, f_delta, thresh, u_prev, d, t_prev, h, rtol):
@@ -283,15 +257,3 @@ def _refine_crossing(F, f_delta, thresh, u_prev, d, t_prev, h, rtol):
         else:
             lo = mid
     return t_prev + hi, u_hi, res_hi
-
-
-def _report(u, status, a_at, thresh, t_stop, history, iterates) -> SolveReport:
-    return SolveReport(
-        u_final=u,
-        status=status,
-        a_at_stop=float(a_at),
-        threshold=thresh,
-        t_stop=t_stop,
-        residual_history=tuple(history),
-        iterates=None if iterates is None else tuple(iterates),
-    )

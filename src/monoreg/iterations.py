@@ -4,7 +4,8 @@
     gradient  u_{n+1} = u_n - alpha_n (F'(u_n) + a_n I)* G_n
     simple    u_{n+1} = u_n - alpha_n G_n
 
-with G_n = F(u_n) + a_n u_n - f_delta.  Iterations stop at the first
+with G_n = F(u_n) + a_n u_n - f_delta: the Euler steps of the flows, with
+the directions of `reports.DIRECTIONS`.  Iterations stop at the first
 iterate whose data residual is at or below C1 * delta**e (ties accepted);
 the gradient and simple variants take damped steps inside the stability
 band [alpha_tilde, 2 / (a_n^2 + (M1 + a_n)^2)] respectively
@@ -18,9 +19,19 @@ from typing import Callable
 
 import numpy as np
 
-from .core import HilbertVector, LinearMap, NonlinearOperator, solve_shifted
-from .errors import HorizonExceeded, InvalidConfig, InvalidStepSize
-from .reports import EXHAUSTED_HORIZON, STOPPED_BY_DISCREPANCY, SolveReport
+from .core import HilbertVector, LinearMap, NonlinearOperator
+from .errors import HorizonExceeded, InvalidStepSize
+from .reports import (
+    DIRECTIONS,
+    EXHAUSTED_HORIZON,
+    STOPPED_BY_DISCREPANCY,
+    SolveReport,
+    Trajectory,
+    a_end,
+    check_stop_constants,
+    require_kind,
+    stop_level,
+)
 from .schedules import (
     GRADIENT_ITER,
     NEWTON_ITER,
@@ -55,26 +66,23 @@ class IterConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not self.C1 > 1:
-            raise InvalidConfig("C1 must exceed 1")
-        if not 0 < self.gamma_or_zeta <= 1:
-            raise InvalidConfig("gamma_or_zeta must lie in (0, 1]")
+        check_stop_constants(self.C1, self.gamma_or_zeta, "gamma_or_zeta")
 
     def threshold(self, delta: float) -> float:
-        return self.C1 * delta ** self.gamma_or_zeta
+        return stop_level(self.C1, delta, self.gamma_or_zeta)
 
     def resolve_n_max(self, delta: float) -> int:
         if self.n_max is not None:
             return self.n_max
-        if self.y_norm is not None:
-            C = (self.C1 + 1.0) / 2.0
-            a_end = delta * (C - 1.0) / self.y_norm
-            # first index whose schedule value is at or below a_end
-            n = 0
-            while self.schedule.a(n) > a_end and n < DEFAULT_N_MAX:
-                n += 1
-            return max(10 * (n + 1), 10)
-        return DEFAULT_N_MAX
+        if self.y_norm is None:
+            return DEFAULT_N_MAX
+        # first index whose schedule value is at or below a_end, capped
+        level = a_end(self.C1, delta, self.y_norm)
+        if self.schedule.a(DEFAULT_N_MAX) > level:
+            n = DEFAULT_N_MAX
+        else:
+            n = self.schedule.index_for_level(level)
+        return 10 * (n + 1)
 
 
 def iter_newton(
@@ -89,13 +97,8 @@ def iter_newton(
     Monotonicity makes the shifted derivative invertible with inverse norm
     at most 1/a_n, so the step length never exceeds ||G_n|| / a_n.
     """
-    _require_kind(cfg, NEWTON_ITER)
-
-    def step(u, n, a):
-        G = F(u) + a * u - f_delta
-        return u - solve_shifted(F.deriv(u), a, G, tol=cfg.inner_tol)
-
-    return _run(F, f_delta, delta, cfg, u0, step, ())
+    require_kind(cfg.schedule, NEWTON_ITER, "iteration")
+    return _run(F, f_delta, delta, cfg, u0, "newton")
 
 
 def iter_gradient(
@@ -107,17 +110,9 @@ def iter_gradient(
 ) -> SolveReport:
     """Gradient-type iteration: adjoint-times-defect steps inside the
     contraction band."""
-    _require_kind(cfg, GRADIENT_ITER)
-    m1, notes = _resolve_m1(F, cfg, u0)
-    band_top = lambda a: 2.0 / (a * a + (m1 + a) ** 2)
-    floor = _resolve_floor(cfg, band_top)
-
-    def step(u, n, a):
-        alpha = _step_size(cfg, n, a, band_top, floor)
-        G = F(u) + a * u - f_delta
-        return u - alpha * (F.deriv(u).adjoint_apply(G) + a * G)
-
-    return _run(F, f_delta, delta, cfg, u0, step, notes)
+    require_kind(cfg.schedule, GRADIENT_ITER, "iteration")
+    return _run_damped(F, f_delta, delta, cfg, u0, "gradient",
+                       lambda m1, a: 2.0 / (a * a + (m1 + a) ** 2))
 
 
 def iter_simple(
@@ -128,58 +123,44 @@ def iter_simple(
     u0: HilbertVector,
 ) -> SolveReport:
     """Defect-relaxation iteration; no derivative evaluation at all."""
-    _require_kind(cfg, SIMPLE_ITER)
-    m1, notes = _resolve_m1(F, cfg, u0)
-    band_top = lambda a: 2.0 / (m1 + 2.0 * a)
-    floor = _resolve_floor(cfg, band_top)
-
-    def step(u, n, a):
-        alpha = _step_size(cfg, n, a, band_top, floor)
-        G = F(u) + a * u - f_delta
-        return u - alpha * G
-
-    return _run(F, f_delta, delta, cfg, u0, step, notes)
+    require_kind(cfg.schedule, SIMPLE_ITER, "iteration")
+    return _run_damped(F, f_delta, delta, cfg, u0, "simple",
+                       lambda m1, a: 2.0 / (m1 + 2.0 * a))
 
 
-def _require_kind(cfg: IterConfig, kind: str) -> None:
-    if cfg.schedule.kind != kind:
-        raise InvalidConfig(
-            f"schedule kind {cfg.schedule.kind!r} does not match this "
-            f"iteration (expected {kind!r})"
-        )
-
-
-def _resolve_m1(F, cfg, u0) -> tuple[float, tuple[str, ...]]:
+def _run_damped(F, f_delta, delta, cfg, u0, method, band) -> SolveReport:
+    """_run with step sizes alpha_n in [floor, band(m1, a_n)]."""
+    notes = ()
     if cfg.m1 is not None:
-        return cfg.m1, ()
-    if F.bounds is not None:
-        return F.bounds.m1, ()
-    est = 1.1 * operator_norm_estimate(F.deriv(u0))
-    return est, (f"m1_estimated={est:.6g}",)
-
-
-def _resolve_floor(cfg, band_top) -> float:
+        m1 = cfg.m1
+    elif F.bounds is not None:
+        m1 = F.bounds.m1
+    else:
+        m1 = 1.1 * operator_norm_estimate(F.deriv(u0))
+        notes = (f"m1_estimated={m1:.6g}",)
     if cfg.alpha_floor is not None:
-        return cfg.alpha_floor
-    # the band top grows as a_n decays, so its smallest value is at n = 0
-    return 0.5 * band_top(float(cfg.schedule.a(0)))
+        floor = cfg.alpha_floor
+    else:
+        # the band top grows as a_n decays, so its smallest value is at n = 0
+        floor = 0.5 * band(m1, float(cfg.schedule.a(0)))
 
+    def step_size(n: int, a: float) -> float:
+        top = band(m1, a)
+        if floor > top:
+            raise InvalidStepSize(
+                f"empty step band at n={n}: floor {floor:g} exceeds top "
+                f"{top:g} (m1 mis-specified?)"
+            )
+        if cfg.alpha_rule is None:
+            return top
+        alpha = cfg.alpha_rule(n, a)
+        if not floor <= alpha <= top:
+            raise InvalidStepSize(
+                f"alpha_rule({n}) = {alpha:g} outside [{floor:g}, {top:g}]"
+            )
+        return alpha
 
-def _step_size(cfg, n, a, band_top, floor) -> float:
-    top = band_top(a)
-    if floor > top:
-        raise InvalidStepSize(
-            f"empty step band at n={n}: floor {floor:g} exceeds top {top:g} "
-            "(m1 mis-specified?)"
-        )
-    if cfg.alpha_rule is None:
-        return top
-    alpha = cfg.alpha_rule(n, a)
-    if not floor <= alpha <= top:
-        raise InvalidStepSize(
-            f"alpha_rule({n}) = {alpha:g} outside [{floor:g}, {top:g}]"
-        )
-    return alpha
+    return _run(F, f_delta, delta, cfg, u0, method, step_size, notes)
 
 
 def operator_norm_estimate(A: LinearMap, n_iter: int = 50, seed: int = 0) -> float:
@@ -198,44 +179,28 @@ def operator_norm_estimate(A: LinearMap, n_iter: int = 50, seed: int = 0) -> flo
     return sigma
 
 
-def _run(F, f_delta, delta, cfg, u0, step, notes) -> SolveReport:
-    if delta <= 0:
-        raise InvalidConfig("delta must be positive")
-    thresh = cfg.threshold(delta)
+def _run(F, f_delta, delta, cfg, u0, method, step_size=None,
+         notes=()) -> SolveReport:
+    """Steps u - alpha_n d from the direction table; alpha_n = 1 (and no
+    multiplication) when step_size is None."""
+    trajectory = Trajectory(cfg, delta, notes)
     n_max = cfg.resolve_n_max(delta)
     sched = cfg.schedule
+    direction = DIRECTIONS[method]
 
-    res = (F(u0) - f_delta).norm()
-    history = [(0.0, res)]
-    iterates = [u0] if cfg.keep_iterates else None
-    a_last = float(sched.a(0))
-    if res <= thresh:
-        return _report(u0, STOPPED_BY_DISCREPANCY, a_last, thresh, 0,
-                       history, iterates, notes)
+    F_u = F(u0)
+    if trajectory.record(0.0, u0, (F_u - f_delta).norm()):
+        return trajectory.report(u0, STOPPED_BY_DISCREPANCY, sched.a(0),
+                                 n_stop=0)
     u = u0
     for n in range(n_max):
         a_n = float(sched.a(n))
-        u = step(u, n, a_n)
-        res = (F(u) - f_delta).norm()
-        history.append((float(n + 1), res))
-        if iterates is not None:
-            iterates.append(u)
-        if res <= thresh:
-            return _report(u, STOPPED_BY_DISCREPANCY, a_n, thresh, n,
-                           history, iterates, notes)
-    partial = _report(u, EXHAUSTED_HORIZON, float(sched.a(n_max - 1)), thresh,
-                      n_max - 1, history, iterates, notes)
+        alpha = None if step_size is None else step_size(n, a_n)
+        d = direction(F, u, a_n, F_u + a_n * u - f_delta, cfg.inner_tol)
+        u = u - d if alpha is None else u - alpha * d
+        F_u = F(u)
+        if trajectory.record(float(n + 1), u, (F_u - f_delta).norm()):
+            return trajectory.report(u, STOPPED_BY_DISCREPANCY, a_n, n_stop=n)
+    partial = trajectory.report(u, EXHAUSTED_HORIZON, sched.a(n_max - 1),
+                                n_stop=n_max - 1)
     raise HorizonExceeded(n_max, report=partial)
-
-
-def _report(u, status, a_at, thresh, n_stop, history, iterates, notes):
-    return SolveReport(
-        u_final=u,
-        status=status,
-        a_at_stop=a_at,
-        threshold=thresh,
-        n_stop=n_stop,
-        residual_history=tuple(history),
-        iterates=None if iterates is None else tuple(iterates),
-        notes=tuple(notes),
-    )

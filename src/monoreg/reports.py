@@ -1,14 +1,65 @@
-"""Trajectory reports shared by the continuation flows and the iterations."""
+"""Step directions, stopping rule and reports shared by the continuation
+flows and the iterations.
+
+All six solvers move along a direction built from the shifted defect
+G = F(u) + a u - f_delta:
+
+    newton    d = (F'(u) + a I)^{-1} G
+    gradient  d = (F'(u) + a I)*  G
+    simple    d = G                       (derivative-free)
+
+A flow integrates du/dt = -d by Euler steps u - h d; the iteration of the
+same name is the Euler step u - alpha_n d (alpha_n = 1 for newton).  All
+of them stop at the first recorded state whose data residual
+||F(u) - f_delta|| is at or below C1 * delta**e (ties accepted).
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .core import HilbertVector
+from .core import HilbertVector, solve_shifted
+from .errors import InvalidConfig, NonFinite
 
 STOPPED_BY_DISCREPANCY = "stopped_by_discrepancy"
 EXHAUSTED_HORIZON = "exhausted_horizon"
 STEP_FLOOR = "step_floor"
+
+
+# method -> direction(F, u, a, G, inner_tol); solve_shifted is looked up
+# as a global at call time, so rebinding it here reaches every newton step
+DIRECTIONS = {
+    "newton": lambda F, u, a, G, tol: solve_shifted(F.deriv(u), a, G, tol=tol),
+    "gradient": lambda F, u, a, G, tol: F.deriv(u).adjoint_apply(G) + a * G,
+    "simple": lambda F, u, a, G, tol: G,
+}
+
+
+def require_kind(schedule, kind: str, solver: str) -> None:
+    if schedule.kind != kind:
+        raise InvalidConfig(
+            f"schedule kind {schedule.kind!r} does not match this {solver} "
+            f"(expected {kind!r})"
+        )
+
+
+def check_stop_constants(C1: float, exponent: float, name: str) -> None:
+    if not C1 > 1:
+        raise InvalidConfig("C1 must exceed 1")
+    if not 0 < exponent <= 1:
+        raise InvalidConfig(f"{name} must lie in (0, 1]")
+
+
+def stop_level(C: float, delta: float, exponent: float) -> float:
+    """The residual level C * delta**exponent of the a-posteriori rules."""
+    return C * delta ** exponent
+
+
+def a_end(C1: float, delta: float, y_norm: float) -> float:
+    """Shift at which delta / a reaches y_norm / (C - 1), C = (C1 + 1) / 2;
+    the residual rule has stopped by then."""
+    C = (C1 + 1.0) / 2.0
+    return delta * (C - 1.0) / y_norm
 
 
 @dataclass(frozen=True)
@@ -56,3 +107,44 @@ class SolveReport:
         if include_history:
             out["residual_history"] = [list(p) for p in self.residual_history]
         return out
+
+
+class Trajectory:
+    """The recorded states of one flow or iteration run and its stopping
+    rule; `cfg` supplies `threshold` and `keep_iterates`."""
+
+    def __init__(self, cfg, delta: float, notes: tuple[str, ...] = ()):
+        if not math.isfinite(delta):
+            raise InvalidConfig(f"delta must be finite, got {delta}")
+        if delta <= 0:
+            raise InvalidConfig("delta must be positive")
+        self.threshold = cfg.threshold(delta)
+        self.history = []
+        self.iterates = [] if cfg.keep_iterates else None
+        self.notes = tuple(notes)
+
+    def record(self, at: float, u: HilbertVector, res: float) -> bool:
+        """Record a state; True when its residual passes the stopping test.
+        A non-finite residual raises at once rather than use up the budget."""
+        if not math.isfinite(res):
+            raise NonFinite(
+                f"data residual is {res} at {at:g}; check f_delta, the "
+                "start and the operator for non-finite values"
+            )
+        self.history.append((at, res))
+        if self.iterates is not None:
+            self.iterates.append(u)
+        return res <= self.threshold
+
+    def report(self, u: HilbertVector, status: str, a_at, **stop) -> SolveReport:
+        """The report of the recorded states; `stop` is t_stop or n_stop."""
+        return SolveReport(
+            u_final=u,
+            status=status,
+            a_at_stop=float(a_at),
+            threshold=self.threshold,
+            residual_history=tuple(self.history),
+            iterates=None if self.iterates is None else tuple(self.iterates),
+            notes=self.notes,
+            **stop,
+        )

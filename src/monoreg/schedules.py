@@ -10,6 +10,7 @@ large" scale parameter that makes a set pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +71,18 @@ class DiscreteSchedule:
 
     def a(self, n):
         return self.d0 / (self.d_or_c + np.asarray(n, dtype=float)) ** self.b
+
+    def index_for_level(self, a_target: float) -> int:
+        """First n >= 0 with a_n <= a_target (a_target > 0)."""
+        n = max(math.ceil((self.d0 / a_target) ** (1.0 / self.b)
+                          - self.d_or_c), 0)
+        # the closed form can land one index off in floating point; settle
+        # it on the values `a` returns
+        while n > 0 and self.a(n - 1) <= a_target:
+            n -= 1
+        while self.a(n) > a_target:
+            n += 1
+        return n
 
 
 def make_continuous(kind: str, b: float, c: float, d: float) -> ContinuousSchedule:

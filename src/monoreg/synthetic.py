@@ -51,7 +51,7 @@ def rank_one_problem(dim: int = 2) -> RankOneProblem:
     q_vals[1] = 1.0
     matrix = np.outer(p_vals, p_vals)
     A = LinearMap.from_matrix(matrix, weights)
-    F = NonlinearOperator(A.apply, lambda u: A, OperatorBounds(m1=1.0))
+    F = NonlinearOperator(A, lambda u: A, OperatorBounds(m1=1.0))
     return RankOneProblem(
         dim=dim,
         F=F,
@@ -66,7 +66,7 @@ def diagonal_problem(dim: int = 8) -> tuple[NonlinearOperator, HilbertVector]:
     weights = np.ones(dim)
     diag = np.linspace(0.0, 1.0, dim)
     A = LinearMap.from_matrix(np.diag(diag), weights)
-    F = NonlinearOperator(A.apply, lambda u: A, OperatorBounds(m1=1.0))
+    F = NonlinearOperator(A, lambda u: A, OperatorBounds(m1=1.0))
     return F, HilbertVector(np.ones(dim), weights)
 
 

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from monoreg import (
-    HilbertVector,
-    hammerstein_operator,
-    make_hammerstein,
-)
+from monoreg import hammerstein_operator, make_hammerstein
 from monoreg.bench import EUCLIDEAN, TRAPEZOID
 
 
@@ -27,11 +23,6 @@ def ham_data(ham50):
     """Exact data f = F(1) for the weighted benchmark."""
     prob, F = ham50
     return F(prob.exact_solution)
-
-
-def const_vector(value: float, weights) -> HilbertVector:
-    weights = np.asarray(weights, dtype=float)
-    return HilbertVector(np.full(weights.size, float(value)), weights)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from monoreg import (
 )
 from monoreg.bench import EUCLIDEAN, nonlinearity_slope, schedule_scale
 
-from conftest import const_vector
+from helpers import const_vector
 
 
 def test_zero_input_maps_to_zero(ham50):

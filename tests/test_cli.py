@@ -72,13 +72,18 @@ def test_shipped_dp_configs_run(tmp_path):
 
 
 def test_shipped_flow_config_runs(tmp_path):
-    code = main(
-        ["flow", "--config", str(CONFIGS / "flow_newton_hammerstein.json"),
-         "--out", str(tmp_path / "out")]
-    )
-    assert code == 0
-    text = (tmp_path / "out" / "flow_newton.csv").read_text()
-    assert "stopped_by_discrepancy" in text
+    # the flow and iterate subcommands share one runner; run both configs
+    for command, name, stem in (
+        ("flow", "flow_newton_hammerstein.json", "flow_newton"),
+        ("iterate", "iterate_newton_hammerstein.json", "iterate_newton"),
+    ):
+        code = main(
+            [command, "--config", str(CONFIGS / name),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        text = (tmp_path / "out" / f"{stem}.csv").read_text()
+        assert "stopped_by_discrepancy" in text
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):

@@ -15,12 +15,11 @@ from monoreg import (
     identity_map,
     identity_operator,
     solve_shifted,
-    weighted_inner_product,
     zero_map,
 )
 from monoreg.bench import trapezoid_weights
 
-from conftest import const_vector
+from helpers import const_vector
 
 
 def vec(values, weights=None):
@@ -35,28 +34,28 @@ def vec(values, weights=None):
 
 def test_constant_function_on_unit_measure_grid():
     u = vec([1.0, 1.0], [0.5, 0.5])
-    assert weighted_inner_product(u, u) == pytest.approx(1.0, abs=1e-15)
+    assert u.inner(u) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_zero_vector_inner_product():
     u = vec([3.0, -2.0, 5.0])
     z = vec([0.0, 0.0, 0.0])
-    assert weighted_inner_product(u, z) == 0.0
+    assert u.inner(z) == 0.0
 
 
 def test_trapezoid_quadrature_of_x_squared():
     # exact integral of x^2 on [0, 1] is 1/3; trapezoid error is O(h^2)
     x = np.linspace(0.0, 1.0, 51)
     u = vec(x, trapezoid_weights(51))
-    assert weighted_inner_product(u, u) == pytest.approx(1.0 / 3.0, abs=1e-3)
+    assert u.inner(u) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
 def test_grid_mismatch_on_length_and_weights():
     u = vec([1.0, 2.0])
     with pytest.raises(GridMismatch):
-        weighted_inner_product(u, vec([1.0, 2.0, 3.0]))
+        u.inner(vec([1.0, 2.0, 3.0]))
     with pytest.raises(GridMismatch):
-        weighted_inner_product(u, vec([1.0, 2.0], [0.5, 0.6]))
+        u.inner(vec([1.0, 2.0], [0.5, 0.6]))
 
 
 def test_weights_must_be_positive():
@@ -216,7 +215,7 @@ def test_to_dense_matches_callable_application():
     weights = rng.uniform(0.5, 1.5, n)
     M = rng.standard_normal((n, n))
     dense = LinearMap.from_matrix(M, weights)
-    lazy = LinearMap(dense.apply, dense.adjoint_apply, weights)
+    lazy = LinearMap(dense, dense.adjoint_apply, weights)
     assert np.allclose(lazy.to_dense(), M, atol=1e-14)
 
 

@@ -19,7 +19,7 @@ from monoreg import (
 )
 from monoreg.bench import NoiseSpec
 
-from conftest import const_vector
+from helpers import const_vector
 
 
 def test_one_dimensional_closed_form():

@@ -9,15 +9,20 @@ from monoreg import (
     HorizonExceeded,
     InvalidConfig,
     IterConfig,
+    NonFinite,
+    NonlinearOperator,
     ValidationParams,
     find_continuous,
     flow_gradient,
     flow_newton,
     flow_simple,
     gen_noise,
+    identity_map,
     identity_operator,
     init_u0,
+    iter_gradient,
     iter_newton,
+    iter_simple,
     make_continuous,
     make_discrete,
     solve_regularized,
@@ -25,15 +30,18 @@ from monoreg import (
 )
 from monoreg.bench import NoiseSpec
 from monoreg.reports import (
+    DIRECTIONS,
     EXHAUSTED_HORIZON,
     STEP_FLOOR,
     STOPPED_BY_DISCREPANCY,
 )
 from monoreg.schedules import (
     GRADIENT_FLOW,
+    GRADIENT_ITER,
     NEWTON_FLOW,
     NEWTON_ITER,
     SIMPLE_FLOW,
+    SIMPLE_ITER,
 )
 
 
@@ -198,6 +206,43 @@ def test_mismatched_schedule_kind_rejected():
         flow_newton(F, f, 0.01, cfg, HilbertVector.zeros(np.ones(1)))
 
 
+def test_nan_in_data_fails_at_the_start():
+    # used to report step_floor after 0 steps
+    F, f = scalar_problem()
+    schedule = make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0)
+    cfg = FlowConfig(schedule=schedule, t_max=100.0)
+    with pytest.raises(NonFinite):
+        flow_simple(F, f.with_values(np.array([np.nan])), 0.01, cfg,
+                    HilbertVector.zeros(np.ones(1)))
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+def test_non_finite_delta_rejected(delta):
+    F, f = scalar_problem()
+    schedule = make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0)
+    cfg = FlowConfig(schedule=schedule, t_max=100.0)
+    with pytest.raises(InvalidConfig, match="finite"):
+        flow_simple(F, f, delta, cfg, HilbertVector.zeros(np.ones(1)))
+
+
+def test_non_finite_trial_step_is_halved():
+    # F(u) = u turns NaN above 1.5: the first trial step h = 2 lands at
+    # u = 2 and is rejected like any residual increase; h = 1 then crosses
+    w = np.ones(1)
+    eye = identity_map(w)
+    F = NonlinearOperator(
+        lambda u: u.with_values(np.where(u.values > 1.5, np.nan, u.values)),
+        lambda u: eye,
+    )
+    f = HilbertVector(np.array([1.0]), w)
+    schedule = make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0)
+    cfg = FlowConfig(schedule=schedule, step_init=2.0, step_max=2.0,
+                     t_max=100.0)
+    report = flow_simple(F, f, 0.05, cfg, HilbertVector.zeros(w))
+    assert report.status == STOPPED_BY_DISCREPANCY
+    assert 0.0 < report.t_stop <= 1.0
+
+
 # ------------------------------------------------------------ start points
 
 
@@ -215,7 +260,7 @@ def test_init_u0_satisfies_quarter_level(ham50, ham_data):
 def test_init_u0_zero_start_certified(unit_pair):
     # for F = identity with data 2 at a0 = 1: ||V(0)|| = 1 and the zero
     # start bound ||F(0) - f|| / a0 = 2 holds with room
-    from conftest import const_vector
+    from helpers import const_vector
 
     F = identity_operator(unit_pair)
     f = const_vector(2.0, unit_pair)
@@ -229,19 +274,46 @@ def test_init_u0_zero_start_certified(unit_pair):
 # ----------------------------------------------- flow/iteration consistency
 
 
-def test_unit_euler_step_equals_newton_iteration(ham50, ham_data):
+@pytest.mark.parametrize(
+    "method, kind, b, runner",
+    [
+        ("newton", NEWTON_ITER, 1.0, iter_newton),
+        ("gradient", GRADIENT_ITER, 0.25, iter_gradient),
+        ("simple", SIMPLE_ITER, 0.5, iter_simple),
+    ],
+    ids=["newton", "gradient", "simple"],
+)
+def test_unit_euler_step_equals_newton_iteration(
+    ham50, ham_data, method, kind, b, runner
+):
+    # the first iterate is the flow's Euler step u0 - alpha_0 d at the same
+    # state and shift: alpha_0 = 1 for newton, the band top (the default
+    # step) for the damped schemes
     prob, F = ham50
     f_delta, delta = gen_noise(ham_data, NoiseSpec(0.01, seed=7))
     sampler = BallSampler(prob.exact_solution, radius=0.5, seed=17)
+    m1 = F.bounds.m1
+    alpha = {
+        "newton": lambda a: 1.0,
+        "gradient": lambda a: 2.0 / (a * a + (m1 + a) ** 2),
+        "simple": lambda a: 2.0 / (m1 + 2.0 * a),
+    }[method]
+    paper_direction = {
+        "newton": lambda u, a, G: solve_shifted(F.deriv(u), a, G, tol=1e-12),
+        "gradient": lambda u, a, G: F.deriv(u).adjoint_apply(G) + a * G,
+        "simple": lambda u, a, G: G,
+    }[method]
     for k, u0 in enumerate(sampler.points(20)):
         a0 = 0.05 + 0.1 * k
         G = F(u0) + a0 * u0 - f_delta
-        euler = u0 - 1.0 * solve_shifted(F.deriv(u0), a0, G, tol=1e-12)
-        schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=a0)
+        d = DIRECTIONS[method](F, u0, a0, G, 1e-12)
+        assert (d - paper_direction(u0, a0, G)).norm() <= 1e-12 * d.norm()
+        euler = u0 - alpha(a0) * d
+        schedule = make_discrete(kind, b=b, d_or_c=1.0, d0=a0)
         cfg = IterConfig(schedule=schedule, C1=1.5, gamma_or_zeta=0.9,
                          n_max=1, inner_tol=1e-12)
         with pytest.raises(HorizonExceeded) as info:
-            iter_newton(F, f_delta, 1e-9, cfg, u0)
+            runner(F, f_delta, 1e-9, cfg, u0)
         iterate = info.value.report.u_final
         assert (euler - iterate).norm() <= 1e-12
 

@@ -6,7 +6,10 @@ from monoreg import (
     HorizonExceeded,
     InvalidConfig,
     IterConfig,
+    NonFinite,
+    NonlinearOperator,
     gen_noise,
+    identity_map,
     identity_operator,
     iter_gradient,
     iter_newton,
@@ -15,10 +18,11 @@ from monoreg import (
     operator_norm_estimate,
 )
 from monoreg.bench import NoiseSpec
+from monoreg.iterations import DEFAULT_N_MAX
 from monoreg.reports import STOPPED_BY_DISCREPANCY
 from monoreg.schedules import GRADIENT_ITER, NEWTON_ITER, SIMPLE_ITER
 
-from conftest import const_vector
+from helpers import const_vector
 
 
 def one_dim(value=1.0):
@@ -264,9 +268,114 @@ def test_m1_estimation_is_flagged():
     from monoreg.core import LinearMap, NonlinearOperator
 
     A = LinearMap.from_matrix(np.diag([1.0, 2.0]), w)
-    F = NonlinearOperator(A.apply, lambda u: A)  # no declared bounds
+    F = NonlinearOperator(A, lambda u: A)  # no declared bounds
     f = HilbertVector(np.array([1.0, 1.0]), w)
     schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
     cfg = IterConfig(schedule=schedule, C1=1.5, gamma_or_zeta=0.9, n_max=2000)
     report = iter_simple(F, f, 0.05, cfg, HilbertVector.zeros(w))
     assert any(note.startswith("m1_estimated") for note in report.notes)
+
+
+# ------------------------------------------------------- non-finite values
+
+
+def test_nan_in_data_fails_before_any_step(ham50, ham_data):
+    # one NaN in f_delta used to run all n_max steps, a shifted solve each,
+    # and then raise HorizonExceeded
+    prob, F = ham50
+    f_delta, delta = gen_noise(ham_data, NoiseSpec(0.01, seed=0))
+    values = f_delta.values.copy()
+    values[7] = np.nan
+    derivatives = []
+    counted = NonlinearOperator(
+        F.apply, lambda u: derivatives.append(u) or F.deriv(u), F.bounds
+    )
+    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=0.5)
+    cfg = IterConfig(schedule=schedule, n_max=300)
+    with pytest.raises(NonFinite):
+        iter_newton(counted, f_delta.with_values(values), delta, cfg,
+                    HilbertVector.zeros(prob.weights))
+    assert derivatives == []
+
+
+def test_non_finite_iterate_fails_at_once():
+    # F(u) = u turns NaN above 0.5; the newton iterates 1 / (1 + a_n) with
+    # a_n = 5 / (1 + n) pass 0.5 at step 6, far above the threshold 0.1
+    w = np.ones(1)
+    eye = identity_map(w)
+    F = NonlinearOperator(
+        lambda u: u.with_values(np.where(u.values > 0.5, np.nan, u.values)),
+        lambda u: eye,
+    )
+    f = HilbertVector(np.array([1.0]), w)
+    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=5.0)
+    cfg = IterConfig(schedule=schedule, C1=2.0, gamma_or_zeta=1.0, n_max=200)
+    with pytest.raises(NonFinite, match="at 6;"):
+        iter_newton(F, f, 0.05, cfg, HilbertVector.zeros(w))
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+def test_non_finite_delta_rejected(delta):
+    F, f = one_dim(1.0)
+    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=5.0)
+    cfg = IterConfig(schedule=schedule, n_max=300)
+    with pytest.raises(InvalidConfig, match="finite"):
+        iter_newton(F, f, delta, cfg, HilbertVector.zeros(np.ones(1)))
+
+
+# ------------------------------------------------------------ step budget
+
+
+def n_max_by_search(cfg, delta):
+    """The budget as resolve_n_max computed it before the closed form: a
+    linear search for the first index at or below a_end."""
+    C = (cfg.C1 + 1.0) / 2.0
+    a_end = delta * (C - 1.0) / cfg.y_norm
+    n = 0
+    while cfg.schedule.a(n) > a_end and n < DEFAULT_N_MAX:
+        n += 1
+    return max(10 * (n + 1), 10)
+
+
+@pytest.mark.parametrize(
+    "kind, b, d_or_c, d0, y_norm, delta",
+    [
+        (NEWTON_ITER, 1.0, 1.0, 1.0, 1.0, 1e-3),
+        (NEWTON_ITER, 0.7, 3.0, 0.35, 7.0, 0.05),
+        (GRADIENT_ITER, 0.25, 1.0, 1.0, 0.5, 0.3),
+        (GRADIENT_ITER, 0.2, 2.5, 0.1, 1.0, 0.05),
+        (SIMPLE_ITER, 0.5, 1.0, 1.0, 1.0, 0.02),
+        (SIMPLE_ITER, 0.5, 4.0, 3.0, 2.0, 0.1),
+        # capped: the search stops at DEFAULT_N_MAX, giving 1000010
+        (SIMPLE_ITER, 0.5, 1.0, 1.0, 1.0, 1e-3),
+        # a_end = 0.5 * 0.25 / 0.125 = 1 = a_1 = 2 / (1 + 1) exactly
+        (NEWTON_ITER, 1.0, 1.0, 2.0, 0.125, 0.5),
+    ],
+)
+def test_resolve_n_max_matches_linear_search(kind, b, d_or_c, d0, y_norm,
+                                             delta):
+    schedule = make_discrete(kind, b=b, d_or_c=d_or_c, d0=d0)
+    cfg = IterConfig(schedule=schedule, y_norm=y_norm)
+    assert cfg.resolve_n_max(delta) == n_max_by_search(cfg, delta)
+
+
+def test_index_for_level_at_exact_schedule_values():
+    # a_3 = 1/4 for a_n = 1/(1+n) and a_3 = 1/2 for a_n = 1/sqrt(1+n); the
+    # first index at or below a level equal to a_3 is 3
+    for b, level in ((1.0, 0.25), (0.5, 0.5)):
+        schedule = make_discrete(NEWTON_ITER, b=b, d_or_c=1.0, d0=1.0)
+        assert schedule.a(3) == level
+        assert schedule.index_for_level(level) == 3
+        assert schedule.index_for_level(level * (1 + 1e-12)) == 3
+        assert schedule.index_for_level(level * (1 - 1e-12)) == 4
+        assert schedule.index_for_level(2.0) == 0
+    # at a level equal to a_n, or one ulp below it, the rounded closed form
+    # alone lands one index too high, or too low, on hundreds of n here
+    for kind, b, d_or_c, d0 in ((NEWTON_ITER, 0.3, 1.0, 1.0),
+                                (GRADIENT_ITER, 0.25, 1.0, 1.0),
+                                (NEWTON_ITER, 0.7, 3.0, 0.35)):
+        schedule = make_discrete(kind, b=b, d_or_c=d_or_c, d0=d0)
+        for n in range(3000):
+            a_n = float(schedule.a(n))
+            assert schedule.index_for_level(a_n) == n
+            assert schedule.index_for_level(np.nextafter(a_n, 0.0)) == n + 1

@@ -17,7 +17,7 @@ from monoreg import (
 )
 from monoreg.bench import NoiseSpec
 
-from conftest import const_vector
+from helpers import const_vector
 
 
 def test_zero_operator():
