@@ -83,6 +83,8 @@ def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> Hammerste
 
 
 def _check_grid(prob: HammersteinProblem, u: HilbertVector) -> None:
+    if u.weights is prob.weights:
+        return
     if u.size != prob.n_nodes or not np.array_equal(u.weights, prob.weights):
         raise GridMismatch("vector does not live on the problem grid")
 

@@ -55,7 +55,19 @@ class HilbertVector:
     def size(self) -> int:
         return self.values.size
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, weights: np.ndarray) -> "HilbertVector":
+        # For the library's own arithmetic only: `values` is a fresh float
+        # array and `weights` an already validated one, shared by identity.
+        values.setflags(write=False)
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", values)
+        object.__setattr__(vec, "weights", weights)
+        return vec
+
     def same_grid(self, other: "HilbertVector") -> bool:
+        if self.weights is other.weights:
+            return True
         return self.weights.shape == other.weights.shape and np.array_equal(
             self.weights, other.weights
         )
@@ -81,22 +93,22 @@ class HilbertVector:
 
     def __add__(self, other: "HilbertVector") -> "HilbertVector":
         self._check_grid(other)
-        return HilbertVector(self.values + other.values, self.weights)
+        return HilbertVector._trusted(self.values + other.values, self.weights)
 
     def __sub__(self, other: "HilbertVector") -> "HilbertVector":
         self._check_grid(other)
-        return HilbertVector(self.values - other.values, self.weights)
+        return HilbertVector._trusted(self.values - other.values, self.weights)
 
     def __mul__(self, scalar: float) -> "HilbertVector":
-        return HilbertVector(self.values * float(scalar), self.weights)
+        return HilbertVector._trusted(self.values * float(scalar), self.weights)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: float) -> "HilbertVector":
-        return HilbertVector(self.values / float(scalar), self.weights)
+        return HilbertVector._trusted(self.values / float(scalar), self.weights)
 
     def __neg__(self) -> "HilbertVector":
-        return HilbertVector(-self.values, self.weights)
+        return HilbertVector._trusted(-self.values, self.weights)
 
 
 class LinearMap:

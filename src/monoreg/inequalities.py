@@ -182,19 +182,33 @@ def bound_continuous(
     dt = (inst.horizon - inst.tau0) / n_steps
     ts = inst.tau0 + dt * np.arange(n_steps + 1)
 
-    def rhs(t, g):
+    # The coefficients at every RK4 node, evaluated once: (gamma, alpha,
+    # beta) as flat float lists at t_k, t_k + dt/2 and t_k + dt (not
+    # t_{k+1}, which can differ from t_k + dt in the last bit).
+    def coefficients(t):
+        return tuple(
+            np.broadcast_to(np.asarray(f(t), dtype=float), t.shape).tolist()
+            for f in (inst.gamma, inst.alpha, inst.beta)
+        )
+
+    t_left = ts[:-1]
+    c_left = coefficients(t_left)
+    c_mid = coefficients(t_left + 0.5 * dt)
+    c_right = coefficients(t_left + dt)
+    p = inst.p
+
+    def rhs(c, k, g):
         g = max(g, 0.0)
-        return -inst.gamma(t) * g + inst.alpha(t) * g ** inst.p + inst.beta(t)
+        return -c[0][k] * g + c[1][k] * g ** p + c[2][k]
 
     g = float(inst.g0)
     traj = np.empty(n_steps + 1)
     traj[0] = g
     for k in range(n_steps):
-        t = ts[k]
-        k1 = rhs(t, g)
-        k2 = rhs(t + 0.5 * dt, g + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, g + 0.5 * dt * k2)
-        k4 = rhs(t + dt, g + dt * k3)
+        k1 = rhs(c_left, k, g)
+        k2 = rhs(c_mid, k, g + 0.5 * dt * k1)
+        k3 = rhs(c_mid, k, g + 0.5 * dt * k2)
+        k4 = rhs(c_right, k, g + dt * k3)
         g = max(g + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
         traj[k + 1] = g
     bound = 1.0 / np.asarray(inst.mu(ts), dtype=float)

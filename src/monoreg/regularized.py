@@ -13,12 +13,11 @@ a one-dimensional root-finding problem.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import HilbertVector, NonlinearOperator, solve_shifted
-from .errors import BudgetExceeded, NoDerivative, NonConvergence, NoRoot
+from .errors import BudgetExceeded, NoDerivative, NonConvergence, NonFinite, NoRoot
 
 MAX_NEWTON = 200
 MAX_RELAX = 10_000
@@ -71,9 +70,18 @@ def _defect(F, f_delta, a, V):
     return F(V) + a * V - f_delta
 
 
+def _require_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise NonFinite(
+            f"{what} is {value}; check f_delta, the start and the operator "
+            "for non-finite values"
+        )
+
+
 def _newton(F, f_delta, a, tol, V) -> RegularizedSolution:
     G = _defect(F, f_delta, a, V)
     ng = G.norm()
+    _require_finite(ng, f"the defect at a = {a:g}")
     for it in range(MAX_NEWTON):
         if ng <= tol:
             return RegularizedSolution(V, a, ng, it)
@@ -105,9 +113,11 @@ def _relaxation(F, f_delta, a, tol, V) -> RegularizedSolution:
             "derivative-free solve needs declared bounds (m1) for its step size"
         )
     s = 1.0 / (F.bounds.m1 + 2.0 * a)
+    what = f"the defect at a = {a:g}"
     for it in range(MAX_RELAX):
         G = _defect(F, f_delta, a, V)
         ng = G.norm()
+        _require_finite(ng, what)
         if ng <= tol:
             return RegularizedSolution(V, a, ng, it)
         V = V - s * G
@@ -159,6 +169,7 @@ def _bracket_search(F, f_delta, target, a_init, tol, max_doublings):
         raise ValueError("a_init must be positive")
     zero = HilbertVector.zeros(f_delta.weights)
     ceiling = (F(zero) - f_delta).norm()
+    _require_finite(ceiling, "||F(0) - f_delta||, the ceiling of phi,")
     if target >= ceiling:
         raise NoRoot(
             f"target {target:g} is not attainable: phi is bounded above by "

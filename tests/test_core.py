@@ -12,12 +12,14 @@ from monoreg import (
     SolveFailed,
     check_monotonicity,
     fd_derivative_check,
+    hammerstein_operator,
     identity_map,
     identity_operator,
     solve_shifted,
     zero_map,
 )
-from monoreg.bench import trapezoid_weights
+import monoreg.core
+from monoreg.bench import TRAPEZOID, make_hammerstein, trapezoid_weights
 
 from helpers import const_vector
 
@@ -110,6 +112,50 @@ def test_vectors_are_immutable():
         u.values[0] = 5.0
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@given(
+    st.lists(st.tuples(finite_floats, finite_floats,
+                       st.floats(min_value=1e-3, max_value=1e3)),
+             min_size=1, max_size=8),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_results_are_trusted_and_exact(entries, scale, negative):
+    us, vs, ws = (np.array(column) for column in zip(*entries))
+    s = -scale if negative else scale
+    u, v = vec(us, ws), vec(vs, ws.copy())
+    cases = [
+        (u + v, np.add(u.values, v.values)),
+        (u - v, np.subtract(u.values, v.values)),
+        (u * s, np.multiply(u.values, s)),
+        (s * u, np.multiply(u.values, s)),
+        (u / s, np.divide(u.values, s)),
+        (-u, np.negative(u.values)),
+    ]
+    for result, expected in cases:
+        assert np.array_equal(_bits(result.values), _bits(expected))
+        assert result.weights is u.weights
+        assert not result.values.flags.writeable
+
+
+def test_with_values_validates_length():
+    u = vec([1.0, 2.0])
+    with pytest.raises(GridMismatch):
+        u.with_values(np.array([1.0, 2.0, 3.0]))
+
+
+def test_same_grid_compares_weights_by_value():
+    w = np.array([0.5, 1.5])
+    u = vec([1.0, 2.0], w)
+    assert u.same_grid(vec([3.0, 4.0], w.copy()))
+    assert not u.same_grid(vec([3.0, 4.0], [0.5, 1.6]))
+    assert not u.same_grid(vec([3.0, 4.0, 5.0], [0.5, 1.5, 1.0]))
+
+
 # ------------------------------------------------------------- monotonicity
 
 
@@ -182,6 +228,43 @@ def test_shifted_solve_iterative_path():
     rhs = vec(np.sin(np.arange(n)), w)
     x = solve_shifted(A, 0.5, rhs, tol=1e-10)
     assert np.allclose((diag + 0.5) * x.values, rhs.values, atol=1e-8)
+
+
+def _dense_and_cg(monkeypatch, A, a, rhs):
+    dense = solve_shifted(A, a, rhs)
+    calls = []
+    cg = monoreg.core._cg_normal_equations
+    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(monoreg.core, "_cg_normal_equations",
+                        lambda *args: calls.append(args) or cg(*args))
+    x = solve_shifted(A, a, rhs)
+    assert len(calls) == 1
+    return dense, x
+
+
+def test_cg_path_matches_dense_on_hammerstein_derivative(monkeypatch):
+    # the trapezoid derivative is self-adjoint in the weighted product
+    prob = make_hammerstein(40, TRAPEZOID)
+    F = hammerstein_operator(prob)
+    u = prob.exact_solution.with_values(np.sin(3.0 * prob.grid))
+    A = F.deriv(u)
+    rhs = F(u)
+    dense, cg = _dense_and_cg(monkeypatch, A, 0.05, rhs)
+    assert (cg - dense).norm() <= 1e-8 * dense.norm()
+
+
+def test_cg_path_matches_dense_on_non_self_adjoint_map(monkeypatch):
+    # I + W^{-1} K with K skew-symmetric is monotone in the weighted
+    # product but not self-adjoint
+    rng = np.random.Generator(np.random.PCG64(11))
+    n = 30
+    weights = rng.uniform(0.2, 2.0, n)
+    B = rng.standard_normal((n, n))
+    A = LinearMap.from_matrix(np.eye(n) + (B - B.T) / weights[:, None], weights)
+    rhs = HilbertVector(rng.standard_normal(n), weights)
+    assert (A.adjoint_apply(rhs) - A(rhs)).norm() > 0.1 * rhs.norm()
+    dense, cg = _dense_and_cg(monkeypatch, A, 0.3, rhs)
+    assert (cg - dense).norm() <= 1e-8 * dense.norm()
 
 
 def test_shifted_solve_failure_is_reported():

@@ -9,6 +9,7 @@ from monoreg import (
     DPConfig,
     HilbertVector,
     InvalidConfig,
+    NonFinite,
     accept_candidate,
     gen_noise,
     identity_operator,
@@ -175,6 +176,15 @@ def test_accept_candidate_consistency_with_inner_solver(ham50, ham_data):
     sol = solve_regularized(F, f_delta, dp.a_delta, tol=cfg.theta * delta)
     report = accept_candidate(F, f_delta, delta, sol.V, dp.a_delta, cfg)
     assert report.accepted
+
+
+def test_nan_data_raises_non_finite(ham50, ham_data):
+    prob, F = ham50
+    f_delta, delta = gen_noise(ham_data, NoiseSpec(0.01, seed=0))
+    values = f_delta.values.copy()
+    values[7] = np.nan
+    with pytest.raises(NonFinite, match="ceiling of phi"):
+        solve_dp(F, f_delta.with_values(values), delta, DPConfig())
 
 
 def test_config_validation():

@@ -206,6 +206,15 @@ def test_mismatched_schedule_kind_rejected():
         flow_newton(F, f, 0.01, cfg, HilbertVector.zeros(np.ones(1)))
 
 
+def test_nan_in_data_fails_in_init_u0(ham50, ham_data):
+    # the start point's regularized solve names the cause too
+    prob, F = ham50
+    values = ham_data.values.copy()
+    values[7] = np.nan
+    with pytest.raises(NonFinite, match="defect at a = 1 is nan"):
+        init_u0(F, ham_data.with_values(values), a0=1.0)
+
+
 def test_nan_in_data_fails_at_the_start():
     # used to report step_floor after 0 steps
     F, f = scalar_problem()

@@ -94,6 +94,52 @@ def test_continuous_sweep_zero_violations():
         assert report.passed
 
 
+def _per_step_rk4(inst, n_steps):
+    # the extremal trajectory with the coefficients evaluated in every RK4
+    # stage, as a per-step oracle for the hoisted evaluation
+    dt = (inst.horizon - inst.tau0) / n_steps
+    ts = inst.tau0 + dt * np.arange(n_steps + 1)
+
+    def rhs(t, g):
+        g = max(g, 0.0)
+        return -inst.gamma(t) * g + inst.alpha(t) * g ** inst.p + inst.beta(t)
+
+    g = float(inst.g0)
+    traj = np.empty(n_steps + 1)
+    traj[0] = g
+    for k in range(n_steps):
+        t = ts[k]
+        k1 = rhs(t, g)
+        k2 = rhs(t + 0.5 * dt, g + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, g + 0.5 * dt * k2)
+        k4 = rhs(t + dt, g + dt * k3)
+        g = max(g + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
+        traj[k + 1] = g
+    return traj
+
+
+def test_hoisted_coefficients_match_per_step_oracle():
+    for seed in range(20):
+        inst = random_continuous_instance(seed)
+        report = bound_continuous(inst, n_steps=2000)
+        assert np.array_equal(report.trajectory, _per_step_rk4(inst, 2000))
+
+
+def test_scalar_coefficient_is_broadcast():
+    inst = ContinuousInequality(
+        p=2.0,
+        alpha=lambda t: np.exp(np.asarray(t) / 2.0) / 4.0,
+        beta=lambda t: np.exp(-np.asarray(t) / 2.0) / 4.0,
+        gamma=lambda t: 1.0,
+        mu=lambda t: np.exp(np.asarray(t) / 2.0),
+        mu_dot=lambda t: np.exp(np.asarray(t) / 2.0) / 2.0,
+        g0=0.5,
+        horizon=7.3,
+    )
+    report = bound_continuous(inst, n_steps=1500)
+    assert np.array_equal(report.trajectory, _per_step_rk4(inst, 1500))
+
+
 # ---------------------------------------------------------------- discrete
 
 

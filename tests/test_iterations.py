@@ -279,6 +279,22 @@ def test_m1_estimation_is_flagged():
 # ------------------------------------------------------- non-finite values
 
 
+def test_arithmetic_stays_on_the_trusted_path(ham50_euclidean, monkeypatch):
+    # vector arithmetic inside a run builds its results without the public
+    # constructor's validation; only operator outputs (with_values) and
+    # the start are validated
+    prob, F = ham50_euclidean
+    f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.01, seed=0))
+    validated = []
+    post_init = HilbertVector.__post_init__
+    monkeypatch.setattr(HilbertVector, "__post_init__",
+                        lambda self: validated.append(1) or post_init(self))
+    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=4.0 * delta**0.99)
+    cfg = IterConfig(schedule=schedule, C1=1.01, gamma_or_zeta=0.99, n_max=500)
+    report = iter_newton(F, f_delta, delta, cfg, HilbertVector.zeros(prob.weights))
+    assert len(validated) <= 4 * len(report.residual_history)
+
+
 def test_nan_in_data_fails_before_any_step(ham50, ham_data):
     # one NaN in f_delta used to run all n_max steps, a shifted solve each,
     # and then raise HorizonExceeded

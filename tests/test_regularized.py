@@ -5,6 +5,7 @@ import scipy.optimize
 from monoreg import (
     BallSampler,
     HilbertVector,
+    NonFinite,
     NoRoot,
     NonlinearOperator,
     OperatorBounds,
@@ -86,6 +87,19 @@ def test_relaxation_fallback_without_derivative():
     f = const_vector(1.0, w)
     sol = solve_regularized(F, f, a=0.5, tol=1e-10)
     assert (F(sol.V) + 0.5 * sol.V - f).norm() <= 1e-10
+
+
+def test_nan_data_raises_non_finite(ham50, ham_data):
+    # one NaN in f_delta used to stall the line search and raise
+    # NonConvergence, blaming the monotonicity contract
+    prob, F = ham50
+    values = ham_data.values.copy()
+    values[7] = np.nan
+    with pytest.raises(NonFinite, match="defect at a = 0.1 is nan"):
+        solve_regularized(F, ham_data.with_values(values), a=0.1)
+    derivative_free = NonlinearOperator(F.apply, bounds=F.bounds)
+    with pytest.raises(NonFinite, match="defect at a = 0.1 is nan"):
+        solve_regularized(derivative_free, ham_data.with_values(values), a=0.1)
 
 
 # ---------------------------------------------------------------- phi / psi
