@@ -104,7 +104,10 @@ def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> Linear
     """w -> D(u) w + K w; self-adjoint in trapezoid mode since the kernel
     is symmetric against the quadrature weights and D is diagonal."""
     _check_grid(prob, u)
-    matrix = prob.kernel + np.diag(nonlinearity_slope(u.values))
+    # the kernel entries are positive, so adding 0.0 off the diagonal (as
+    # kernel + np.diag(slope) would) changes no bit; skip its N x N temporary
+    matrix = prob.kernel.copy()
+    matrix[np.diag_indices(prob.n_nodes)] += nonlinearity_slope(u.values)
     return LinearMap.from_matrix(matrix, prob.weights)
 
 

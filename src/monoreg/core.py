@@ -13,14 +13,20 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import GridMismatch, NoDerivative, SolveFailed
+from .errors import GridMismatch, NoDerivative, NonFinite, SolveFailed
 
 # Relative-error denominators are floored here to avoid division by zero.
 EPS_FLOOR = 1e-14
 
 # Shifted solves use a direct dense factorization up to this dimension and
-# conjugate gradients on the normal equations beyond it.
+# restarted GMRES beyond it.  The measured crossover lies far lower (see
+# ROADMAP Baselines), but moving the limit changes the bits of every solve
+# in between, so it waits for a change of its own.
 DENSE_LIMIT = 2000
+
+# Arnoldi steps per GMRES cycle: each step keeps one more basis vector of
+# length N, and the Hammerstein Newton systems converge within one cycle.
+GMRES_RESTART = 30
 
 
 @dataclass(frozen=True)
@@ -141,12 +147,16 @@ class LinearMap:
         weights = np.asarray(weights, dtype=float)
         if matrix.shape != (weights.size, weights.size):
             raise GridMismatch("matrix shape does not match the grid")
-        adj = (matrix.T * weights[None, :]) / weights[:, None]
+        adj = None
 
         def apply_fn(v: HilbertVector) -> HilbertVector:
             return v.with_values(matrix @ v.values)
 
         def adjoint_fn(v: HilbertVector) -> HilbertVector:
+            # built on first use: the newton paths never take an adjoint
+            nonlocal adj
+            if adj is None:
+                adj = (matrix.T * weights[None, :]) / weights[:, None]
             return v.with_values(adj @ v.values)
 
         return cls(apply_fn, adjoint_fn, weights, matrix=matrix)
@@ -323,70 +333,113 @@ def check_monotonicity(
 def solve_shifted(
     A: LinearMap, a: float, rhs: HilbertVector, tol: float = 1e-10
 ) -> HilbertVector:
-    """Solve (A + a I) x = rhs for a > 0.
+    """Solve (A + a I) x = rhs for a > 0, to ||(A + aI) x - rhs|| <= tol ||rhs||.
 
     For the derivative of a monotone operator the shifted map is
     invertible with inverse norm at most 1/a, so the solve is well posed
-    for any positive shift.  Dense factorization (plus one iterative
-    refinement pass) up to DENSE_LIMIT, conjugate gradients on the normal
-    equations beyond.
+    for any positive shift.  Up to DENSE_LIMIT the matrix is factorized
+    densely (plus one iterative refinement pass); beyond it restarted
+    GMRES runs in the weighted inner product, where the field of values
+    of A + aI lies in Re z >= a, with one product with A per step and no
+    adjoint.  Both paths check the residual explicitly and raise
+    `SolveFailed` when it misses the tolerance; a non-finite shift or
+    right-hand side raises `NonFinite` at once.
     """
     if a <= 0:
         raise ValueError("shift a must be positive")
     rhs_norm = rhs.norm()
+    if not (np.isfinite(a) and np.isfinite(rhs_norm)):
+        raise NonFinite(
+            f"non-finite shifted solve input: a = {a:g}, ||rhs|| = {rhs_norm:g}"
+        )
     if rhs_norm == 0.0:
         return rhs.with_values(np.zeros_like(rhs.values))
-    if A.dimension <= DENSE_LIMIT:
-        M = A.to_dense() + a * np.eye(A.dimension)
-        try:
-            x = np.linalg.solve(M, rhs.values)
-            x += np.linalg.solve(M, rhs.values - M @ x)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailed(
-                f"shifted matrix is singular at a = {a:g}; the operator "
-                "violates the nonnegativity contract"
-            ) from exc
-        sol = rhs.with_values(x)
-        residual = (A(sol) + a * sol - rhs).norm()
-        if residual > tol * rhs_norm:
-            raise SolveFailed(
-                f"dense shifted solve residual {residual:g} exceeds "
-                f"{tol:g} * ||rhs||"
-            )
-        return sol
-    return _cg_normal_equations(A, a, rhs, tol)
+    if A.dimension > DENSE_LIMIT:
+        return _gmres(A, a, rhs, tol * rhs_norm)
+    M = A.to_dense() + a * np.eye(A.dimension)
+    try:
+        x = np.linalg.solve(M, rhs.values)
+        x += np.linalg.solve(M, rhs.values - M @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailed(
+            f"shifted matrix is singular at a = {a:g}; the operator "
+            "violates the nonnegativity contract"
+        ) from exc
+    sol = rhs.with_values(x)
+    residual = (A(sol) + a * sol - rhs).norm()
+    if not residual <= tol * rhs_norm:
+        raise SolveFailed(
+            f"dense shifted solve residual {residual:g} exceeds "
+            f"{tol:g} * ||rhs||"
+        )
+    return sol
 
 
-def _cg_normal_equations(
-    A: LinearMap, a: float, rhs: HilbertVector, tol: float
+def _gmres(
+    A: LinearMap, a: float, rhs: HilbertVector, target: float
 ) -> HilbertVector:
-    # CG on (A+aI)*(A+aI) x = (A+aI)* rhs in the weighted inner product.
-    shifted = lambda v: A(v) + a * v
-    shifted_adj = lambda v: A.adjoint_apply(v) + a * v
-    rhs_norm = rhs.norm()
-    b = shifted_adj(rhs)
-    x = rhs.with_values(np.zeros_like(rhs.values))
-    r = b
-    p = r
-    rs = r.inner(r)
-    max_iter = 20 * A.dimension
-    for k in range(max_iter):
-        if k % 10 == 0:
-            if (shifted(x) - rhs).norm() <= tol * rhs_norm:
-                return x
-        Ap = shifted_adj(shifted(p))
-        denom = p.inner(Ap)
-        if denom <= 0:
+    # Restarted GMRES on (A + aI) x = rhs with modified Gram-Schmidt and
+    # Givens rotations in the weighted inner product.  Each cycle ends with
+    # the true residual, which is also the final check; the budget is 20 N
+    # products with A, and a cycle that does not lower the residual ends
+    # the solve, since for a monotone A every Arnoldi step lowers it.
+    w = rhs.weights
+    inner = lambda u, v: float(np.dot(w * u, v))
+
+    def shifted(v: np.ndarray) -> np.ndarray:
+        return A(HilbertVector._trusted(v, w)).values + a * v
+
+    x = np.zeros_like(rhs.values)
+    r = rhs.values
+    res = rhs.norm()
+    products, budget = 0, 20 * A.dimension
+    while res > target and products < budget - 1:
+        steps = min(GMRES_RESTART, budget - products - 1)
+        basis = [r / res]
+        R = np.zeros((steps, steps))  # Hessenberg, triangular after rotations
+        cs, sn = np.zeros(steps), np.zeros(steps)
+        g = np.zeros(steps + 1)
+        g[0] = res
+        k = 0  # Arnoldi steps done in this cycle
+        while True:
+            u = shifted(basis[k])
+            products += 1
+            for i, v in enumerate(basis):
+                R[i, k] = inner(u, v)
+                u = u - R[i, k] * v
+            u_norm = np.sqrt(inner(u, u))
+            for i in range(k):
+                R[i, k], R[i + 1, k] = (
+                    cs[i] * R[i, k] + sn[i] * R[i + 1, k],
+                    cs[i] * R[i + 1, k] - sn[i] * R[i, k],
+                )
+            rho = np.hypot(R[k, k], u_norm)
+            if not rho > 0.0:
+                break
+            cs[k], sn[k] = R[k, k] / rho, u_norm / rho
+            R[k, k] = rho
+            g[k + 1] = -sn[k] * g[k]
+            g[k] *= cs[k]
+            k += 1
+            if k == steps or abs(g[k]) <= target:
+                break
+            basis.append(u / u_norm)
+        if k == 0:
             break
-        alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = r.inner(r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if (shifted(x) - rhs).norm() <= tol * rhs_norm:
-        return x
-    raise SolveFailed("conjugate-gradient shifted solve did not converge")
+        y = np.linalg.solve(R[:k, :k], g[:k])
+        x = x + np.dot(y, basis[:k])
+        r = rhs.values - shifted(x)
+        products += 1
+        previous, res = res, np.sqrt(inner(r, r))
+        if not res < previous:
+            break
+    if not res <= target:
+        raise SolveFailed(
+            f"GMRES shifted solve residual {res:g} exceeds {target:g} after "
+            f"{products} products with A; the operator may violate the "
+            "nonnegativity contract"
+        )
+    return HilbertVector._trusted(x, w)
 
 
 def fd_derivative_check(

@@ -17,7 +17,7 @@ from monoreg import (
     run_table1,
     trapezoid_weights,
 )
-from monoreg.bench import EUCLIDEAN, nonlinearity_slope, schedule_scale
+from monoreg.bench import EUCLIDEAN, TRAPEZOID, nonlinearity_slope, schedule_scale
 
 from helpers import const_vector
 
@@ -55,6 +55,15 @@ def test_derivative_at_zero_is_pure_kernel(ham50):
     prob, F = ham50
     A = hammerstein_derivative(prob, HilbertVector.zeros(prob.weights))
     assert np.allclose(A.to_dense(), prob.kernel, atol=1e-15)
+
+
+@pytest.mark.parametrize("norm_mode", [TRAPEZOID, EUCLIDEAN])
+def test_derivative_is_kernel_plus_diagonal_bit_for_bit(norm_mode):
+    prob = make_hammerstein(30, norm_mode)
+    rng = np.random.Generator(np.random.PCG64(4))
+    u = HilbertVector(rng.standard_normal(prob.n_nodes), prob.weights)
+    expected = prob.kernel + np.diag(nonlinearity_slope(u.values))
+    assert np.array_equal(hammerstein_derivative(prob, u).to_dense(), expected)
 
 
 def test_diagonal_slope_value_at_one():

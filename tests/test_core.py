@@ -8,6 +8,7 @@ from monoreg import (
     GridMismatch,
     HilbertVector,
     LinearMap,
+    NonFinite,
     NonlinearOperator,
     SolveFailed,
     check_monotonicity,
@@ -216,7 +217,7 @@ def test_shifted_solve_rejects_nonpositive_shift():
 
 
 def test_shifted_solve_iterative_path():
-    # above the dense cutoff the normal-equation CG path is taken
+    # above the dense cutoff the GMRES path is taken
     n = 2100
     w = np.ones(n)
     diag = np.linspace(0.0, 3.0, n)
@@ -230,30 +231,30 @@ def test_shifted_solve_iterative_path():
     assert np.allclose((diag + 0.5) * x.values, rhs.values, atol=1e-8)
 
 
-def _dense_and_cg(monkeypatch, A, a, rhs):
-    dense = solve_shifted(A, a, rhs)
+def _dense_and_gmres(monkeypatch, A, a, rhs, tol=1e-10):
+    dense = solve_shifted(A, a, rhs, tol)
     calls = []
-    cg = monoreg.core._cg_normal_equations
+    gmres = monoreg.core._gmres
     monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
-    monkeypatch.setattr(monoreg.core, "_cg_normal_equations",
-                        lambda *args: calls.append(args) or cg(*args))
-    x = solve_shifted(A, a, rhs)
+    monkeypatch.setattr(monoreg.core, "_gmres",
+                        lambda *args: calls.append(args) or gmres(*args))
+    x = solve_shifted(A, a, rhs, tol)
     assert len(calls) == 1
     return dense, x
 
 
-def test_cg_path_matches_dense_on_hammerstein_derivative(monkeypatch):
+def test_gmres_path_matches_dense_on_hammerstein_derivative(monkeypatch):
     # the trapezoid derivative is self-adjoint in the weighted product
     prob = make_hammerstein(40, TRAPEZOID)
     F = hammerstein_operator(prob)
     u = prob.exact_solution.with_values(np.sin(3.0 * prob.grid))
     A = F.deriv(u)
     rhs = F(u)
-    dense, cg = _dense_and_cg(monkeypatch, A, 0.05, rhs)
-    assert (cg - dense).norm() <= 1e-8 * dense.norm()
+    dense, gmres = _dense_and_gmres(monkeypatch, A, 0.05, rhs)
+    assert (gmres - dense).norm() <= 1e-8 * dense.norm()
 
 
-def test_cg_path_matches_dense_on_non_self_adjoint_map(monkeypatch):
+def test_gmres_path_matches_dense_on_non_self_adjoint_map(monkeypatch):
     # I + W^{-1} K with K skew-symmetric is monotone in the weighted
     # product but not self-adjoint
     rng = np.random.Generator(np.random.PCG64(11))
@@ -263,8 +264,85 @@ def test_cg_path_matches_dense_on_non_self_adjoint_map(monkeypatch):
     A = LinearMap.from_matrix(np.eye(n) + (B - B.T) / weights[:, None], weights)
     rhs = HilbertVector(rng.standard_normal(n), weights)
     assert (A.adjoint_apply(rhs) - A(rhs)).norm() > 0.1 * rhs.norm()
-    dense, cg = _dense_and_cg(monkeypatch, A, 0.3, rhs)
-    assert (cg - dense).norm() <= 1e-8 * dense.norm()
+    dense, gmres = _dense_and_gmres(monkeypatch, A, 0.3, rhs)
+    assert (gmres - dense).norm() <= 1e-8 * dense.norm()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(5, 12),
+       st.floats(min_value=-4.0, max_value=0.0))
+@settings(max_examples=200, deadline=None)
+def test_gmres_path_matches_dense_on_random_monotone_maps(seed, n, log_a):
+    # W^{-1} (G G^T + S), G of random rank and S skew, is monotone in the
+    # weighted product; at the default tolerance the solution error bound
+    # ||A + aI|| tol / a is too loose for a = 1e-4, so both solves ask for 1e-12
+    rng = np.random.Generator(np.random.PCG64(seed))
+    weights = rng.uniform(0.2, 2.0, n)
+    G = rng.standard_normal((n, int(rng.integers(1, n + 1)))) / np.sqrt(n)
+    B = rng.standard_normal((n, n)) / np.sqrt(n)
+    A = LinearMap.from_matrix((G @ G.T + B - B.T) / weights[:, None], weights)
+    rhs = HilbertVector(rng.standard_normal(n), weights)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        dense, gmres = _dense_and_gmres(monkeypatch, A, 10.0 ** log_a, rhs,
+                                        tol=1e-12)
+    assert (gmres - dense).norm() <= 1e-8 * dense.norm()
+
+
+def _counted_products(A):
+    # A with a count of its products and an adjoint that raises
+    counts = {"apply": 0}
+
+    def apply_fn(v):
+        counts["apply"] += 1
+        return A(v)
+
+    def no_adjoint(v):
+        raise AssertionError("the shifted solve took an adjoint")
+
+    return LinearMap(apply_fn, no_adjoint, A.weights), counts
+
+
+def test_gmres_path_uses_one_product_per_step_and_no_adjoint(monkeypatch):
+    # the solve takes 28 products (27 Arnoldi steps and the residual
+    # check); two per step, as on the normal equations, would take about 55
+    prob = make_hammerstein(40, TRAPEZOID)
+    F = hammerstein_operator(prob)
+    u = prob.exact_solution.with_values(np.sin(3.0 * prob.grid))
+    A, counts = _counted_products(F.deriv(u))
+    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
+    x = solve_shifted(A, 0.05, F(u))
+    assert counts["apply"] <= 36
+    assert (A(x) + 0.05 * x - F(u)).norm() <= 1e-10 * F(u).norm()
+
+
+@pytest.mark.parametrize("dense_limit", [2000, 4], ids=["dense", "gmres"])
+@pytest.mark.parametrize("bad", ["rhs", "shift"])
+def test_shifted_solve_rejects_nan_input(monkeypatch, dense_limit, bad):
+    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", dense_limit)
+    A, counts = _counted_products(
+        LinearMap.from_matrix(np.eye(6), np.ones(6)))
+    rhs = vec(np.ones(6))
+    a = 0.5
+    if bad == "rhs":
+        rhs = vec(np.r_[np.ones(5), np.nan])
+    else:
+        a = float("nan")
+    with pytest.raises(NonFinite):
+        solve_shifted(A, a, rhs)
+    assert counts["apply"] == 0
+
+
+@pytest.mark.parametrize("dense_limit", [2000, 4], ids=["dense", "gmres"])
+def test_shifted_solve_fails_on_nan_operator(monkeypatch, dense_limit):
+    # a NaN solution must not pass the residual check, and GMRES must not
+    # spend its budget of 20 N products on it
+    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", dense_limit)
+    M = np.eye(6)
+    M[2, 3] = np.nan
+    A, counts = _counted_products(LinearMap.from_matrix(M, np.ones(6)))
+    with pytest.raises(SolveFailed):
+        solve_shifted(A, 0.5, vec(np.ones(6)))
+    if dense_limit == 4:
+        assert counts["apply"] <= monoreg.core.GMRES_RESTART + 1
 
 
 def test_shifted_solve_failure_is_reported():
@@ -290,6 +368,18 @@ def test_adjoint_consistency_random_matrices():
         rhs = u.inner(A.adjoint_apply(v))
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+def test_lazy_adjoint_equals_the_eager_expression():
+    rng = np.random.Generator(np.random.PCG64(9))
+    n = 7
+    weights = rng.uniform(0.2, 2.0, n)
+    M = rng.standard_normal((n, n))
+    A = LinearMap.from_matrix(M, weights)
+    eager = (M.T * weights[None, :]) / weights[:, None]
+    for _ in range(2):
+        v = HilbertVector(rng.standard_normal(n), weights)
+        assert np.array_equal(A.adjoint_apply(v).values, eager @ v.values)
 
 
 def test_to_dense_matches_callable_application():
