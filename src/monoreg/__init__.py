@@ -31,7 +31,6 @@ from .core import (
     fd_derivative_check,
     identity_map,
     identity_operator,
-    linear_operator,
     solve_shifted,
     zero_map,
 )

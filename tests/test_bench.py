@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import monoreg.core
+
 from monoreg import (
     GridMismatch,
     HilbertVector,
@@ -93,6 +95,54 @@ def test_derivative_adjoint_consistency(ham50):
         lhs = A(u).inner(v)
         rhs = u.inner(A.adjoint_apply(v))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+
+# ------------------------------------------------------- matrix-free kernel
+
+
+def _dense_kernel(prob):
+    # the dense formula exp(-|x_i - x_j|) q_j, the oracle of the O(N) products
+    x, q = prob.grid, prob.quad_weights
+    return np.exp(-np.abs(x[:, None] - x[None, :])) * q[None, :]
+
+
+def test_kernel_is_dense_exactly_up_to_the_limit():
+    assert make_hammerstein(monoreg.core.DENSE_LIMIT).kernel is not None
+    assert make_hammerstein(monoreg.core.DENSE_LIMIT + 1).kernel is None
+
+
+@pytest.mark.parametrize("norm_mode", [TRAPEZOID, EUCLIDEAN])
+@pytest.mark.parametrize("n", [201, 300])
+def test_matrix_free_kernel_matches_the_dense_formula(n, norm_mode):
+    prob = make_hammerstein(n, norm_mode)
+    K = _dense_kernel(prob)
+    adjoint = (K.T * prob.weights[None, :]) / prob.weights[:, None]
+    kernel_map = hammerstein_derivative(prob, HilbertVector.zeros(prob.weights))
+    rng = np.random.Generator(np.random.PCG64(n))
+    for _ in range(3):
+        u = HilbertVector(rng.standard_normal(n), prob.weights)
+        assert np.allclose(kernel_map(u).values, K @ u.values, rtol=0, atol=1e-14)
+        assert np.allclose(kernel_map.adjoint_apply(u).values, adjoint @ u.values,
+                           rtol=0, atol=1e-14)
+        assert np.allclose(hammerstein_apply(prob, u).values,
+                           K @ u.values + np.arctan(u.values) ** 3,
+                           rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("norm_mode", [TRAPEZOID, EUCLIDEAN])
+def test_matrix_free_derivative_above_the_limit(norm_mode):
+    prob = make_hammerstein(300, norm_mode)
+    rng = np.random.Generator(np.random.PCG64(5))
+    u = HilbertVector(rng.standard_normal(prob.n_nodes), prob.weights)
+    A = hammerstein_derivative(prob, u)
+    assert A._matrix is None
+    expected = _dense_kernel(prob) + np.diag(nonlinearity_slope(u.values))
+    for _ in range(5):
+        v = HilbertVector(rng.standard_normal(prob.n_nodes), prob.weights)
+        w = HilbertVector(rng.standard_normal(prob.n_nodes), prob.weights)
+        lhs, rhs = A(v).inner(w), v.inner(A.adjoint_apply(w))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        assert np.allclose(A(v).values, expected @ v.values, rtol=0, atol=1e-14)
 
 
 # -------------------------------------------------------------------- noise

@@ -72,10 +72,12 @@ def test_shipped_dp_configs_run(tmp_path):
 
 
 def test_shipped_flow_config_runs(tmp_path):
-    # the flow and iterate subcommands share one runner; run both configs
+    # the flow and iterate subcommands share one runner; run their configs
+    # (iterate_newton_mesh is matrix-free at N = 100000)
     for command, name, stem in (
         ("flow", "flow_newton_hammerstein.json", "flow_newton"),
         ("iterate", "iterate_newton_hammerstein.json", "iterate_newton"),
+        ("iterate", "iterate_newton_mesh.json", "iterate_newton_mesh"),
     ):
         code = main(
             [command, "--config", str(CONFIGS / name),
