@@ -10,8 +10,8 @@ so the operator is monotone; its derivative is the kernel part plus the
 diagonal 3 arctan(u)**2 / (1 + u**2), which degenerates wherever u
 vanishes (the problem is genuinely ill-posed at the zero start).
 
-Up to `core.DENSE_LIMIT` nodes the kernel is a dense N x N matrix.  Above
-it the problem is matrix-free: the kernel exp(-|x - y|) is an
+Up to `core.MATERIALIZE_LIMIT` nodes the kernel is a dense N x N matrix.
+Above it the problem is matrix-free: the kernel exp(-|x - y|) is an
 Ornstein-Uhlenbeck covariance, which factors as e^{-x} e^{y} for y <= x
 and e^{x} e^{-y} for y > x, so a kernel product is two cumulative sums in
 O(N), and so are its weighted adjoint and the derivative's products.
@@ -66,8 +66,9 @@ class HammersteinProblem:
     grid: np.ndarray
     weights: np.ndarray  # inner-product weights (mode dependent)
     quad_weights: np.ndarray  # trapezoid weights (always, inside the kernel)
-    # K[i, j] = exp(-|x_i - x_j|) * quad_weights[j] up to core.DENSE_LIMIT
-    # nodes; None above it, where products with K take O(N) (`_exp_kernel`)
+    # K[i, j] = exp(-|x_i - x_j|) * quad_weights[j] up to
+    # core.MATERIALIZE_LIMIT nodes; None above it, where products with K
+    # take O(N) (`_exp_kernel`)
     kernel: np.ndarray | None
     norm_mode: str
     exact_solution: HilbertVector
@@ -79,7 +80,7 @@ def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> Hammerste
     x = np.linspace(0.0, 1.0, n_nodes)
     qw = trapezoid_weights(n_nodes)
     kernel = None
-    if n_nodes <= core.DENSE_LIMIT:
+    if n_nodes <= core.MATERIALIZE_LIMIT:
         kernel = np.exp(-np.abs(x[:, None] - x[None, :])) * qw[None, :]
     weights = qw if norm_mode == TRAPEZOID else np.ones(n_nodes)
     return HammersteinProblem(
@@ -150,7 +151,7 @@ def nonlinearity_slope(u: np.ndarray) -> np.ndarray:
 def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> LinearMap:
     """w -> D(u) w + K w; self-adjoint in trapezoid mode since the kernel
     is symmetric against the quadrature weights and D is diagonal.  A
-    matrix-free map (no `to_dense` matrix) above `core.DENSE_LIMIT`."""
+    matrix-free map (no `to_dense` matrix) above `core.MATERIALIZE_LIMIT`."""
     _check_grid(prob, u)
     if prob.kernel is None:
         return _matrix_free_map(prob, nonlinearity_slope(u.values))

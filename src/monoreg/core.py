@@ -18,12 +18,21 @@ from .errors import GridMismatch, NoDerivative, NonFinite, SolveFailed
 # Relative-error denominators are floored here to avoid division by zero.
 EPS_FLOOR = 1e-14
 
-# Shifted solves use a direct dense factorization up to this dimension and
-# restarted GMRES beyond it; the Hammerstein benchmark holds its kernel as a
-# dense matrix up to it and is matrix-free beyond.  At 200 unknowns a dense
-# solve of a Hammerstein Newton system takes about twice as long as GMRES
-# (1.3 ms against 0.65 ms on one core), so this is the measured crossover.
-DENSE_LIMIT = 200
+# A shifted solve factorizes a map that holds a matrix densely up to this
+# dimension and runs restarted GMRES beyond it.  GMRES on a dense matrix
+# wins for well-conditioned systems from a few hundred unknowns, but with
+# small shifts on a degenerate spectrum it is slower up to here (ROADMAP
+# Baselines: at N = 2000 and a = 1e-3, 0.31-0.37 s for LU against
+# 0.76-0.79 s for GMRES), so the limit stays where every dense map keeps
+# the factorization.
+DENSE_LIMIT = 2000
+
+# A map that holds no matrix is materialized (N products) and factorized only
+# up to this dimension, and GMRES runs beyond it.  The Hammerstein benchmark
+# holds its kernel as a matrix up to the same size and is matrix-free above:
+# at 200 unknowns a dense Newton solve there takes about twice as long as
+# GMRES (1.3 ms against 0.65 ms on one core).
+MATERIALIZE_LIMIT = 200
 
 # Arnoldi steps per GMRES cycle: each step keeps one more basis vector of
 # length N, and the Hammerstein Newton systems converge within one cycle.
@@ -333,11 +342,11 @@ def solve_shifted(
 
     For the derivative of a monotone operator the shifted map is
     invertible with inverse norm at most 1/a, so the solve is well posed
-    for any positive shift.  Up to DENSE_LIMIT the matrix is factorized
-    densely (plus one iterative refinement pass); beyond it restarted
-    GMRES runs in the weighted inner product, where the field of values
-    of A + aI lies in Re z >= a, with one product with A per step and no
-    adjoint.  Both paths check the residual explicitly and raise
+    for any positive shift.  A map that holds a matrix is factorized
+    densely (plus one iterative refinement pass) up to DENSE_LIMIT, a map
+    without one up to MATERIALIZE_LIMIT; beyond them restarted GMRES runs
+    in the weighted inner product, where the field of values of A + aI
+    lies in Re z >= a, with one product with A per step and no adjoint.  Both paths check the residual explicitly and raise
     `SolveFailed` when it misses the tolerance; a non-finite shift or
     right-hand side raises `NonFinite` at once.
     """
@@ -350,9 +359,10 @@ def solve_shifted(
         )
     if rhs_norm == 0.0:
         return rhs.with_values(np.zeros_like(rhs.values))
-    if A.dimension > DENSE_LIMIT:
+    n = A.dimension
+    if n > DENSE_LIMIT or (A._matrix is None and n > MATERIALIZE_LIMIT):
         return _gmres(A, a, rhs, tol * rhs_norm)
-    M = A.to_dense() + a * np.eye(A.dimension)
+    M = A.to_dense() + a * np.eye(n)
     try:
         x = np.linalg.solve(M, rhs.values)
         x += np.linalg.solve(M, rhs.values - M @ x)
@@ -403,7 +413,7 @@ def _gmres(
         g[0] = res
         k = 0  # Arnoldi steps done in this cycle
         while True:
-            u = shifted(V[k])
+            u = shifted(V[k].copy())  # A may keep its argument
             products += 1
             basis = V[: k + 1]
             for _ in range(2):

@@ -107,8 +107,8 @@ def _dense_kernel(prob):
 
 
 def test_kernel_is_dense_exactly_up_to_the_limit():
-    assert make_hammerstein(monoreg.core.DENSE_LIMIT).kernel is not None
-    assert make_hammerstein(monoreg.core.DENSE_LIMIT + 1).kernel is None
+    assert make_hammerstein(monoreg.core.MATERIALIZE_LIMIT).kernel is not None
+    assert make_hammerstein(monoreg.core.MATERIALIZE_LIMIT + 1).kernel is None
 
 
 @pytest.mark.parametrize("norm_mode", [TRAPEZOID, EUCLIDEAN])

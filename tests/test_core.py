@@ -231,13 +231,61 @@ def test_shifted_solve_iterative_path():
     assert np.allclose((diag + 0.5) * x.values, rhs.values, atol=1e-8)
 
 
-def _dense_and_gmres(monkeypatch, A, a, rhs, tol=1e-10):
-    dense = solve_shifted(A, a, rhs, tol)
+def _gmres_calls(monkeypatch):
     calls = []
     gmres = monoreg.core._gmres
-    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
     monkeypatch.setattr(monoreg.core, "_gmres",
                         lambda *args: calls.append(args) or gmres(*args))
+    return calls
+
+
+def test_map_with_a_matrix_is_factorized_above_materialize_limit(monkeypatch):
+    # a dense map between the two limits keeps the factorization, which a
+    # small shift on a degenerate spectrum needs to stay fast
+    n = monoreg.core.MATERIALIZE_LIMIT + 1
+    assert n <= monoreg.core.DENSE_LIMIT
+    diag = np.linspace(0.0, 1.0, n)
+    A = LinearMap.from_matrix(np.diag(diag), np.ones(n))
+    rhs = vec(np.cos(np.arange(n)), np.ones(n))
+    calls = _gmres_calls(monkeypatch)
+    x = solve_shifted(A, 1e-3, rhs)
+    assert calls == []
+    assert np.allclose((diag + 1e-3) * x.values, rhs.values, atol=1e-8)
+
+
+def test_map_without_a_matrix_takes_gmres_above_materialize_limit(monkeypatch):
+    n = monoreg.core.MATERIALIZE_LIMIT + 1
+    diag = np.linspace(0.0, 3.0, n)
+    scale = lambda v: v.with_values(diag * v.values)
+    A = LinearMap(scale, scale, np.ones(n))
+    rhs = vec(np.cos(np.arange(n)), np.ones(n))
+    calls = _gmres_calls(monkeypatch)
+    x = solve_shifted(A, 0.5, rhs)
+    assert len(calls) == 1 and A._matrix is None
+    assert np.allclose((diag + 0.5) * x.values, rhs.values, atol=1e-8)
+
+
+def test_gmres_hands_the_map_vectors_it_may_keep(monkeypatch):
+    # vectors are immutable: one the map keeps must not change later, when
+    # the Krylov basis is overwritten by the next restart cycle
+    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
+    diag = np.linspace(0.0, 3.0, 60)
+    kept = []
+
+    def keep(v):
+        kept.append((v, v.values.copy()))
+        return v.with_values(diag * v.values)
+
+    A = LinearMap(keep, keep, np.ones(60))
+    solve_shifted(A, 1e-2, vec(np.cos(np.arange(60)), np.ones(60)))
+    assert len(kept) > monoreg.core.GMRES_RESTART + 1
+    assert all(np.array_equal(v.values, seen) for v, seen in kept)
+
+
+def _dense_and_gmres(monkeypatch, A, a, rhs, tol=1e-10):
+    dense = solve_shifted(A, a, rhs, tol)
+    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
+    calls = _gmres_calls(monkeypatch)
     x = solve_shifted(A, a, rhs, tol)
     assert len(calls) == 1
     return dense, x

@@ -1,5 +1,5 @@
-"""Large grids: above DENSE_LIMIT the Hammerstein newton iteration holds no
-N x N array, and it takes the steps and errors of the dense path."""
+"""Large grids: above MATERIALIZE_LIMIT the Hammerstein newton iteration
+holds no N x N array, and it takes the steps and errors of the dense path."""
 import tracemalloc
 
 import numpy as np
@@ -44,8 +44,9 @@ def test_newton_at_large_n_holds_no_dense_matrix(monkeypatch):
     # grid first that the kernel is matrix-free above the limit, so that a
     # regression fails before it allocates one
     n_nodes = 20_000
-    assert n_nodes > monoreg.core.DENSE_LIMIT
-    assert make_hammerstein(monoreg.core.DENSE_LIMIT + 1, TRAPEZOID).kernel is None
+    assert n_nodes > monoreg.core.MATERIALIZE_LIMIT
+    limit = monoreg.core.MATERIALIZE_LIMIT
+    assert make_hammerstein(limit + 1, TRAPEZOID).kernel is None
 
     def no_dense(self):
         raise AssertionError("a shifted solve materialized the matrix")
@@ -62,7 +63,7 @@ def test_newton_at_large_n_holds_no_dense_matrix(monkeypatch):
 
 
 def test_newton_above_the_limit_matches_the_dense_path():
-    # the dense path (DENSE_LIMIT = 2000) gave 4 steps and this error
+    # the dense kernel with GMRES on its matrix gave 4 steps and this error
     steps, rel_error = _newton_on_mesh(2400)
     assert steps == 4
     assert rel_error == pytest.approx(0.07331943751533036, rel=1e-9, abs=0)
