@@ -128,12 +128,13 @@ def _matrix_free_map(
     prob: HammersteinProblem, diagonal: np.ndarray | float = 0.0
 ) -> LinearMap:
     # K + diag(diagonal) with no matrix; the diagonal is its own adjoint
+    def product(kernel_product):
+        return lambda w: HilbertVector._trusted(
+            kernel_product(prob, w.values) + diagonal * w.values, w.weights
+        )
+
     return LinearMap(
-        lambda w: w.with_values(_kernel_product(prob, w.values) + diagonal * w.values),
-        lambda w: w.with_values(
-            _kernel_adjoint_product(prob, w.values) + diagonal * w.values
-        ),
-        prob.weights,
+        product(_kernel_product), product(_kernel_adjoint_product), prob.weights
     )
 
 
@@ -282,8 +283,8 @@ def run_table1(cfg: Table1Config) -> list[Table1Row]:
 
     Exact solution u = 1, data f = F(1), zero start, stopping at residual
     C * delta**gamma, schedule a_n = C0 * delta**0.99 / (n + 1).  Rows
-    report seed medians; a failing seed is recorded in the row status and
-    skipped rather than aborting the table.
+    report seed medians (NaN when no seed succeeds); a failing seed is
+    recorded in the row status and skipped rather than aborting the table.
     """
     prob = make_hammerstein(cfg.n_nodes, cfg.norm_mode)
     F = hammerstein_operator(prob)
@@ -320,21 +321,12 @@ def run_table1(cfg: Table1Config) -> list[Table1Row]:
                     "a_at_stop": report.a_at_stop,
                 }
             )
-        if not per_seed:
-            rows.append(
-                Table1Row(
-                    delta_rel=delta_rel,
-                    n_iterations=float("nan"),
-                    rel_error=float("nan"),
-                    residual_at_stop=float("nan"),
-                    a_at_stop=float("nan"),
-                    seed_count=0,
-                    status="failed: " + "; ".join(failures),
-                )
-            )
-            continue
-        med = lambda key: float(statistics.median(d[key] for d in per_seed))
-        status = "ok" if not failures else "partial: " + "; ".join(failures)
+        med = lambda key: (
+            float(statistics.median(d[key] for d in per_seed)) if per_seed else np.nan
+        )
+        status = "ok"
+        if failures:
+            status = ("partial: " if per_seed else "failed: ") + "; ".join(failures)
         rows.append(
             Table1Row(
                 delta_rel=delta_rel,

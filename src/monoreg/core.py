@@ -73,8 +73,9 @@ class HilbertVector:
 
     @classmethod
     def _trusted(cls, values: np.ndarray, weights: np.ndarray) -> "HilbertVector":
-        # For the library's own arithmetic only: `values` is a fresh float
-        # array and `weights` an already validated one, shared by identity.
+        # For the library's own arithmetic and linear maps only (the operators
+        # below, from_matrix, zero_map, _gmres, bench._matrix_free_map): `values`
+        # is a fresh float array and `weights` a validated one, shared by identity.
         values.setflags(write=False)
         vec = object.__new__(cls)
         object.__setattr__(vec, "values", values)
@@ -160,14 +161,14 @@ class LinearMap:
         adj = None
 
         def apply_fn(v: HilbertVector) -> HilbertVector:
-            return v.with_values(matrix @ v.values)
+            return HilbertVector._trusted(matrix @ v.values, v.weights)
 
         def adjoint_fn(v: HilbertVector) -> HilbertVector:
             # built on first use: the newton paths never take an adjoint
             nonlocal adj
             if adj is None:
                 adj = (matrix.T * weights[None, :]) / weights[:, None]
-            return v.with_values(adj @ v.values)
+            return HilbertVector._trusted(adj @ v.values, v.weights)
 
         return cls(apply_fn, adjoint_fn, weights, matrix=matrix)
 
@@ -197,7 +198,7 @@ def identity_map(weights: np.ndarray) -> LinearMap:
 
 def zero_map(weights: np.ndarray) -> LinearMap:
     weights = np.asarray(weights, dtype=float)
-    z = lambda v: v.with_values(np.zeros_like(v.values))
+    z = lambda v: HilbertVector._trusted(np.zeros_like(v.values), v.weights)
     return LinearMap(z, z, weights, matrix=np.zeros((weights.size, weights.size)))
 
 
@@ -346,9 +347,10 @@ def solve_shifted(
     densely (plus one iterative refinement pass) up to DENSE_LIMIT, a map
     without one up to MATERIALIZE_LIMIT; beyond them restarted GMRES runs
     in the weighted inner product, where the field of values of A + aI
-    lies in Re z >= a, with one product with A per step and no adjoint.  Both paths check the residual explicitly and raise
-    `SolveFailed` when it misses the tolerance; a non-finite shift or
-    right-hand side raises `NonFinite` at once.
+    lies in Re z >= a, with one product with A per step and no adjoint.
+    Both paths check the residual explicitly and raise `SolveFailed` when
+    it misses the tolerance; a non-finite shift or right-hand side raises
+    `NonFinite` at once.
     """
     if a <= 0:
         raise ValueError("shift a must be positive")

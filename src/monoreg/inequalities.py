@@ -15,7 +15,7 @@ dissipative finite-dimensional evolution equation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -376,17 +376,7 @@ def evolution_norm_bound(
     itself is integrated with fixed-step RK4 and the norm is compared
     with the bound at every step.
     """
-    inst = ContinuousInequality(
-        p=inst.p,
-        alpha=inst.alpha,
-        beta=inst.beta,
-        gamma=inst.gamma,
-        mu=inst.mu,
-        g0=u0.norm(),
-        horizon=T,
-        tau0=inst.tau0,
-        mu_dot=inst.mu_dot,
-    )
+    inst = replace(inst, g0=u0.norm(), horizon=T)
     margins = precondition_margins(inst)
     _require_continuous_preconditions(margins)
 

@@ -435,6 +435,23 @@ class ScheduleSearch:
 _DEFAULT_GRID = tuple(float(2 ** k) for k in range(21))
 
 
+def _search(build, grid, params: ValidationParams, failure: str) -> ScheduleSearch:
+    # the first schedule build(x), x in grid, whose full condition set passes
+    # with an admissible lambda; BudgetExceeded(failure) when none does
+    for value in grid:
+        try:
+            schedule = build(value)
+        except ConstraintViolated:
+            continue
+        lam = params.lam if params.lam is not None else choose_lambda(schedule, params)
+        if lam is None:
+            continue
+        report = validate_conditions(schedule, replace(params, lam=lam))
+        if report.passed:
+            return ScheduleSearch(schedule, lam, report)
+    raise BudgetExceeded(failure)
+
+
 def find_continuous(
     kind: str,
     b: float,
@@ -445,19 +462,9 @@ def find_continuous(
     """Smallest d in the grid for which the kind's full condition set
     passes (with an admissible lambda); the existence proofs promise only
     'd sufficiently large', so this is the constructive counterpart."""
-    for d in d_grid:
-        try:
-            schedule = make_continuous(kind, b, c, d)
-        except ConstraintViolated:
-            continue
-        lam = params.lam if params.lam is not None else choose_lambda(schedule, params)
-        if lam is None:
-            continue
-        report = validate_conditions(schedule, replace(params, lam=lam))
-        if report.passed:
-            return ScheduleSearch(schedule, lam, report)
-    raise BudgetExceeded(
-        f"no admissible d in the search grid for kind={kind!r}, b={b}, c={c}"
+    return _search(
+        lambda d: make_continuous(kind, b, c, d), d_grid, params,
+        f"no admissible d in the search grid for kind={kind!r}, b={b}, c={c}",
     )
 
 
@@ -469,18 +476,8 @@ def find_discrete(
     d0_grid: tuple[float, ...] = _DEFAULT_GRID,
 ) -> ScheduleSearch:
     """Discrete counterpart of `find_continuous`, searching over d0."""
-    for d0 in d0_grid:
-        try:
-            schedule = make_discrete(kind, b, d_or_c, d0)
-        except ConstraintViolated:
-            continue
-        lam = params.lam if params.lam is not None else choose_lambda(schedule, params)
-        if lam is None:
-            continue
-        report = validate_conditions(schedule, replace(params, lam=lam))
-        if report.passed:
-            return ScheduleSearch(schedule, lam, report)
-    raise BudgetExceeded(
+    return _search(
+        lambda d0: make_discrete(kind, b, d_or_c, d0), d0_grid, params,
         f"no admissible d0 in the search grid for kind={kind!r}, b={b}, "
-        f"d_or_c={d_or_c}"
+        f"d_or_c={d_or_c}",
     )

@@ -203,6 +203,31 @@ def test_table_error_decreases_with_noise(small_table):
     assert errors[0] > errors[1] > errors[2]
 
 
+def test_table_row_without_a_successful_seed_fails():
+    (row,) = run_table1(
+        Table1Config(delta_rel_list=(0.01,), seeds=(0, 1), n_max=1)
+    )
+    assert row.status.startswith("failed: seed 0: ")
+    assert "; seed 1: " in row.status
+    medians = (row.n_iterations, row.rel_error, row.residual_at_stop, row.a_at_stop)
+    assert all(math.isnan(m) for m in medians)
+    assert row.seed_count == 0
+    assert row.per_seed == ()
+
+
+def test_table_row_with_a_failing_seed_is_partial():
+    # from the zero start the iteration diverges on this seed at this level
+    (row,) = run_table1(
+        Table1Config(delta_rel_list=(0.001,), seeds=(0, 818629864001),
+                     n_nodes=50, norm_mode=EUCLIDEAN, n_max=60)
+    )
+    assert row.status.startswith("partial: seed 818629864001: ")
+    assert row.seed_count == 1
+    assert [d["seed"] for d in row.per_seed] == [0]
+    assert row.n_iterations == row.per_seed[0]["n_iterations"]
+    assert row.rel_error == row.per_seed[0]["rel_error"]
+
+
 def test_table_euclidean_and_weighted_errors_comparable():
     # the relative error is norm-convention insensitive at matched noise
     cfg_e = Table1Config(delta_rel_list=(0.01,), seeds=(0, 1, 2))

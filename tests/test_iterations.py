@@ -6,18 +6,21 @@ from monoreg import (
     HorizonExceeded,
     InvalidConfig,
     IterConfig,
+    LinearMap,
     NonFinite,
     NonlinearOperator,
     gen_noise,
+    hammerstein_operator,
     identity_map,
     identity_operator,
     iter_gradient,
     iter_newton,
     iter_simple,
     make_discrete,
+    make_hammerstein,
     operator_norm_estimate,
 )
-from monoreg.bench import NoiseSpec
+from monoreg.bench import TRAPEZOID, NoiseSpec
 from monoreg.iterations import DEFAULT_N_MAX
 from monoreg.reports import STOPPED_BY_DISCREPANCY
 from monoreg.schedules import GRADIENT_ITER, NEWTON_ITER, SIMPLE_ITER
@@ -279,20 +282,52 @@ def test_m1_estimation_is_flagged():
 # ------------------------------------------------------- non-finite values
 
 
+def _validated_constructions(monkeypatch):
+    validated = []
+    post_init = HilbertVector.__post_init__
+    monkeypatch.setattr(HilbertVector, "__post_init__",
+                        lambda self: validated.append(1) or post_init(self))
+    return validated
+
+
+def _table1_newton(F, prob, f_delta, delta):
+    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=4.0 * delta**0.99)
+    cfg = IterConfig(schedule=schedule, C1=1.01, gamma_or_zeta=0.99, n_max=500)
+    return iter_newton(F, f_delta, delta, cfg, HilbertVector.zeros(prob.weights))
+
+
 def test_arithmetic_stays_on_the_trusted_path(ham50_euclidean, monkeypatch):
     # vector arithmetic inside a run builds its results without the public
     # constructor's validation; only operator outputs (with_values) and
     # the start are validated
     prob, F = ham50_euclidean
     f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.01, seed=0))
-    validated = []
-    post_init = HilbertVector.__post_init__
-    monkeypatch.setattr(HilbertVector, "__post_init__",
-                        lambda self: validated.append(1) or post_init(self))
-    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=4.0 * delta**0.99)
-    cfg = IterConfig(schedule=schedule, C1=1.01, gamma_or_zeta=0.99, n_max=500)
-    report = iter_newton(F, f_delta, delta, cfg, HilbertVector.zeros(prob.weights))
+    validated = _validated_constructions(monkeypatch)
+    report = _table1_newton(F, prob, f_delta, delta)
     assert len(validated) <= 4 * len(report.residual_history)
+
+
+def test_matrix_free_products_stay_on_the_trusted_path(monkeypatch):
+    # above MATERIALIZE_LIMIT every Newton step solves by GMRES, one product
+    # with the matrix-free derivative per Arnoldi step; those products are
+    # not validated, so the validated constructions per recorded state do
+    # not grow with the product count
+    prob = make_hammerstein(300, TRAPEZOID)
+    F = hammerstein_operator(prob)
+    f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.05, seed=0))
+    products = []
+
+    def derivative(u):
+        A = F.deriv(u)
+        return LinearMap(lambda v: products.append(1) or A(v),
+                         A.adjoint_apply, A.weights)
+
+    counted = NonlinearOperator(F.apply, derivative, F.bounds)
+    validated = _validated_constructions(monkeypatch)
+    report = _table1_newton(counted, prob, f_delta, delta)
+    states = len(report.residual_history)
+    assert len(products) > 4 * states
+    assert len(validated) <= 4 * states
 
 
 def test_nan_in_data_fails_before_any_step(ham50, ham_data):

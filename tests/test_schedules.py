@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoreg import (
+    BudgetExceeded,
     ConstraintViolated,
     ValidationParams,
     find_continuous,
@@ -203,6 +204,23 @@ def test_search_finds_discrete_scales():
         params=_params(alpha_tilde=1e-2),
     )
     assert simple.report.passed
+
+
+def test_search_without_an_admissible_value_raises():
+    # -1 violates the constraints, the other values fail validation
+    with pytest.raises(BudgetExceeded) as info:
+        find_continuous(NEWTON_FLOW, b=1.0, c=7.0, params=_params(),
+                        d_grid=(-1.0, 1.0, 32.0))
+    assert str(info.value) == (
+        "no admissible d in the search grid for kind='newton_flow', b=1.0, c=7.0"
+    )
+    with pytest.raises(BudgetExceeded) as info:
+        find_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, params=_params(),
+                      d0_grid=(-1.0, 1.0, 64.0))
+    assert str(info.value) == (
+        "no admissible d0 in the search grid for kind='newton_iter', b=1.0, "
+        "d_or_c=1.0"
+    )
 
 
 def test_gradient_flow_conditions_at_example_point():
