@@ -53,20 +53,54 @@ def test_bench_output_is_byte_identical_across_runs(tmp_path):
     assert a == b
 
 
+def test_full_table_config_yields_six_rows(tmp_path):
+    code = main(
+        ["bench", "--config", str(CONFIGS / "table1.json"),
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    lines = (tmp_path / "out" / "table1.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 6
+
+
+def test_shipped_dp_configs_run(tmp_path):
+    for name in ("dp_rank_one.json", "dp_hammerstein.json"):
+        assert main(
+            ["dp", "--config", str(CONFIGS / name),
+             "--out", str(tmp_path / name)]
+        ) == 0
+
+
+def test_shipped_flow_config_runs(tmp_path):
+    # the flow and iterate subcommands share one runner; run their configs
+    # (iterate_newton_mesh is matrix-free at N = 100000)
+    for command, name, stem in (
+        ("flow", "flow_newton_hammerstein.json", "flow_newton"),
+        ("iterate", "iterate_newton_hammerstein.json", "iterate_newton"),
+        ("iterate", "iterate_newton_mesh.json", "iterate_newton_mesh"),
+    ):
+        code = main(
+            [command, "--config", str(CONFIGS / name),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        lines = (tmp_path / "out" / f"{stem}.csv").read_text().strip().splitlines()
+        assert all("stopped_by_discrepancy" in line for line in lines[1:]), name
+
+
 # every shipped config -> (subcommand, output stem), or None where another
 # test runs it with assertions of its own
 SHIPPED_CONFIGS = {
-    "dp_hammerstein.json": ("dp", "dp_hammerstein"),
-    "dp_rank_one.json": ("dp", "dp_rank_one"),
+    "dp_hammerstein.json": None,  # test_shipped_dp_configs_run
+    "dp_rank_one.json": None,  # test_shipped_dp_configs_run
     "flow_gradient_hammerstein.json": ("flow", "flow_gradient"),
-    "flow_newton_hammerstein.json": ("flow", "flow_newton"),
+    "flow_newton_hammerstein.json": None,  # test_shipped_flow_config_runs
     "flow_simple_hammerstein.json": ("flow", "flow_simple"),
     "ineq_demo.json": None,  # test_ineq_subcommand
-    "iterate_newton_hammerstein.json": ("iterate", "iterate_newton"),
-    # matrix-free at N = 100000
-    "iterate_newton_mesh.json": ("iterate", "iterate_newton_mesh"),
+    "iterate_newton_hammerstein.json": None,  # test_shipped_flow_config_runs
+    "iterate_newton_mesh.json": None,  # test_shipped_flow_config_runs
     "schedule_check.json": None,  # test_schedule_check_prints_table
-    "table1.json": ("bench", "table1"),
+    "table1.json": None,  # test_full_table_config_yields_six_rows
 }
 
 
@@ -82,10 +116,7 @@ def test_shipped_configs_run(tmp_path):
         assert code == 0, name
         (path,) = out.glob(f"{stem}.*")
         lines = path.read_text().strip().splitlines()
-        if command in ("flow", "iterate"):
-            assert all("stopped_by_discrepancy" in line for line in lines[1:]), name
-        if command == "bench":
-            assert len(lines) == 1 + 6
+        assert all("stopped_by_discrepancy" in line for line in lines[1:]), name
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):
