@@ -75,7 +75,9 @@ def test_shipped_flow_config_runs(tmp_path):
     # the flow and iterate subcommands share one runner; run their configs
     # (iterate_newton_mesh is matrix-free at N = 100000)
     for command, name, stem in (
+        ("flow", "flow_gradient_hammerstein.json", "flow_gradient"),
         ("flow", "flow_newton_hammerstein.json", "flow_newton"),
+        ("flow", "flow_simple_hammerstein.json", "flow_simple"),
         ("iterate", "iterate_newton_hammerstein.json", "iterate_newton"),
         ("iterate", "iterate_newton_mesh.json", "iterate_newton_mesh"),
     ):
@@ -85,38 +87,28 @@ def test_shipped_flow_config_runs(tmp_path):
         )
         assert code == 0
         lines = (tmp_path / "out" / f"{stem}.csv").read_text().strip().splitlines()
-        assert all("stopped_by_discrepancy" in line for line in lines[1:]), name
+        assert len(lines) > 1 and all(
+            "stopped_by_discrepancy" in line for line in lines[1:]
+        ), name
 
 
-# every shipped config -> (subcommand, output stem), or None where another
-# test runs it with assertions of its own
-SHIPPED_CONFIGS = {
-    "dp_hammerstein.json": None,  # test_shipped_dp_configs_run
-    "dp_rank_one.json": None,  # test_shipped_dp_configs_run
-    "flow_gradient_hammerstein.json": ("flow", "flow_gradient"),
-    "flow_newton_hammerstein.json": None,  # test_shipped_flow_config_runs
-    "flow_simple_hammerstein.json": ("flow", "flow_simple"),
-    "ineq_demo.json": None,  # test_ineq_subcommand
-    "iterate_newton_hammerstein.json": None,  # test_shipped_flow_config_runs
-    "iterate_newton_mesh.json": None,  # test_shipped_flow_config_runs
-    "schedule_check.json": None,  # test_schedule_check_prints_table
-    "table1.json": None,  # test_full_table_config_yields_six_rows
-}
-
-
-def test_shipped_configs_run(tmp_path):
-    shipped = sorted(path.name for path in CONFIGS.glob("*.json"))
-    assert shipped == sorted(SHIPPED_CONFIGS)
-    for name, entry in SHIPPED_CONFIGS.items():
-        if entry is None:
-            continue
-        command, stem = entry
-        out = tmp_path / name
-        code = main([command, "--config", str(CONFIGS / name), "--out", str(out)])
-        assert code == 0, name
-        (path,) = out.glob(f"{stem}.*")
-        lines = path.read_text().strip().splitlines()
-        assert all("stopped_by_discrepancy" in line for line in lines[1:]), name
+def test_every_shipped_config_is_run_by_a_test():
+    # a config added without a test fails here; the tests that run these
+    # are test_shipped_dp_configs_run, test_shipped_flow_config_runs,
+    # test_full_table_config_yields_six_rows, test_schedule_check_prints_table
+    # and test_ineq_subcommand
+    assert sorted(path.name for path in CONFIGS.glob("*.json")) == [
+        "dp_hammerstein.json",
+        "dp_rank_one.json",
+        "flow_gradient_hammerstein.json",
+        "flow_newton_hammerstein.json",
+        "flow_simple_hammerstein.json",
+        "ineq_demo.json",
+        "iterate_newton_hammerstein.json",
+        "iterate_newton_mesh.json",
+        "schedule_check.json",
+        "table1.json",
+    ]
 
 
 def test_unknown_key_is_a_config_error(tmp_path, capsys):
