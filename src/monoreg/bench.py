@@ -73,6 +73,16 @@ class HammersteinProblem:
     norm_mode: str
     exact_solution: HilbertVector
 
+    @functools.cached_property
+    def kernel_adjoint(self) -> np.ndarray:
+        """W^{-1} K^T W for the dense kernel, F-ordered; built on the first
+        adjoint of a derivative, so set-up and newton-only runs skip it.
+        Read-only: every derivative's adjoint starts from a copy."""
+        w = self.weights
+        adj = (self.kernel.T * w[None, :]) / w[:, None]
+        adj.setflags(write=False)
+        return adj
+
 
 def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> HammersteinProblem:
     if norm_mode not in (TRAPEZOID, EUCLIDEAN):
@@ -141,7 +151,9 @@ def _matrix_free_map(
 def hammerstein_apply(prob: HammersteinProblem, u: HilbertVector) -> HilbertVector:
     """(K u)_i + arctan(u_i)**3 with the integral by trapezoid rule."""
     _check_grid(prob, u)
-    return u.with_values(_kernel_product(prob, u.values) + np.arctan(u.values) ** 3)
+    return HilbertVector._trusted(
+        _kernel_product(prob, u.values) + np.arctan(u.values) ** 3, u.weights
+    )
 
 
 def nonlinearity_slope(u: np.ndarray) -> np.ndarray:
@@ -159,8 +171,24 @@ def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> Linear
     # the kernel entries are positive, so adding 0.0 off the diagonal (as
     # kernel + np.diag(slope) would) changes no bit; skip its N x N temporary
     matrix = prob.kernel.copy()
-    matrix[np.diag_indices(prob.n_nodes)] += nonlinearity_slope(u.values)
-    return LinearMap.from_matrix(matrix, prob.weights)
+    diagonal = _diagonal(matrix)
+    diagonal += nonlinearity_slope(u.values)
+    w = prob.weights
+
+    def adjoint() -> np.ndarray:
+        # W^{-1} (K + D)^T W differs from the cached W^{-1} K^T W only on the
+        # diagonal, entry (d_i w_i) / w_i as the generic expression has it.
+        # The copy keeps the F order, and with it the bits of every product.
+        adj = prob.kernel_adjoint.copy(order="K")
+        _diagonal(adj)[:] = (diagonal * w) / w
+        return adj
+
+    return LinearMap.from_matrix(matrix, w, adjoint)
+
+
+def _diagonal(matrix: np.ndarray) -> np.ndarray:
+    # writable view of the diagonal of a C- or F-contiguous square matrix
+    return matrix.reshape(-1, order="A")[:: matrix.shape[0] + 1]
 
 
 @functools.cache

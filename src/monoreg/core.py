@@ -8,6 +8,7 @@ here: `HilbertVector`, `LinearMap`, and `NonlinearOperator`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -74,7 +75,8 @@ class HilbertVector:
     @classmethod
     def _trusted(cls, values: np.ndarray, weights: np.ndarray) -> "HilbertVector":
         # For the library's own arithmetic and linear maps only (the operators
-        # below, from_matrix, zero_map, _gmres, bench._matrix_free_map): `values`
+        # below, from_matrix, to_dense, zero_map, _gmres, bench.hammerstein_apply,
+        # bench._matrix_free_map, synthetic.random_monotone_problem): `values`
         # is a fresh float array and `weights` a validated one, shared by identity.
         values.setflags(write=False)
         vec = object.__new__(cls)
@@ -93,12 +95,14 @@ class HilbertVector:
         if not self.same_grid(other):
             raise GridMismatch("vectors live on different grids")
 
+    # ndarray.sum runs the same add.reduce as np.sum without its dispatch, and
+    # math.sqrt rounds correctly as np.sqrt does: the bits are np.sum's
     def inner(self, other: "HilbertVector") -> float:
         self._check_grid(other)
-        return float(np.sum(self.weights * self.values * other.values))
+        return float((self.weights * self.values * other.values).sum())
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.weights * self.values * self.values)))
+        return math.sqrt((self.weights * self.values * self.values).sum())
 
     def with_values(self, values: np.ndarray) -> "HilbertVector":
         return HilbertVector(values, self.weights)
@@ -153,7 +157,16 @@ class LinearMap:
         return self.weights.size
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, weights: np.ndarray) -> "LinearMap":
+    def from_matrix(
+        cls,
+        matrix: np.ndarray,
+        weights: np.ndarray,
+        adjoint: Callable[[], np.ndarray] | None = None,
+    ) -> "LinearMap":
+        """The map v -> matrix @ v.  `adjoint`, when given, returns the
+        matrix of the weighted adjoint W^{-1} M^T W; a caller that knows
+        most of it already (bench.hammerstein_derivative) builds it cheaper
+        than the generic expression."""
         matrix = np.asarray(matrix, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if matrix.shape != (weights.size, weights.size):
@@ -167,7 +180,11 @@ class LinearMap:
             # built on first use: the newton paths never take an adjoint
             nonlocal adj
             if adj is None:
-                adj = (matrix.T * weights[None, :]) / weights[:, None]
+                if adjoint is not None:
+                    adj = adjoint()
+                else:
+                    adj = matrix.T * weights[None, :]
+                    adj /= weights[:, None]
             return HilbertVector._trusted(adj @ v.values, v.weights)
 
         return cls(apply_fn, adjoint_fn, weights, matrix=matrix)
@@ -186,7 +203,7 @@ class LinearMap:
             for j in range(n):
                 e = np.zeros(n)
                 e[j] = 1.0
-                cols[:, j] = self._apply(HilbertVector(e, self.weights)).values
+                cols[:, j] = self._apply(HilbertVector._trusted(e, self.weights)).values
             self._matrix = cols
         return self._matrix
 

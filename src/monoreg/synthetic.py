@@ -81,7 +81,9 @@ def random_monotone_problem(
     G = B.T @ B
 
     def apply_fn(u: HilbertVector) -> HilbertVector:
-        return u.with_values(G @ u.values + u.values + np.tanh(u.values))
+        return HilbertVector._trusted(
+            G @ u.values + u.values + np.tanh(u.values), u.weights
+        )
 
     def deriv_fn(u: HilbertVector) -> LinearMap:
         slope = 1.0 + 1.0 / np.cosh(u.values) ** 2

@@ -8,6 +8,7 @@ import monoreg.core
 from monoreg import (
     GridMismatch,
     HilbertVector,
+    IterConfig,
     NoiseSpec,
     Table1Config,
     fd_derivative_check,
@@ -15,11 +16,14 @@ from monoreg import (
     hammerstein_apply,
     hammerstein_derivative,
     hammerstein_operator,
+    iter_newton,
+    make_discrete,
     make_hammerstein,
     run_table1,
     trapezoid_weights,
 )
 from monoreg.bench import EUCLIDEAN, TRAPEZOID, nonlinearity_slope, schedule_scale
+from monoreg.schedules import NEWTON_ITER
 
 from helpers import const_vector
 
@@ -95,6 +99,52 @@ def test_derivative_adjoint_consistency(ham50):
         lhs = A(u).inner(v)
         rhs = u.inner(A.adjoint_apply(v))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("norm_mode", [TRAPEZOID, EUCLIDEAN])
+@pytest.mark.parametrize("n", [50, monoreg.core.MATERIALIZE_LIMIT])
+def test_derivative_adjoint_is_the_weighted_transpose_bit_for_bit(n, norm_mode):
+    # the adjoint is the cached kernel adjoint with its diagonal rewritten;
+    # two derivatives taking turns must not see each other's diagonal
+    prob = make_hammerstein(n, norm_mode)
+    w = prob.weights
+    rng = np.random.Generator(np.random.PCG64(n))
+    maps = [
+        hammerstein_derivative(prob, HilbertVector(rng.standard_normal(n), w))
+        for _ in range(2)
+    ]
+    for _ in range(2):
+        for A in maps:
+            M = A.to_dense()
+            v = HilbertVector(rng.standard_normal(n), w)
+            expected = ((M.T * w[None, :]) / w[:, None]) @ v.values
+            assert np.array_equal(A.adjoint_apply(v).values, expected)
+
+
+def test_newton_run_does_not_build_the_kernel_adjoint():
+    prob = make_hammerstein(50, EUCLIDEAN)
+    F = hammerstein_operator(prob)
+    f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.01, seed=0))
+    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0,
+                             d0=schedule_scale(4.0, delta))
+    cfg = IterConfig(schedule=schedule, C1=1.01, gamma_or_zeta=0.99)
+    report = iter_newton(F, f_delta, delta, cfg, HilbertVector.zeros(prob.weights))
+    assert report.steps_taken > 0
+    assert "kernel_adjoint" not in prob.__dict__
+    F.deriv(report.u_final).adjoint_apply(f_delta)
+    assert "kernel_adjoint" in prob.__dict__
+    assert not prob.kernel_adjoint.flags.writeable
+
+
+def test_apply_result_is_trusted_and_read_only(ham50):
+    # a foreign grid still raises: test_grid_mismatch_rejected
+    prob, F = ham50
+    u = HilbertVector(np.linspace(-1.0, 1.0, prob.n_nodes), prob.weights.copy())
+    out = hammerstein_apply(prob, u)
+    assert out.weights is u.weights
+    assert not out.values.flags.writeable
+    with pytest.raises(ValueError):
+        out.values[0] = 0.0
 
 
 # ------------------------------------------------------- matrix-free kernel

@@ -157,6 +157,16 @@ def test_same_grid_compares_weights_by_value():
     assert not u.same_grid(vec([3.0, 4.0, 5.0], [0.5, 1.5, 1.0]))
 
 
+@pytest.mark.parametrize("weight_kind", ["unit", "trapezoid"])
+@pytest.mark.parametrize("n", [1, 50, 100_000])
+def test_norm_and_inner_keep_the_bits_of_np_sum(n, weight_kind):
+    rng = np.random.Generator(np.random.PCG64(n))
+    w = np.ones(n) if weight_kind == "unit" else trapezoid_weights(max(n, 2))[:n]
+    u, v = (vec(rng.standard_normal(n), w) for _ in range(2))
+    assert u.norm().hex() == float(np.sqrt(np.sum(w * u.values * u.values))).hex()
+    assert u.inner(v).hex() == float(np.sum(w * u.values * v.values)).hex()
+
+
 # ------------------------------------------------------------- monotonicity
 
 
@@ -428,6 +438,22 @@ def test_lazy_adjoint_equals_the_eager_expression():
     for _ in range(2):
         v = HilbertVector(rng.standard_normal(n), weights)
         assert np.array_equal(A.adjoint_apply(v).values, eager @ v.values)
+
+
+def test_a_given_adjoint_is_built_once_on_first_use():
+    rng = np.random.Generator(np.random.PCG64(10))
+    n = 5
+    weights = rng.uniform(0.2, 2.0, n)
+    M = rng.standard_normal((n, n))
+    eager = (M.T * weights[None, :]) / weights[:, None]
+    built = []
+    A = LinearMap.from_matrix(M, weights, lambda: built.append(1) or eager)
+    v = HilbertVector(rng.standard_normal(n), weights)
+    A(v)
+    assert built == []
+    for _ in range(2):
+        assert np.array_equal(A.adjoint_apply(v).values, eager @ v.values)
+    assert built == [1]
 
 
 def test_to_dense_matches_callable_application():

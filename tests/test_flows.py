@@ -430,3 +430,26 @@ def test_simple_flow_reaches_benchmark_accuracy(ham50):
     report = flow_simple(F, f_delta, delta, cfg, u0)
     assert report.status == STOPPED_BY_DISCREPANCY
     assert (report.u_final - one).norm() / one.norm() <= 0.1
+
+
+@pytest.mark.parametrize("flow, schedule", [
+    (flow_gradient, make_continuous(GRADIENT_FLOW, b=0.25, c=576.0, d=0.25)),
+    (flow_simple, make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0)),
+], ids=["gradient", "simple"])
+def test_flow_validates_at_most_twice_whatever_the_step_count(
+    ham50, ham_data, flow, schedule, monkeypatch
+):
+    # vectors are validated where they enter the library; operator outputs,
+    # adjoint products and arithmetic inside the run are trusted
+    prob, F = ham50
+    f_delta, delta = gen_noise(ham_data, NoiseSpec(0.01, seed=0))
+    cfg = FlowConfig(schedule=schedule, C1=1.5, zeta=0.9, step_init=0.1,
+                     t_max=1e6)
+    u0 = init_u0(F, f_delta, float(schedule.a(0.0)))
+    validated = []
+    post_init = HilbertVector.__post_init__
+    monkeypatch.setattr(HilbertVector, "__post_init__",
+                        lambda self: validated.append(1) or post_init(self))
+    report = flow(F, f_delta, delta, cfg, u0)
+    assert report.steps_taken > 1000
+    assert len(validated) <= 2

@@ -330,6 +330,20 @@ def test_matrix_free_products_stay_on_the_trusted_path(monkeypatch):
     assert len(validated) <= 4 * states
 
 
+def test_newton_steps_validate_at_most_once_each(ham50_euclidean, monkeypatch):
+    # operator outputs and products are trusted; a dense shifted solve's
+    # result is the one validated construction a step may make
+    prob, F = ham50_euclidean
+    f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.01, seed=0))
+    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=4.0 * delta**0.99)
+    cfg = IterConfig(schedule=schedule, C1=1.01, gamma_or_zeta=0.99, n_max=500)
+    u0 = HilbertVector.zeros(prob.weights)
+    validated = _validated_constructions(monkeypatch)
+    report = iter_newton(F, f_delta, delta, cfg, u0)
+    assert report.steps_taken > 0
+    assert len(validated) <= report.steps_taken
+
+
 def test_nan_in_data_fails_before_any_step(ham50, ham_data):
     # one NaN in f_delta used to run all n_max steps, a shifted solve each,
     # and then raise HorizonExceeded
