@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bench, flows, inequalities, iterations, schedules
+from . import bench, flows, inequalities, iterations, schedules, synthetic
 from .core import HilbertVector, NonlinearOperator
 from .discrepancy import DPConfig, solve_dp
 from .errors import (
@@ -30,7 +29,6 @@ from .errors import (
     InvalidConfig,
     MonoregError,
 )
-from .synthetic import diagonal_problem, random_monotone_problem, rank_one_problem
 
 _FLOAT_FMT = "%.17g"
 
@@ -46,13 +44,6 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in header))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -61,39 +52,29 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
-
-
-def emit_report(report, format: str, path) -> None:
+def emit_report(report, format: str, path, header=None) -> None:
     """Serialize a report (or list of row dicts) with stable field order.
 
     CSV floats carry 17 significant digits so values round-trip exactly;
-    the JSON mirror nests histories and per-seed detail.
+    the CSV columns are `header` when given, else the scalar fields of the
+    first row.  The JSON mirror nests histories and per-seed detail.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if hasattr(report, "to_dict"):
-        payload = report.to_dict()
-    elif isinstance(report, list) and all(hasattr(r, "to_dict") for r in report):
-        payload = [r.to_dict() for r in report]
-    else:
-        payload = report
+    payload = report.to_dict() if hasattr(report, "to_dict") else report
     if format == "json":
-        _write_json(path, payload)
+        path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
         return
     if format != "csv":
         raise ConfigError(f"unknown format {format!r}", key="output.format")
-    if isinstance(payload, dict):
-        header = [k for k, v in payload.items() if not isinstance(v, (list, dict))]
-        _write_csv(path, header, [payload])
-    elif isinstance(payload, list) and payload:
-        header = [
-            k for k, v in payload[0].items() if not isinstance(v, (list, dict))
-        ]
-        _write_csv(path, header, payload)
-    else:
-        _write_csv(path, [], [])
+    rows = [payload] if isinstance(payload, dict) else payload
+    if header is None:
+        first = rows[0] if rows else {}
+        header = [k for k, v in first.items() if not isinstance(v, (list, dict))]
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(row.get(col)) for col in header))
+    path.write_text("\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------------ config loading
@@ -108,67 +89,62 @@ def _expect_keys(section: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown key {key!r}", key=where)
 
 
-def load_config(path) -> dict:
+def _read(cfg: dict, where: str, allowed: set[str], build: Callable):
+    """build(section) for the config section `where` after its key check.
+
+    A missing key, a value of the wrong type and a value out of range all
+    become one ConfigError that names the section.
+    """
+    section = cfg.get(where, {})
+    _expect_keys(section, allowed, where)
     try:
-        text = Path(path).read_text()
+        return build(section)
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc}", key=where) from exc
+    except (TypeError, ValueError, InvalidConfig, ConstraintViolated) as exc:
+        raise ConfigError(str(exc), key=where) from exc
+
+
+def load_config(path):
+    try:
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("top level must be an object")
-    return cfg
 
 
 @dataclass(frozen=True)
 class ProblemBundle:
-    """A built problem: operator, exact data, optional reference solution."""
+    """A built problem: operator, exact solution and noisy-data maker."""
 
     name: str
     F: NonlinearOperator
-    f: HilbertVector
-    u_exact: HilbertVector | None
+    u_exact: HilbertVector
     make_noise: Callable[[float, int], tuple[HilbertVector, float]]
-    weights: np.ndarray
+
+
+_PROBLEM_KEYS = {"kind", "n_nodes", "norm_mode", "dim", "seed"}
 
 
 def build_problem(section: dict) -> ProblemBundle:
-    _expect_keys(
-        section,
-        {"kind", "n_nodes", "norm_mode", "dim", "seed"},
-        "problem",
-    )
     kind = section.get("kind")
+    if kind == "rank_one":
+        prob = synthetic.rank_one_problem(int(section.get("dim", 2)))
+        # deterministic perpendicular perturbation; ||f|| = 1
+        return ProblemBundle(
+            kind, prob.F, prob.p, lambda delta_rel, seed: prob.noisy_data(delta_rel)
+        )
     if kind == "hammerstein":
         prob = bench.make_hammerstein(
             n_nodes=int(section.get("n_nodes", 50)),
             norm_mode=section.get("norm_mode", bench.TRAPEZOID),
         )
-        F = bench.hammerstein_operator(prob)
-        u_exact = prob.exact_solution
-        f = F(u_exact)
-
-        def make_noise(delta_rel, seed):
-            return bench.gen_noise(f, bench.NoiseSpec(delta_rel, seed))
-
-        return ProblemBundle("hammerstein", F, f, u_exact, make_noise, prob.weights)
-    if kind == "rank_one":
-        prob = rank_one_problem(int(section.get("dim", 2)))
-        f = prob.F(prob.p)
-
-        def make_noise(delta_rel, seed):
-            # deterministic perpendicular perturbation; ||f|| = 1
-            return prob.noisy_data(delta_rel)
-
-        return ProblemBundle(
-            "rank_one", prob.F, f, prob.p, make_noise, prob.p.weights
-        )
-    if kind == "diagonal":
-        F, u_exact = diagonal_problem(int(section.get("dim", 8)))
+        F, u_exact = bench.hammerstein_operator(prob), prob.exact_solution
+    elif kind == "diagonal":
+        F, u_exact = synthetic.diagonal_problem(int(section.get("dim", 8)))
     elif kind == "random_monotone":
-        F, u_exact = random_monotone_problem(
+        F, u_exact = synthetic.random_monotone_problem(
             int(section.get("dim", 8)), int(section.get("seed", 0))
         )
     else:
@@ -178,67 +154,68 @@ def build_problem(section: dict) -> ProblemBundle:
     def make_noise(delta_rel, seed):
         return bench.gen_noise(f, bench.NoiseSpec(delta_rel, seed))
 
-    return ProblemBundle(kind, F, f, u_exact, make_noise, u_exact.weights)
+    return ProblemBundle(kind, F, u_exact, make_noise)
 
 
 def _noise_grid(cfg: dict, args) -> tuple[list[float], list[int]]:
-    section = cfg.get("noise", {})
-    _expect_keys(section, {"delta_rel", "seeds"}, "noise")
-    delta_rel = section.get("delta_rel", [0.01])
-    if isinstance(delta_rel, (int, float)):
-        delta_rel = [delta_rel]
-    seeds = section.get("seeds", [0])
-    if isinstance(seeds, int):
-        seeds = [seeds]
-    if args.delta_rel is not None:
-        delta_rel = [float(x) for x in args.delta_rel.split(",")]
-    if args.seed is not None:
-        seeds = [args.seed]
-    if not delta_rel or not seeds:
-        raise ConfigError("noise grid is empty", key="noise")
-    return [float(x) for x in delta_rel], [int(s) for s in seeds]
+    def build(section):
+        delta_rel = section.get("delta_rel", [0.01])
+        if isinstance(delta_rel, (int, float)):
+            delta_rel = [delta_rel]
+        seeds = section.get("seeds", [0])
+        if isinstance(seeds, int):
+            seeds = [seeds]
+        if args.delta_rel is not None:
+            delta_rel = args.delta_rel.split(",")
+        if args.seed is not None:
+            seeds = [args.seed]
+        if not delta_rel or not seeds:
+            raise ConfigError("noise grid is empty", key="noise")
+        return [float(x) for x in delta_rel], [int(s) for s in seeds]
+
+    return _read(cfg, "noise", {"delta_rel", "seeds"}, build)
 
 
 def _output(cfg: dict, args, default_stem: str) -> tuple[Path, str, bool]:
-    section = cfg.get("output", {})
-    _expect_keys(section, {"dir", "format", "stem", "history"}, "output")
-    out_dir = Path(args.out or section.get("dir", "out"))
-    fmt = args.format or section.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown format {fmt!r}", key="output.format")
-    stem = section.get("stem", default_stem)
-    history = bool(section.get("history", False))
-    return out_dir / f"{stem}.{fmt}", fmt, history
+    def build(section):
+        fmt = args.format or section.get("format", "csv")
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"unknown format {fmt!r}", key="output.format")
+        out_dir = Path(args.out or section.get("dir", "out"))
+        stem = section.get("stem", default_stem)
+        return out_dir / f"{stem}.{fmt}", fmt, bool(section.get("history", False))
+
+    return _read(cfg, "output", {"dir", "format", "stem", "history"}, build)
 
 
-def _rel_error(u, u_exact) -> float | None:
-    if u_exact is None:
-        return None
-    return (u - u_exact).norm() / u_exact.norm()
+def _write(path: Path, fmt: str, report, header=None) -> None:
+    emit_report(report, fmt, path, header)
+    print(f"wrote {path}")
 
 
-def _sweep(cfg: dict, args, problem: ProblemBundle, stem: str, solve) -> int:
-    """One output row per noise level and seed; solve(f_delta, delta,
+def _sweep(cfg: dict, args, stem: str, solve) -> int:
+    """One row per noise level and seed; solve(problem, f_delta, delta,
     history) returns the run's fields, its solution and the last columns."""
+    problem = _read(cfg, "problem", _PROBLEM_KEYS, build_problem)
     delta_rels, seeds = _noise_grid(cfg, args)
     path, fmt, history = _output(cfg, args, stem)
+    u_exact = problem.u_exact
     rows = []
     for delta_rel in delta_rels:
         for seed in seeds:
             f_delta, delta = problem.make_noise(delta_rel, seed)
-            fields, u, extra = solve(f_delta, delta, history)
+            fields, u, extra = solve(problem, f_delta, delta, history)
             rows.append(
                 {
                     "delta_rel": delta_rel,
                     "seed": seed,
                     "delta": delta,
                     **fields,
-                    "rel_error": _rel_error(u, problem.u_exact),
+                    "rel_error": (u - u_exact).norm() / u_exact.norm(),
                     **extra,
                 }
             )
-    emit_report(rows, fmt, path)
-    print(f"wrote {path}")
+    _write(path, fmt, rows)
     return 0
 
 
@@ -246,47 +223,37 @@ def _sweep(cfg: dict, args, problem: ProblemBundle, stem: str, solve) -> int:
 
 
 def _cmd_dp(cfg: dict, args) -> int:
-    _expect_keys(cfg, {"problem", "dp", "noise", "output"}, "<top>")
-    problem = build_problem(cfg.get("problem", {}))
-    section = cfg.get("dp", {})
-    _expect_keys(
-        section, {"C", "gamma", "theta", "C1", "C2", "dp_tol", "a_rtol"}, "dp"
+    dp_cfg = _read(
+        cfg, "dp", {"C", "gamma", "theta", "C1", "C2", "dp_tol", "a_rtol"},
+        lambda section: DPConfig(**section),
     )
-    try:
-        dp_cfg = DPConfig(**section)
-    except (InvalidConfig, TypeError) as exc:
-        raise ConfigError(str(exc), key="dp") from exc
 
-    def solve(f_delta, delta, history):
+    def solve(problem, f_delta, delta, history):
         result = solve_dp(problem.F, f_delta, delta, dp_cfg)
         extra = {}
         if problem.name == "rank_one" and dp_cfg.gamma == 1.0:
-            c = math.sqrt(dp_cfg.C**2 - 1.0)
-            analytic = c * delta / (1.0 - c * delta)
+            analytic = synthetic.RankOneProblem.matched_shift(delta, dp_cfg.C)
             extra = {"analytic_a": analytic,
                      "a_over_analytic": result.a_delta / analytic}
         return result.to_dict(), result.V, extra
 
-    return _sweep(cfg, args, problem, "dp", solve)
+    return _sweep(cfg, args, "dp", solve)
 
 
-def _schedule_from(section: dict, where: str):
-    _expect_keys(section, {"form", "kind", "b", "c", "d", "d_or_c", "d0"}, where)
+_SCHEDULE_KEYS = {"form", "kind", "b", "c", "d", "d_or_c", "d0"}
+
+
+def _schedule(section: dict):
     form = section.get("form")
-    try:
-        if form == "continuous":
-            return schedules.make_continuous(
-                section["kind"], section["b"], section["c"], section["d"]
-            )
-        if form == "discrete":
-            return schedules.make_discrete(
-                section["kind"], section["b"], section["d_or_c"], section["d0"]
-            )
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", key=where) from exc
-    except (ConstraintViolated, InvalidConfig) as exc:
-        raise ConfigError(str(exc), key=where) from exc
-    raise ConfigError("form must be 'continuous' or 'discrete'", key=where)
+    if form == "continuous":
+        return schedules.make_continuous(
+            section["kind"], section["b"], section["c"], section["d"]
+        )
+    if form == "discrete":
+        return schedules.make_discrete(
+            section["kind"], section["b"], section["d_or_c"], section["d0"]
+        )
+    raise ConfigError("form must be 'continuous' or 'discrete'", key="schedule")
 
 
 # subcommand -> (runners by method, config class, allowed `stop` keys,
@@ -308,41 +275,40 @@ _CONTINUATION = {
         iterations.IterConfig,
         {"C1", "gamma", "n_max", "m1", "inner_tol"},
         lambda problem, f_delta, schedule, start: HilbertVector.zeros(
-            problem.weights),
+            problem.u_exact.weights),
     ),
 }
 
 
 def _cmd_continuation(command: str, cfg: dict, args) -> int:
     runners, config_class, stop_keys, make_start = _CONTINUATION[command]
-    _expect_keys(
-        cfg, {"problem", "method", "schedule", "stop", "noise", "output"}, "<top>"
-    )
     method = args.method or cfg.get("method")
     if method not in runners:
         raise ConfigError(
             f"method must be one of {sorted(runners)}, got {method!r}",
             key="method",
         )
-    problem = build_problem(cfg.get("problem", {}))
-    schedule = _schedule_from(cfg.get("schedule", {}), "schedule")
-    stop = dict(cfg.get("stop", {}))
-    _expect_keys(stop, stop_keys, "stop")
-    start = stop.pop("start", "regularized")
-    if "gamma" in stop:
-        stop["gamma_or_zeta"] = stop.pop("gamma")
-    try:
-        run_cfg = config_class(schedule=schedule, **stop)
-    except (InvalidConfig, TypeError) as exc:
-        raise ConfigError(str(exc), key="stop") from exc
-    runner = runners[method]
+    schedule = _read(cfg, "schedule", _SCHEDULE_KEYS, _schedule)
 
-    def solve(f_delta, delta, history):
+    def build_stop(section):
+        stop = dict(section)
+        start = stop.pop("start", "regularized")
+        if start not in ("regularized", "zero"):
+            raise ConfigError(
+                f"must be 'regularized' or 'zero', got {start!r}", key="stop.start"
+            )
+        if "gamma" in stop:
+            stop["gamma_or_zeta"] = stop.pop("gamma")
+        return config_class(schedule=schedule, **stop), start
+
+    run_cfg, start = _read(cfg, "stop", stop_keys, build_stop)
+
+    def solve(problem, f_delta, delta, history):
         u0 = make_start(problem, f_delta, schedule, start)
-        report = runner(problem.F, f_delta, delta, run_cfg, u0)
+        report = runners[method](problem.F, f_delta, delta, run_cfg, u0)
         return report.to_dict(include_history=history), report.u_final, {}
 
-    return _sweep(cfg, args, problem, f"{command}_{method}", solve)
+    return _sweep(cfg, args, f"{command}_{method}", solve)
 
 
 _TABLE1_HEADER = [
@@ -356,80 +322,63 @@ _TABLE1_HEADER = [
 
 
 def _cmd_bench(cfg: dict, args) -> int:
-    _expect_keys(cfg, {"bench", "output"}, "<top>")
-    section = dict(cfg.get("bench", {}))
-    _expect_keys(
-        section,
+    def build(section):
+        section = dict(section)
+        if args.delta_rel is not None:
+            section["delta_rel_list"] = [float(x) for x in args.delta_rel.split(",")]
+        if args.seed is not None:
+            section["seeds"] = [args.seed]
+        for key in ("delta_rel_list", "seeds"):
+            if key in section:
+                section[key] = tuple(section[key])
+        return bench.Table1Config(**section)
+
+    table_cfg = _read(
+        cfg, "bench",
         {"delta_rel_list", "n_nodes", "C0", "C", "gamma", "seeds", "norm_mode",
          "n_max"},
-        "bench",
+        build,
     )
-    if args.delta_rel is not None:
-        section["delta_rel_list"] = [float(x) for x in args.delta_rel.split(",")]
-    if args.seed is not None:
-        section["seeds"] = [args.seed]
-    for key in ("delta_rel_list", "seeds"):
-        if key in section:
-            section[key] = tuple(section[key])
-    try:
-        table_cfg = bench.Table1Config(**section)
-    except (InvalidConfig, TypeError) as exc:
-        raise ConfigError(str(exc), key="bench") from exc
-    rows = bench.run_table1(table_cfg)
     path, fmt, _ = _output(cfg, args, "table1")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        _write_csv(path, _TABLE1_HEADER, [r.to_dict() for r in rows])
-    else:
-        _write_json(path, [r.to_dict(include_per_seed=True) for r in rows])
+    rows = bench.run_table1(table_cfg)
     for row in rows:
         print(
             f"delta_rel={row.delta_rel:g} n={row.n_iterations:g} "
             f"rel_error={row.rel_error:.4g} [{row.status}]"
         )
-    print(f"wrote {path}")
+    _write(path, fmt, [r.to_dict(include_per_seed=True) for r in rows],
+           _TABLE1_HEADER)
     return 0
 
 
 def _cmd_schedule_check(cfg: dict, args) -> int:
-    _expect_keys(cfg, {"schedule", "params", "output"}, "<top>")
-    schedule = _schedule_from(cfg.get("schedule", {}), "schedule")
-    section = cfg.get("params", {})
-    _expect_keys(
-        section,
+    schedule = _read(cfg, "schedule", _SCHEDULE_KEYS, _schedule)
+    params = _read(
+        cfg, "params",
         {"m1", "c0", "c1", "y_norm", "residual0", "horizon", "lam",
          "alpha_tilde", "g0"},
-        "params",
+        lambda section: schedules.ValidationParams(**section),
     )
-    try:
-        params = schedules.ValidationParams(**section)
-    except (InvalidConfig, TypeError) as exc:
-        raise ConfigError(str(exc), key="params") from exc
+    path, fmt, _ = _output(cfg, args, "schedule_check")
     report = schedules.validate_conditions(schedule, params)
     print(f"kind={report.kind} lam={report.lam:g} passed={report.passed}")
     print(f"{'condition':<20} {'status':<8} {'worst margin':<16} at")
     for name, status, margin, at in report.rows():
         print(f"{name:<20} {status:<8} {margin:<16.6g} {at:g}")
-    path, fmt, _ = _output(cfg, args, "schedule_check")
-    if fmt == "csv":
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(
-            path,
-            ["name", "satisfied", "margin", "worst_at"],
-            [c.to_dict() for c in report.checks],
-        )
-    else:
-        emit_report(report, fmt, path)
-    print(f"wrote {path}")
+    # the CSV has one row per condition and leaves out `strict`
+    _write(
+        path,
+        fmt,
+        report if fmt == "json" else [c.to_dict() for c in report.checks],
+        ["name", "satisfied", "margin", "worst_at"],
+    )
     return 0 if report.passed else 2
-
-
-_FORM_KEYS = {"form", "value", "coef", "rate", "offset", "exponent"}
 
 
 def _build_fn(section: dict, where: str):
     """Closed-form evaluator from a descriptor: const, exp, or power."""
-    _expect_keys(section, _FORM_KEYS, where)
+    _expect_keys(section, {"form", "value", "coef", "rate", "offset", "exponent"},
+                 where)
     form = section.get("form")
     if form == "const":
         value = float(section["value"])
@@ -456,94 +405,79 @@ def _build_fn(section: dict, where: str):
     raise ConfigError("form must be 'const', 'exp', or 'power'", key=where)
 
 
+def _bound_check(section: dict):
+    """The bound check of the `instance` section, ready to run."""
+    kind = section.get("kind")
+
+    def fn(key):
+        return _build_fn(section[key], f"instance.{key}")[0]
+
+    if kind == "continuous":
+        alpha, beta, gamma = fn("alpha"), fn("beta"), fn("gamma")
+        mu, mu_dot = _build_fn(section["mu"], "instance.mu")
+        inst = inequalities.ContinuousInequality(
+            p=float(section["p"]),
+            alpha=alpha,
+            beta=beta,
+            gamma=gamma,
+            mu=mu,
+            mu_dot=mu_dot,
+            g0=float(section["g0"]),
+            tau0=float(section.get("tau0", 0.0)),
+            horizon=float(section["horizon"]),
+        )
+        return functools.partial(
+            inequalities.bound_continuous, inst,
+            n_steps=int(section.get("n_steps", 20_000)),
+        )
+    if kind == "discrete":
+        n = np.arange(int(section["n_last"]) + 1, dtype=float)
+        inst = inequalities.DiscreteInequality(
+            p=float(section["p"]),
+            alpha=fn("alpha")(n),
+            beta=fn("beta")(n),
+            gamma=fn("gamma")(n),
+            mu=fn("mu")(n),
+            h=fn("h")(n),
+            g0=float(section["g0"]),
+        )
+        return functools.partial(inequalities.bound_discrete, inst)
+    raise ConfigError("kind must be 'continuous' or 'discrete'", key="instance.kind")
+
+
 def _cmd_ineq(cfg: dict, args) -> int:
-    _expect_keys(cfg, {"instance", "output"}, "<top>")
-    section = cfg.get("instance", {})
-    _expect_keys(
-        section,
+    check = _read(
+        cfg, "instance",
         {"kind", "p", "g0", "tau0", "horizon", "n_steps", "alpha", "beta",
          "gamma", "mu", "h", "n_last"},
-        "instance",
+        _bound_check,
     )
-    kind = section.get("kind")
-    if kind == "continuous":
-        try:
-            alpha, _ = _build_fn(section["alpha"], "instance.alpha")
-            beta, _ = _build_fn(section["beta"], "instance.beta")
-            gamma, _ = _build_fn(section["gamma"], "instance.gamma")
-            mu, mu_dot = _build_fn(section["mu"], "instance.mu")
-            inst = inequalities.ContinuousInequality(
-                p=float(section["p"]),
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma,
-                mu=mu,
-                mu_dot=mu_dot,
-                g0=float(section["g0"]),
-                tau0=float(section.get("tau0", 0.0)),
-                horizon=float(section["horizon"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing key {exc}", key="instance") from exc
-        report = inequalities.bound_continuous(
-            inst, n_steps=int(section.get("n_steps", 20_000))
-        )
-    elif kind == "discrete":
-        try:
-            n_last = int(section["n_last"])
-            n = np.arange(n_last + 1, dtype=float)
-
-            def seq(key):
-                fn, _ = _build_fn(section[key], f"instance.{key}")
-                return fn(n)
-
-            inst = inequalities.DiscreteInequality(
-                p=float(section["p"]),
-                alpha=seq("alpha"),
-                beta=seq("beta"),
-                gamma=seq("gamma"),
-                mu=seq("mu"),
-                h=seq("h"),
-                g0=float(section["g0"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing key {exc}", key="instance") from exc
-        report = inequalities.bound_discrete(inst)
-    else:
-        raise ConfigError(
-            "kind must be 'continuous' or 'discrete'", key="instance.kind"
-        )
+    path, fmt, _ = _output(cfg, args, "ineq")
+    report = check()
     print(
         f"bound holds: {report.passed}; min margin {report.min_margin:.6g} "
         f"at {report.margin_at:g}"
     )
-    path, fmt, _ = _output(cfg, args, "ineq")
-    emit_report(report, fmt, path)
-    print(f"wrote {path}")
+    _write(path, fmt, report)
     return 0
 
 
+_CONTINUATION_SECTIONS = {"problem", "method", "schedule", "stop", "noise", "output"}
+
+# subcommand -> (allowed top-level sections, runner)
 _COMMANDS = {
-    "dp": _cmd_dp,
-    "flow": functools.partial(_cmd_continuation, "flow"),
-    "iterate": functools.partial(_cmd_continuation, "iterate"),
-    "bench": _cmd_bench,
-    "schedule-check": _cmd_schedule_check,
-    "ineq": _cmd_ineq,
+    "dp": ({"problem", "dp", "noise", "output"}, _cmd_dp),
+    "flow": (_CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "flow")),
+    "iterate": (
+        _CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "iterate")
+    ),
+    "bench": ({"bench", "output"}, _cmd_bench),
+    "schedule-check": ({"schedule", "params", "output"}, _cmd_schedule_check),
+    "ineq": ({"instance", "output"}, _cmd_ineq),
 }
 
 _CONFIG_EXIT = 3
 _SOLVER_EXIT = 2
-
-
-def run_experiment(command: str, config_path: str, args=None) -> int:
-    """Execute one subcommand against a config file; returns the exit code."""
-    if args is None:
-        args = argparse.Namespace(
-            seed=None, out=None, format=None, method=None, delta_rel=None
-        )
-    cfg = load_config(config_path)
-    return _COMMANDS[command](cfg, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,8 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    sections, command = _COMMANDS[args.command]
     try:
-        return run_experiment(args.command, args.config, args)
+        cfg = load_config(args.config)
+        _expect_keys(cfg, sections, "<top>")
+        return command(cfg, args)
     except (ConfigError, InvalidConfig, ConstraintViolated, GridMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_EXIT

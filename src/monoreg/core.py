@@ -221,20 +221,14 @@ def zero_map(weights: np.ndarray) -> LinearMap:
 
 @dataclass(frozen=True)
 class OperatorBounds:
-    """Declared smoothness bounds on a working ball.
-
-    m1 bounds the first derivative norm, m2 the second; both over the ball
-    of the given radius around the center (or everywhere when the radius
-    is infinite).
-    """
+    """Declared smoothness bounds: m1 bounds the first derivative norm, m2
+    the second."""
 
     m1: float
     m2: float = 0.0
-    radius: float = np.inf
-    center: HilbertVector | None = None
 
     def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0 or self.radius < 0:
+        if self.m1 < 0 or self.m2 < 0:
             raise ValueError("bounds must be nonnegative")
 
 

@@ -15,6 +15,7 @@ dissipative finite-dimensional evolution equation.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -120,6 +121,22 @@ class BoundReport:
         return out
 
 
+def _verdict(grid, values, bound, crossed) -> tuple[float, float]:
+    """(min_margin, margin_at) of the gaps bound - values over the grid.
+
+    Raises BoundViolated at the first grid point where crossed(gap, 0)
+    holds, when it holds at the smallest gap.
+    """
+    gaps = bound - values
+    i = int(np.argmin(gaps))
+    if crossed(gaps[i], 0):
+        first = int(np.argmax(crossed(gaps, 0)))
+        raise BoundViolated(
+            grid[first].item(), float(values[first]), float(bound[first])
+        )
+    return float(gaps[i]), float(grid[i])
+
+
 def precondition_margins(
     inst: ContinuousInequality, n_samples: int = N_CONDITION_SAMPLES
 ) -> dict:
@@ -212,15 +229,11 @@ def bound_continuous(
         g = max(g + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
         traj[k + 1] = g
     bound = 1.0 / np.asarray(inst.mu(ts), dtype=float)
-    gaps = bound - traj
-    i = int(np.argmin(gaps))
-    if gaps[i] <= 0:
-        first = int(np.argmax(gaps <= 0))
-        raise BoundViolated(float(ts[first]), float(traj[first]), float(bound[first]))
+    min_margin, margin_at = _verdict(ts, traj, bound, operator.le)
     return BoundReport(
         passed=True,
-        min_margin=float(gaps[i]),
-        margin_at=float(ts[i]),
+        min_margin=min_margin,
+        margin_at=margin_at,
         condition_margins=margins,
         grid=ts,
         trajectory=traj,
@@ -287,17 +300,15 @@ def bound_discrete(inst: DiscreteInequality) -> BoundReport:
         )
         traj[n + 1] = g
     bound = 1.0 / inst.mu
-    gaps = bound - traj
-    i = int(np.argmin(gaps))
-    if gaps[i] < 0:
-        first = int(np.argmax(gaps < 0))
-        raise BoundViolated(first, float(traj[first]), float(bound[first]))
+    # integer indices: a crossing is located at its index n
+    n = np.arange(n_last + 1)
+    min_margin, margin_at = _verdict(n, traj, bound, operator.lt)
     return BoundReport(
         passed=True,
-        min_margin=float(gaps[i]),
-        margin_at=float(i),
+        min_margin=min_margin,
+        margin_at=margin_at,
         condition_margins=margins,
-        grid=np.arange(n_last + 1, dtype=float),
+        grid=n.astype(float),
         trajectory=traj,
         bound=bound,
     )
@@ -441,15 +452,11 @@ def evolution_norm_bound(
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms[k + 1] = u.norm()
     bound = 1.0 / np.asarray(inst.mu(ts), dtype=float)
-    gaps = bound - norms
-    i = int(np.argmin(gaps))
-    if gaps[i] <= 0:
-        first = int(np.argmax(gaps <= 0))
-        raise BoundViolated(float(ts[first]), float(norms[first]), float(bound[first]))
+    min_margin, margin_at = _verdict(ts, norms, bound, operator.le)
     return ComparisonReport(
         passed=True,
-        min_margin=float(gaps[i]),
-        margin_at=float(ts[i]),
+        min_margin=min_margin,
+        margin_at=margin_at,
         max_norm=float(np.max(norms)),
         precondition_margins=margins,
         grid=ts,

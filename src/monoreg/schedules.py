@@ -234,20 +234,19 @@ def validate_conditions(schedule, params: ValidationParams) -> ConditionReport:
     kinds at every index up to the horizon.  The report carries worst
     margins; nothing raises on failure.
     """
-    lam = params.lam
-    if lam is None:
-        lam = choose_lambda(schedule, params)
-        if lam is None:
-            # report against the bare lower bound so margins are informative
-            lam = max(params.m1 / params.y_norm, 1e-12)
-    p = replace(params, lam=lam)
+    if params.lam is None:
+        report = _scan_lambda(schedule, params)
+        if report is not None:
+            return report
+        # report against the bare lower bound so margins are informative
+        params = replace(params, lam=max(params.m1 / params.y_norm, 1e-12))
     if isinstance(schedule, ContinuousSchedule):
-        checks = _CONTINUOUS_CHECKS[schedule.kind](schedule, p)
+        checks = _CONTINUOUS_CHECKS[schedule.kind](schedule, params)
     elif isinstance(schedule, DiscreteSchedule):
-        checks = _DISCRETE_CHECKS[schedule.kind](schedule, p)
+        checks = _DISCRETE_CHECKS[schedule.kind](schedule, params)
     else:
         raise InvalidConfig(f"not a schedule: {schedule!r}")
-    return ConditionReport(schedule.kind, lam, tuple(checks))
+    return ConditionReport(schedule.kind, params.lam, tuple(checks))
 
 
 def _g0_or_default(sched, p: ValidationParams) -> float:
@@ -403,8 +402,9 @@ _DISCRETE_CHECKS = {
 }
 
 
-def choose_lambda(schedule, params: ValidationParams) -> float | None:
-    """Smallest admissible lambda of the form max(m1/y_norm, 2**k).
+def _scan_lambda(schedule, params: ValidationParams) -> ConditionReport | None:
+    """The passing report at the smallest admissible lambda of the form
+    max(m1/y_norm, 2**k).
 
     Conditions pull lambda in both directions, so the admissible set is an
     interval; scanning powers of two finds a member when the interval is
@@ -419,7 +419,7 @@ def choose_lambda(schedule, params: ValidationParams) -> float | None:
         tried.add(lam)
         report = validate_conditions(schedule, replace(params, lam=lam))
         if report.passed:
-            return lam
+            return report
     return None
 
 
@@ -443,12 +443,12 @@ def _search(build, grid, params: ValidationParams, failure: str) -> ScheduleSear
             schedule = build(value)
         except ConstraintViolated:
             continue
-        lam = params.lam if params.lam is not None else choose_lambda(schedule, params)
-        if lam is None:
-            continue
-        report = validate_conditions(schedule, replace(params, lam=lam))
-        if report.passed:
-            return ScheduleSearch(schedule, lam, report)
+        if params.lam is None:
+            report = _scan_lambda(schedule, params)
+        else:
+            report = validate_conditions(schedule, params)
+        if report is not None and report.passed:
+            return ScheduleSearch(schedule, report.lam, report)
     raise BudgetExceeded(failure)
 
 

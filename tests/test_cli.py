@@ -137,6 +137,36 @@ def test_dp_constant_range_is_enforced(tmp_path, capsys):
     assert "C must exceed 1" in capsys.readouterr().err
 
 
+_CONST = {"form": "const", "value": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, config, section",
+    [
+        # a value out of range inside the problem constructor
+        ("dp", {"problem": {"kind": "rank_one", "dim": 1},
+                "dp": {"C": 1.5, "gamma": 1.0}}, "problem: "),
+        # a value of the wrong type
+        ("ineq", {"instance": {"kind": "continuous", "p": "two", "g0": 0.5,
+                               "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
+                               "gamma": _CONST, "mu": _CONST}}, "instance: "),
+        # a misspelt start must not run as the regularized start
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
+                  "schedule": {"form": "continuous", "kind": "simple_flow",
+                               "b": 0.5, "c": 9.0, "d": 1.0},
+                  "stop": {"start": "zeroo"}}, "stop.start: "),
+    ],
+    ids=["out-of-range", "wrong-type", "unknown-start"],
+)
+def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
+    cfg = write_config(
+        tmp_path, {**config, "output": {"dir": str(tmp_path / "out")}}
+    )
+    assert main([command, "--config", cfg]) == 3
+    assert section in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dp_rank_one_reports_analytic_comparison(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -204,17 +234,47 @@ def test_schedule_check_prints_table(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "m1_ratio" in out and "pass" in out
-    assert (tmp_path / "out" / "schedule_check.csv").exists()
+    # the CSV has one row per condition and leaves out `strict`
+    lines = (tmp_path / "out" / "schedule_check.csv").read_text().splitlines()
+    assert lines[0] == "name,satisfied,margin,worst_at"
+    assert len(lines) == 1 + 4
 
 
 def test_ineq_subcommand(tmp_path):
-    code = main(
-        ["ineq", "--config", str(CONFIGS / "ineq_demo.json"),
-         "--out", str(tmp_path / "out")]
+    # the shipped demo, and an instance with the `power` form:
+    # mu = (1 + t)**0.5, alpha = beta = 0, gamma = 1
+    power = write_config(
+        tmp_path,
+        {
+            "instance": {
+                "kind": "continuous",
+                "p": 2.0,
+                "g0": 0.5,
+                "horizon": 10.0,
+                "n_steps": 2000,
+                "alpha": {"form": "const", "value": 0.0},
+                "beta": {"form": "const", "value": 0.0},
+                "gamma": {"form": "const", "value": 1.0},
+                "mu": {"form": "power", "coef": 1.0, "offset": 1.0,
+                       "exponent": 0.5},
+            },
+            "output": {"stem": "ineq_demo"},
+        },
     )
-    assert code == 0
-    payload = json.loads((tmp_path / "out" / "ineq_demo.json").read_text())
-    assert payload["passed"] is True
+    for config in (str(CONFIGS / "ineq_demo.json"), power):
+        for fmt in ("json", "csv"):
+            out = tmp_path / "out" / Path(config).stem
+            code = main(
+                ["ineq", "--config", config, "--out", str(out), "--format", fmt]
+            )
+            assert code == 0
+            text = (out / f"ineq_demo.{fmt}").read_text()
+            if fmt == "json":
+                assert json.loads(text)["passed"] is True
+            else:
+                header, row = text.splitlines()
+                assert header == "passed,min_margin,margin_at"
+                assert row.startswith("true,")
 
 
 def test_ineq_discrete_instance(tmp_path):
