@@ -39,9 +39,11 @@ from .core import (
     LinearMap,
     NonlinearOperator,
     OperatorBounds,
+    diagonal_view,
 )
 from .errors import GridMismatch, InvalidConfig, MonoregError
 from .iterations import IterConfig, iter_newton, operator_norm_estimate
+from .reports import check_field_types
 from .schedules import NEWTON_ITER, make_discrete
 
 TRAPEZOID = "trapezoid"
@@ -72,6 +74,14 @@ class HammersteinProblem:
     kernel: np.ndarray | None
     norm_mode: str
     exact_solution: HilbertVector
+
+    @functools.cached_property
+    def exp_grid(self) -> np.ndarray:
+        """e^x on the grid, the factor of every matrix-free kernel product
+        (`_exp_kernel`); read-only."""
+        ex = np.exp(self.grid)
+        ex.setflags(write=False)
+        return ex
 
     @functools.cached_property
     def kernel_adjoint(self) -> np.ndarray:
@@ -111,10 +121,10 @@ def _check_grid(prob: HammersteinProblem, u: HilbertVector) -> None:
         raise GridMismatch("vector does not live on the problem grid")
 
 
-def _exp_kernel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_j exp(-|x_i - x_j|) v_j in O(N) for increasing x in [0, 1]:
-    e^{-x_i} sum_{j <= i} e^{x_j} v_j + e^{x_i} sum_{j > i} e^{-x_j} v_j."""
-    ex = np.exp(x)
+def _exp_kernel(ex: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j exp(-|x_i - x_j|) v_j in O(N) for increasing x in [0, 1]
+    given ex = e^x: e^{-x_i} sum_{j <= i} e^{x_j} v_j
+    + e^{x_i} sum_{j > i} e^{-x_j} v_j."""
     upper = np.zeros_like(v)
     upper[:-1] = np.cumsum((v / ex)[:0:-1])[::-1]
     return np.cumsum(ex * v) / ex + ex * upper
@@ -123,7 +133,7 @@ def _exp_kernel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _kernel_product(prob: HammersteinProblem, v: np.ndarray) -> np.ndarray:
     if prob.kernel is not None:
         return prob.kernel @ v
-    return _exp_kernel(prob.grid, prob.quad_weights * v)
+    return _exp_kernel(prob.exp_grid, prob.quad_weights * v)
 
 
 def _kernel_adjoint_product(prob: HammersteinProblem, v: np.ndarray) -> np.ndarray:
@@ -131,7 +141,7 @@ def _kernel_adjoint_product(prob: HammersteinProblem, v: np.ndarray) -> np.ndarr
     # Q = diag(quad_weights): E (q v) = K v in trapezoid mode, q (E v) in
     # euclidean mode
     w = prob.weights
-    return prob.quad_weights / w * _exp_kernel(prob.grid, w * v)
+    return prob.quad_weights / w * _exp_kernel(prob.exp_grid, w * v)
 
 
 def _matrix_free_map(
@@ -171,7 +181,7 @@ def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> Linear
     # the kernel entries are positive, so adding 0.0 off the diagonal (as
     # kernel + np.diag(slope) would) changes no bit; skip its N x N temporary
     matrix = prob.kernel.copy()
-    diagonal = _diagonal(matrix)
+    diagonal = diagonal_view(matrix)
     diagonal += nonlinearity_slope(u.values)
     w = prob.weights
 
@@ -180,15 +190,10 @@ def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> Linear
         # diagonal, entry (d_i w_i) / w_i as the generic expression has it.
         # The copy keeps the F order, and with it the bits of every product.
         adj = prob.kernel_adjoint.copy(order="K")
-        _diagonal(adj)[:] = (diagonal * w) / w
+        diagonal_view(adj)[:] = (diagonal * w) / w
         return adj
 
     return LinearMap.from_matrix(matrix, w, adjoint)
-
-
-def _diagonal(matrix: np.ndarray) -> np.ndarray:
-    # writable view of the diagonal of a C- or F-contiguous square matrix
-    return matrix.reshape(-1, order="A")[:: matrix.shape[0] + 1]
 
 
 @functools.cache
@@ -263,6 +268,7 @@ class Table1Config:
     n_max: int = 2000
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.C > 1:
             raise InvalidConfig("C must exceed 1")
         if not 0 < self.gamma <= 1:

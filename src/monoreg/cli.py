@@ -462,18 +462,37 @@ def _cmd_ineq(cfg: dict, args) -> int:
     return 0
 
 
+# override flag -> its argparse options; each flag overrides the config
+# keys named in its help
+_FLAGS = {
+    "--seed": dict(type=int, help="override noise seeds with a single seed"),
+    "--delta-rel": dict(dest="delta_rel",
+                        help="comma-separated relative noise levels"),
+    "--method": dict(help="newton | gradient | simple"),
+    "--out": dict(help="override output directory"),
+    "--format": dict(choices=("csv", "json")),
+}
+_OUTPUT_FLAGS = ("--out", "--format")
+_SWEEP_FLAGS = ("--seed", "--delta-rel", *_OUTPUT_FLAGS)
 _CONTINUATION_SECTIONS = {"problem", "method", "schedule", "stop", "noise", "output"}
 
-# subcommand -> (allowed top-level sections, runner)
+# subcommand -> (allowed top-level sections, runner, the override flags it
+# reads); a flag a subcommand does not read is a usage error
 _COMMANDS = {
-    "dp": ({"problem", "dp", "noise", "output"}, _cmd_dp),
-    "flow": (_CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "flow")),
-    "iterate": (
-        _CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "iterate")
+    "dp": ({"problem", "dp", "noise", "output"}, _cmd_dp, _SWEEP_FLAGS),
+    "flow": (
+        _CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "flow"),
+        ("--method", *_SWEEP_FLAGS),
     ),
-    "bench": ({"bench", "output"}, _cmd_bench),
-    "schedule-check": ({"schedule", "params", "output"}, _cmd_schedule_check),
-    "ineq": ({"instance", "output"}, _cmd_ineq),
+    "iterate": (
+        _CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "iterate"),
+        ("--method", *_SWEEP_FLAGS),
+    ),
+    "bench": ({"bench", "output"}, _cmd_bench, _SWEEP_FLAGS),
+    "schedule-check": (
+        {"schedule", "params", "output"}, _cmd_schedule_check, _OUTPUT_FLAGS
+    ),
+    "ineq": ({"instance", "output"}, _cmd_ineq, _OUTPUT_FLAGS),
 }
 
 _CONFIG_EXIT = 3
@@ -487,23 +506,17 @@ def build_parser() -> argparse.ArgumentParser:
         "noisy data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override noise seeds with a single seed")
-        p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--method", default=None,
-                       help="newton | gradient | simple (flow/iterate)")
-        p.add_argument("--delta-rel", dest="delta_rel", default=None,
-                       help="comma-separated relative noise levels")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    sections, command = _COMMANDS[args.command]
+    sections, command, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         _expect_keys(cfg, sections, "<top>")

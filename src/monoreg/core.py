@@ -30,10 +30,12 @@ DENSE_LIMIT = 2000
 
 # A map that holds no matrix is materialized (N products) and factorized only
 # up to this dimension, and GMRES runs beyond it.  The Hammerstein benchmark
-# holds its kernel as a matrix up to the same size and is matrix-free above:
-# at 200 unknowns a dense Newton solve there takes about twice as long as
-# GMRES (1.3 ms against 0.65 ms on one core).
-MATERIALIZE_LIMIT = 200
+# holds its kernel as a matrix up to the same size and is matrix-free above.
+# The limit is the measured crossover of a whole `iter_newton` run from zero
+# (one OpenBLAS thread, README "Shifted solves"): matrix-free overtakes the
+# dense kernel at about N = 125-140 with weighted norms and about 110-115
+# with euclidean ones, and runs 2-3x faster at N = 200.
+MATERIALIZE_LIMIT = 128
 
 # Arnoldi steps per GMRES cycle: each step keeps one more basis vector of
 # length N, and the Hammerstein Newton systems converge within one cycle.
@@ -208,6 +210,11 @@ class LinearMap:
         return self._matrix
 
 
+def diagonal_view(matrix: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a C- or F-contiguous square matrix."""
+    return matrix.reshape(-1, order="A")[:: matrix.shape[0] + 1]
+
+
 def identity_map(weights: np.ndarray) -> LinearMap:
     weights = np.asarray(weights, dtype=float)
     return LinearMap(lambda v: v, lambda v: v, weights, matrix=np.eye(weights.size))
@@ -366,7 +373,7 @@ def solve_shifted(
     if a <= 0:
         raise ValueError("shift a must be positive")
     rhs_norm = rhs.norm()
-    if not (np.isfinite(a) and np.isfinite(rhs_norm)):
+    if not (math.isfinite(a) and math.isfinite(rhs_norm)):
         raise NonFinite(
             f"non-finite shifted solve input: a = {a:g}, ||rhs|| = {rhs_norm:g}"
         )
@@ -375,17 +382,23 @@ def solve_shifted(
     n = A.dimension
     if n > DENSE_LIMIT or (A._matrix is None and n > MATERIALIZE_LIMIT):
         return _gmres(A, a, rhs, tol * rhs_norm)
-    M = A.to_dense() + a * np.eye(n)
+    # the bits of A + a * np.eye(n) without its two N x N temporaries:
+    # x + 0.0 turns -0.0 into 0.0 as x + a * 0.0 does, and a * 1.0 is a
+    M = A.to_dense() + 0.0
+    diagonal_view(M)[:] += a
+    b = rhs.values
     try:
-        x = np.linalg.solve(M, rhs.values)
-        x += np.linalg.solve(M, rhs.values - M @ x)
+        x = np.linalg.solve(M, b)
+        x += np.linalg.solve(M, b - M @ x)
     except np.linalg.LinAlgError as exc:
         raise SolveFailed(
             f"shifted matrix is singular at a = {a:g}; the operator "
             "violates the nonnegativity contract"
         ) from exc
     sol = rhs.with_values(x)
-    residual = (A(sol) + a * sol - rhs).norm()
+    # ||A x + a x - rhs|| in the operation order of the vector expression
+    r = A(sol).values + sol.values * float(a) - b
+    residual = math.sqrt((rhs.weights * r * r).sum())
     if not residual <= tol * rhs_norm:
         raise SolveFailed(
             f"dense shifted solve residual {residual:g} exceeds "
@@ -421,30 +434,36 @@ def _gmres(
         steps = min(GMRES_RESTART, budget - products - 1)
         V[0] = r / res
         R = np.zeros((steps, steps))  # Hessenberg, triangular after rotations
-        cs, sn = np.zeros(steps), np.zeros(steps)
-        g = np.zeros(steps + 1)
-        g[0] = res
+        # the rotations and the projected residual g are Python floats:
+        # IEEE double arithmetic with the bits of numpy scalars, without
+        # their per-operation overhead
+        cs, sn = [], []
+        g = [float(res)]
         k = 0  # Arnoldi steps done in this cycle
         while True:
             u = shifted(V[k].copy())  # A may keep its argument
             products += 1
             basis = V[: k + 1]
-            for _ in range(2):
-                h = basis @ (w * u)
-                u -= h @ basis
-                R[: k + 1, k] += h
-            u_norm = np.sqrt(np.dot(w * u, u))
+            h1 = basis @ (w * u)
+            u -= h1 @ basis
+            h2 = basis @ (w * u)
+            u -= h2 @ basis
+            col = (0.0 + h1 + h2).tolist()  # the new column of the Hessenberg
+            u_norm = float(np.sqrt(np.dot(w * u, u)))
             for i in range(k):
-                R[i, k], R[i + 1, k] = (
-                    cs[i] * R[i, k] + sn[i] * R[i + 1, k],
-                    cs[i] * R[i + 1, k] - sn[i] * R[i, k],
+                col[i], col[i + 1] = (
+                    cs[i] * col[i] + sn[i] * col[i + 1],
+                    cs[i] * col[i + 1] - sn[i] * col[i],
                 )
-            rho = np.hypot(R[k, k], u_norm)
+            # np.hypot, not math.hypot, which rounds differently
+            rho = float(np.hypot(col[k], u_norm))
             if not rho > 0.0:
                 break
-            cs[k], sn[k] = R[k, k] / rho, u_norm / rho
-            R[k, k] = rho
-            g[k + 1] = -sn[k] * g[k]
+            cs.append(col[k] / rho)
+            sn.append(u_norm / rho)
+            col[k] = rho
+            R[: k + 1, k] = col
+            g.append(-sn[k] * g[k])
             g[k] *= cs[k]
             k += 1
             if k == steps or abs(g[k]) <= target:

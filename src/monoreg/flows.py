@@ -36,6 +36,7 @@ from .reports import (
     SolveReport,
     Trajectory,
     a_end,
+    check_field_types,
     check_stop_constants,
     require_kind,
     stop_level,
@@ -68,6 +69,7 @@ class FlowConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         check_stop_constants(self.C1, self.zeta, "zeta")
         if not 0 < self.step_min <= self.step_init <= self.step_max:
             raise InvalidConfig("need 0 < step_min <= step_init <= step_max")

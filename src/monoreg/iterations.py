@@ -28,6 +28,7 @@ from .reports import (
     SolveReport,
     Trajectory,
     a_end,
+    check_field_types,
     check_stop_constants,
     require_kind,
     stop_level,
@@ -66,6 +67,7 @@ class IterConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         check_stop_constants(self.C1, self.gamma_or_zeta, "gamma_or_zeta")
 
     def threshold(self, delta: float) -> float:

@@ -15,7 +15,9 @@ of them stop at the first recorded state whose data residual
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .core import HilbertVector, solve_shifted
@@ -48,6 +50,32 @@ def check_stop_constants(C1: float, exponent: float, name: str) -> None:
         raise InvalidConfig("C1 must exceed 1")
     if not 0 < exponent <= 1:
         raise InvalidConfig(f"{name} must lie in (0, 1]")
+
+
+# field annotation -> the numbers a config field of that type accepts
+_NUMBERS = {"float": numbers.Real, "int": numbers.Integral}
+
+
+def check_field_types(cfg) -> None:
+    """Raise InvalidConfig naming the first numeric field of the config
+    dataclass `cfg` that holds something else: a field annotated `float`
+    takes a real number, `int` an integer (a bool is neither), `X | None`
+    also None, and `tuple[X, ...]` a tuple or list of X.  The annotations
+    are read as strings, as postponed evaluation leaves them."""
+    for f in dataclasses.fields(cfg):
+        kind = f.type.removesuffix(" | None")
+        value = getattr(cfg, f.name)
+        if value is None and kind != f.type:
+            continue
+        items = [value]
+        if kind.startswith("tuple[") and kind.endswith(", ...]"):
+            kind = kind[len("tuple["):-len(", ...]")]
+            items = value if isinstance(value, (tuple, list)) else [None]
+        accepted = _NUMBERS.get(kind)
+        if accepted is not None and any(
+            isinstance(x, bool) or not isinstance(x, accepted) for x in items
+        ):
+            raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}")
 
 
 def stop_level(C: float, delta: float, exponent: float) -> float:

@@ -155,8 +155,15 @@ _CONST = {"form": "const", "value": 1.0}
                   "schedule": {"form": "continuous", "kind": "simple_flow",
                                "b": 0.5, "c": 9.0, "d": 1.0},
                   "stop": {"start": "zeroo"}}, "stop.start: "),
+        # values of the wrong type that no range check reads
+        ("bench", {"bench": {"n_nodes": "20"}}, "bench: n_nodes"),
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
+                  "schedule": {"form": "continuous", "kind": "simple_flow",
+                               "b": 0.5, "c": 9.0, "d": 1.0},
+                  "stop": {"t_max": "1e5"}}, "stop: t_max"),
     ],
-    ids=["out-of-range", "wrong-type", "unknown-start"],
+    ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
+         "string-t-max"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(
@@ -165,6 +172,56 @@ def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     assert main([command, "--config", cfg]) == 3
     assert section in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, flag",
+    [
+        ("ineq", "ineq_demo.json", ["--seed", "3"]),
+        ("ineq", "ineq_demo.json", ["--method", "zzz"]),
+        ("ineq", "ineq_demo.json", ["--delta-rel", "0.5"]),
+        ("schedule-check", "schedule_check.json", ["--seed", "3"]),
+        ("dp", "dp_rank_one.json", ["--method", "newton"]),
+        ("bench", "table1.json", ["--method", "newton"]),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_rejected(
+    tmp_path, capsys, command, config, flag
+):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(CONFIGS / config), "--out", str(out),
+              *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# config file name prefix -> subcommand
+_SUBCOMMAND = {"table1": "bench", "dp": "dp", "flow": "flow",
+               "iterate": "iterate", "schedule": "schedule-check", "ineq": "ineq"}
+
+
+def test_small_shipped_configs_write_identical_csv_twice(tmp_path):
+    # every shipped config on at most 50 nodes (or on no grid), run twice in
+    # one process: per-problem caches and anything else kept between runs
+    # must not move a bit of the CSV
+    ran = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        if cfg.get("problem", cfg.get("bench", {})).get("n_nodes", 50) > 50:
+            continue
+        command = _SUBCOMMAND[path.stem.split("_")[0]]
+        csv = []
+        for run in (1, 2):
+            out = tmp_path / f"{path.stem}_{run}"
+            assert main([command, "--config", str(path), "--out", str(out),
+                         "--format", "csv"]) == 0
+            (written,) = out.glob("*.csv")
+            csv.append(written.read_bytes())
+        assert csv[0] == csv[1], path.name
+        ran.append(path.name)
+    assert len(ran) == len(list(CONFIGS.glob("*.json"))) - 1
 
 
 def test_dp_rank_one_reports_analytic_comparison(tmp_path):

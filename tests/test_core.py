@@ -20,7 +20,7 @@ from monoreg import (
     zero_map,
 )
 import monoreg.core
-from monoreg.bench import TRAPEZOID, make_hammerstein, trapezoid_weights
+from monoreg.bench import EUCLIDEAN, TRAPEZOID, make_hammerstein, trapezoid_weights
 
 from helpers import const_vector
 
@@ -239,6 +239,28 @@ def test_shifted_solve_iterative_path():
     rhs = vec(np.sin(np.arange(n)), w)
     x = solve_shifted(A, 0.5, rhs, tol=1e-10)
     assert np.allclose((diag + 0.5) * x.values, rhs.values, atol=1e-8)
+
+
+@pytest.mark.parametrize("weight_kind", [TRAPEZOID, EUCLIDEAN])
+@pytest.mark.parametrize("seed", range(8))
+def test_dense_shifted_solve_keeps_the_bits_of_the_eye_expression(seed,
+                                                                  weight_kind):
+    # the dense path shifts a copy of the matrix on its diagonal; its result
+    # must be that of M = A + a * np.eye(n), also where A holds -0.0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.integers(2, 40))
+    weights = trapezoid_weights(n) if weight_kind == TRAPEZOID else np.ones(n)
+    B = rng.standard_normal((n, n)) / np.sqrt(n)
+    matrix = 0.5 * (B @ B.T + B - B.T)
+    matrix[rng.uniform(size=(n, n)) < 0.3] = -0.0
+    matrix[0, 0] = -0.0
+    a = float(rng.uniform(1.0, 3.0))
+    rhs = HilbertVector(rng.standard_normal(n), weights)
+    M = matrix + a * np.eye(n)
+    x = np.linalg.solve(M, rhs.values)
+    x += np.linalg.solve(M, rhs.values - M @ x)
+    sol = solve_shifted(LinearMap.from_matrix(matrix, weights), a, rhs)
+    assert np.array_equal(_bits(sol.values), _bits(x))
 
 
 def _gmres_calls(monkeypatch):

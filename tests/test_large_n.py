@@ -18,17 +18,17 @@ from monoreg import (
     make_discrete,
     make_hammerstein,
 )
-from monoreg.bench import TRAPEZOID, schedule_scale
+from monoreg.bench import EUCLIDEAN, TRAPEZOID, schedule_scale
 from monoreg.schedules import NEWTON_ITER
 
 
-def _newton_on_mesh(n_nodes):
-    # iter_newton from zero with the Table-1 schedule and stop at
-    # delta_rel 0.05, noise seed 0; returns (steps, relative error)
+def _newton_on_mesh(n_nodes, norm_mode=TRAPEZOID, delta_rel=0.05):
+    # iter_newton from zero with the Table-1 schedule and stop, noise
+    # seed 0; returns (steps, relative error)
     table = Table1Config()
-    prob = make_hammerstein(n_nodes, TRAPEZOID)
+    prob = make_hammerstein(n_nodes, norm_mode)
     F = hammerstein_operator(prob)
-    f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.05, 0))
+    f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(delta_rel, 0))
     cfg = IterConfig(
         schedule=make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0,
                                d0=schedule_scale(table.C0, delta)),
@@ -67,3 +67,19 @@ def test_newton_above_the_limit_matches_the_dense_path():
     steps, rel_error = _newton_on_mesh(2400)
     assert steps == 4
     assert rel_error == pytest.approx(0.07331943751533036, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("norm_mode, delta_rel", [(TRAPEZOID, 0.05), (EUCLIDEAN, 0.01)])
+@pytest.mark.parametrize("n_nodes", [monoreg.core.MATERIALIZE_LIMIT + 1, 200])
+def test_newton_between_the_limit_and_200_matches_a_dense_kernel(
+    monkeypatch, n_nodes, norm_mode, delta_rel
+):
+    # up to 200 nodes the dense kernel is the oracle: the matrix-free run
+    # must take its steps and agree with its error
+    assert make_hammerstein(n_nodes, norm_mode).kernel is None
+    steps, rel_error = _newton_on_mesh(n_nodes, norm_mode, delta_rel)
+    monkeypatch.setattr(monoreg.core, "MATERIALIZE_LIMIT", 200)
+    assert make_hammerstein(n_nodes, norm_mode).kernel is not None
+    dense_steps, dense_error = _newton_on_mesh(n_nodes, norm_mode, delta_rel)
+    assert steps == dense_steps
+    assert rel_error == pytest.approx(dense_error, rel=1e-10, abs=0)
