@@ -52,7 +52,6 @@ from .errors import (
     GridMismatch,
     HorizonExceeded,
     InvalidConfig,
-    InvalidStepSize,
     MonoregError,
     NoDerivative,
     NonConvergence,

@@ -292,8 +292,8 @@ class Table1Row:
     status: str = "ok"
     per_seed: tuple[dict, ...] = field(default_factory=tuple)
 
-    def to_dict(self, include_per_seed: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "delta_rel": self.delta_rel,
             "n_iterations": self.n_iterations,
             "rel_error": self.rel_error,
@@ -301,10 +301,8 @@ class Table1Row:
             "a_at_stop": self.a_at_stop,
             "seed_count": self.seed_count,
             "status": self.status,
+            "per_seed": [dict(d) for d in self.per_seed],
         }
-        if include_per_seed:
-            out["per_seed"] = [dict(d) for d in self.per_seed]
-        return out
 
 
 def schedule_scale(C0: float, delta: float) -> float:

@@ -5,7 +5,7 @@ runs over noise levels and seeds), `bench` (the reference table),
 `schedule-check` (admissibility report), `ineq` (inequality bound check).
 One JSON config file describes the experiment; selected flags override
 config keys.  Exit codes: 0 success, 2 solver non-convergence or
-non-finite values, 3 config error.
+non-finite values, 3 config or usage error.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -87,6 +87,11 @@ def _expect_keys(section: dict, allowed: set[str], where: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r}", key=where)
+
+
+def _keys(config_class) -> set[str]:
+    """The config keys of a section built as config_class(**section)."""
+    return {f.name for f in fields(config_class)}
 
 
 def _read(cfg: dict, where: str, allowed: set[str], build: Callable):
@@ -223,10 +228,7 @@ def _sweep(cfg: dict, args, stem: str, solve) -> int:
 
 
 def _cmd_dp(cfg: dict, args) -> int:
-    dp_cfg = _read(
-        cfg, "dp", {"C", "gamma", "theta", "C1", "C2", "dp_tol", "a_rtol"},
-        lambda section: DPConfig(**section),
-    )
+    dp_cfg = _read(cfg, "dp", _keys(DPConfig), lambda section: DPConfig(**section))
 
     def solve(problem, f_delta, delta, history):
         result = solve_dp(problem.F, f_delta, delta, dp_cfg)
@@ -333,12 +335,7 @@ def _cmd_bench(cfg: dict, args) -> int:
                 section[key] = tuple(section[key])
         return bench.Table1Config(**section)
 
-    table_cfg = _read(
-        cfg, "bench",
-        {"delta_rel_list", "n_nodes", "C0", "C", "gamma", "seeds", "norm_mode",
-         "n_max"},
-        build,
-    )
+    table_cfg = _read(cfg, "bench", _keys(bench.Table1Config), build)
     path, fmt, _ = _output(cfg, args, "table1")
     rows = bench.run_table1(table_cfg)
     for row in rows:
@@ -346,17 +343,14 @@ def _cmd_bench(cfg: dict, args) -> int:
             f"delta_rel={row.delta_rel:g} n={row.n_iterations:g} "
             f"rel_error={row.rel_error:.4g} [{row.status}]"
         )
-    _write(path, fmt, [r.to_dict(include_per_seed=True) for r in rows],
-           _TABLE1_HEADER)
+    _write(path, fmt, [r.to_dict() for r in rows], _TABLE1_HEADER)
     return 0
 
 
 def _cmd_schedule_check(cfg: dict, args) -> int:
     schedule = _read(cfg, "schedule", _SCHEDULE_KEYS, _schedule)
     params = _read(
-        cfg, "params",
-        {"m1", "c0", "c1", "y_norm", "residual0", "horizon", "lam",
-         "alpha_tilde", "g0"},
+        cfg, "params", _keys(schedules.ValidationParams),
         lambda section: schedules.ValidationParams(**section),
     )
     path, fmt, _ = _output(cfg, args, "schedule_check")
@@ -515,7 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a failed solve
+        if exc.code == 2:
+            return _CONFIG_EXIT
+        raise
     sections, command, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)

@@ -21,6 +21,7 @@ from .reports import stop_level
 
 CONVERGED = "converged"
 ALREADY_COMPATIBLE = "already_compatible"
+A_RTOL = 1e-12  # relative width of the bisection bracket at which it stops
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class DPConfig:
     C1: float | None = None
     C2: float | None = None
     dp_tol: float = 1e-6
-    a_rtol: float = 1e-12
 
     def __post_init__(self):
         if not self.C > 1:
@@ -51,8 +51,8 @@ class DPConfig:
         lo, hi = self.residual_window()
         if not 0 < lo < hi:
             raise InvalidConfig("need 0 < C1 < C2")
-        if not (0 < self.dp_tol < 1 and 0 < self.a_rtol < 1):
-            raise InvalidConfig("dp_tol and a_rtol must lie in (0, 1)")
+        if not 0 < self.dp_tol < 1:
+            raise InvalidConfig("dp_tol must lie in (0, 1)")
 
     def residual_window(self) -> tuple[float, float]:
         return (
@@ -138,11 +138,9 @@ def solve_dp(
         sol = solve_regularized(F, f_delta, a, tol=inner_tol, warm_start=warm)
         return (F(sol.V) - f_delta).norm(), sol.V
 
-    lo, hi, evals, warm = _bracket_search(
-        F, f_delta, target, a_init, inner_tol, max_doublings=200
-    )
+    lo, hi, evals, warm = _bracket_search(F, f_delta, target, a_init, inner_tol)
     for _ in range(200):
-        if hi - lo <= cfg.a_rtol * hi:
+        if hi - lo <= A_RTOL * hi:
             break
         mid = 0.5 * (lo + hi)
         p, warm = phi_at(mid, warm)

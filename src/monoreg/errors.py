@@ -58,10 +58,6 @@ class ConstraintViolated(MonoregError):
         super().__init__(msg)
 
 
-class InvalidStepSize(MonoregError):
-    """A step size falls outside its admissible band."""
-
-
 class HorizonExceeded(MonoregError):
     """An iteration reached its index budget without crossing the stopping
     threshold.  Carries the partial report for diagnostics."""

@@ -45,6 +45,8 @@ from .schedules import GRADIENT_FLOW, NEWTON_FLOW, SIMPLE_FLOW, ContinuousSchedu
 
 RESIDUAL_SLACK = 1e-12  # relative residual increase tolerated before halving
 DOUBLE_AFTER = 5  # accepted steps between step doublings
+REFINE_RTOL = 1e-3  # relative accuracy of the bisected stopping time
+DEFECT_FRACTION = 0.2  # init_u0's target defect, in units of a0 * ||V(0)||
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class FlowConfig:
     t_max: float | None = None
     inner_tol: float = 1e-10
     y_norm: float | None = None
-    refine_rtol: float = 1e-3
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -93,12 +94,11 @@ def init_u0(
     f_delta: HilbertVector,
     a0: float,
     zero: bool = False,
-    defect_fraction: float = 0.2,
 ) -> HilbertVector:
     """A starting point compatible with the flows' smallness condition.
 
     Returns an approximate solution of the shifted equation at a0 whose
-    defect sits near defect_fraction * a0 * ||V(0)|| (and never above the
+    defect sits near DEFECT_FRACTION * a0 * ||V(0)|| (and never above the
     admissible quarter level).  Starting *at* that level rather than on
     the path itself matters in practice: the flows track a moving target,
     and a start with a near-zero defect must first fall behind before it
@@ -108,8 +108,6 @@ def init_u0(
     """
     if a0 <= 0:
         raise ValueError("a0 must be positive")
-    if not 0 < defect_fraction <= 0.25:
-        raise ValueError("defect_fraction must lie in (0, 0.25]")
     sol = solve_regularized(F, f_delta, a0)
     psi = sol.V.norm()
     if zero:
@@ -122,7 +120,7 @@ def init_u0(
     if sol.residual > bound:
         sol = solve_regularized(F, f_delta, a0, tol=0.5 * bound, warm_start=sol.V)
         psi = sol.V.norm()
-    target = defect_fraction * a0 * psi
+    target = DEFECT_FRACTION * a0 * psi
     if sol.residual >= 0.5 * target or psi == 0.0:
         return sol.V
     # nudge backward along V to land the defect near the target level; a
@@ -230,8 +228,7 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
                     return trajectory.report(u, STEP_FLOOR, a, t_stop=t)
         if res_try <= thresh:
             t_stop, u_stop, res_stop = _refine_crossing(
-                F, f_delta, thresh, u, d, t, h_step, cfg.refine_rtol
-            )
+                F, f_delta, thresh, u, d, t, h_step)
             trajectory.record(t_stop, u_stop, res_stop)
             return trajectory.report(u_stop, STOPPED_BY_DISCREPANCY,
                                      sched.a(t_stop), t_stop=t_stop)
@@ -244,13 +241,13 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
     return trajectory.report(u, EXHAUSTED_HORIZON, sched.a(t), t_stop=t)
 
 
-def _refine_crossing(F, f_delta, thresh, u_prev, d, t_prev, h, rtol):
-    """Bisect the crossing step to locate the stop time within rtol
+def _refine_crossing(F, f_delta, thresh, u_prev, d, t_prev, h):
+    """Bisect the crossing step to locate the stop time within REFINE_RTOL
     relative; the substate u(s) = u_prev - s d stays on the Euler segment."""
     lo, hi = 0.0, h
     u_hi = u_prev - hi * d
     res_hi = (F(u_hi) - f_delta).norm()
-    while hi - lo > rtol * max(t_prev + hi, 1e-30):
+    while hi - lo > REFINE_RTOL * max(t_prev + hi, 1e-30):
         mid = 0.5 * (lo + hi)
         u_mid = u_prev - mid * d
         res_mid = (F(u_mid) - f_delta).norm()

@@ -26,6 +26,11 @@ from .errors import BoundViolated, InvalidConfig, PreconditionFailed
 
 N_CONDITION_SAMPLES = 10_000
 MU_DOT_STEP = 1e-6
+N_GROWTH_SAMPLES = 100  # random states at which the growth condition is checked
+GROWTH_SEED = 0
+P_CHOICES = (1.5, 2.0, 3.0)  # exponents of the random instances
+MIN_MARGIN = 1e-9  # least feasibility margin of an accepted random instance
+MAX_DRAWS = 500
 
 
 @dataclass(frozen=True)
@@ -107,18 +112,13 @@ class BoundReport:
     trajectory: np.ndarray
     bound: np.ndarray
 
-    def to_dict(self, include_trajectory: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "passed": self.passed,
             "min_margin": self.min_margin,
             "margin_at": self.margin_at,
             "condition_margins": dict(self.condition_margins),
         }
-        if include_trajectory:
-            out["grid"] = self.grid.tolist()
-            out["trajectory"] = self.trajectory.tolist()
-            out["bound"] = self.bound.tolist()
-        return out
 
 
 def _verdict(grid, values, bound, crossed) -> tuple[float, float]:
@@ -374,8 +374,6 @@ def evolution_norm_bound(
     inst: ContinuousInequality,
     T: float,
     n_steps: int = 20_000,
-    n_growth_samples: int = 100,
-    seed: int = 0,
 ) -> ComparisonReport:
     """Certify ||u(t)|| < 1/mu(t) for du/dt = A u + h(t, u) + f(t).
 
@@ -405,10 +403,10 @@ def evolution_norm_bound(
         raise PreconditionFailed("dissipativity", "operator", margins["dissipativity"])
 
     # sampled growth condition on the nonlinearity
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(GROWTH_SEED))
     radius = 2.0 / float(np.min(np.asarray(inst.mu(t_samples), dtype=float)))
     growth_margin = np.inf
-    for _ in range(n_growth_samples):
+    for _ in range(N_GROWTH_SAMPLES):
         t = rng.uniform(inst.tau0, T)
         v = u0.with_values(rng.standard_normal(u0.size))
         nv = v.norm()
@@ -465,21 +463,16 @@ def evolution_norm_bound(
     )
 
 
-def random_continuous_instance(
-    seed: int,
-    p_choices: tuple[float, ...] = (1.5, 2.0, 3.0),
-    min_margin: float = 1e-9,
-    max_draws: int = 500,
-) -> ContinuousInequality:
+def random_continuous_instance(seed: int) -> ContinuousInequality:
     """Rejection-sample a strictly feasible continuous instance.
 
     Coefficients are drawn from exponential families and redrawn until the
-    sampled feasibility margin is at least min_margin, so the certified
+    sampled feasibility margin is at least MIN_MARGIN, so the certified
     bound must hold on the instance.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(max_draws):
-        p = float(rng.choice(p_choices))
+    for _ in range(MAX_DRAWS):
+        p = float(rng.choice(P_CHOICES))
         gamma0 = rng.uniform(0.3, 3.0)
         rho = rng.uniform(0.0, 0.9) * gamma0
         mu0 = rng.uniform(0.2, 5.0)
@@ -500,21 +493,16 @@ def random_continuous_instance(
             horizon=horizon,
         )
         m = precondition_margins(inst, n_samples=2000)
-        if m["feasibility"] >= min_margin and m["initial_gap"] >= min_margin:
+        if m["feasibility"] >= MIN_MARGIN and m["initial_gap"] >= MIN_MARGIN:
             return inst
-    raise InvalidConfig(f"no feasible instance within {max_draws} draws (seed {seed})")
+    raise InvalidConfig(f"no feasible instance within {MAX_DRAWS} draws (seed {seed})")
 
 
-def random_discrete_instance(
-    seed: int,
-    p_choices: tuple[float, ...] = (1.5, 2.0, 3.0),
-    min_margin: float = 1e-9,
-    max_draws: int = 500,
-) -> DiscreteInequality:
+def random_discrete_instance(seed: int) -> DiscreteInequality:
     """Rejection-sample a strictly feasible discrete instance."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(max_draws):
-        p = float(rng.choice(p_choices))
+    for _ in range(MAX_DRAWS):
+        p = float(rng.choice(P_CHOICES))
         n_last = int(rng.integers(10, 200))
         gamma0 = rng.uniform(0.3, 3.0)
         h0 = rng.uniform(0.05, 0.95) / gamma0
@@ -538,10 +526,10 @@ def random_discrete_instance(
         )
         m = discrete_precondition_margins(inst)
         if (
-            m["feasibility"] >= min_margin
+            m["feasibility"] >= MIN_MARGIN
             and m["initial_gap"] >= 0.0
             and m["step_product_low"] > 0
             and m["step_product_high"] > 0
         ):
             return inst
-    raise InvalidConfig(f"no feasible instance within {max_draws} draws (seed {seed})")
+    raise InvalidConfig(f"no feasible instance within {MAX_DRAWS} draws (seed {seed})")

@@ -7,20 +7,18 @@
 with G_n = F(u_n) + a_n u_n - f_delta: the Euler steps of the flows, with
 the directions of `reports.DIRECTIONS`.  Iterations stop at the first
 iterate whose data residual is at or below C1 * delta**e (ties accepted);
-the gradient and simple variants take damped steps inside the stability
-band [alpha_tilde, 2 / (a_n^2 + (M1 + a_n)^2)] respectively
-[alpha_tilde, 2 / (M1 + 2 a_n)], defaulting to the band's upper endpoint.
+the gradient and simple variants step at the top of their stability band,
+alpha_n = 2 / (a_n^2 + (M1 + a_n)^2) respectively 2 / (M1 + 2 a_n).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import HilbertVector, LinearMap, NonlinearOperator
-from .errors import HorizonExceeded, InvalidStepSize
+from .errors import HorizonExceeded
 from .reports import (
     DIRECTIONS,
     EXHAUSTED_HORIZON,
@@ -45,14 +43,14 @@ DEFAULT_N_MAX = 100_000
 
 @dataclass(frozen=True)
 class IterConfig:
-    """Stopping constants, schedule, and step-size rule for one iteration.
+    """Stopping constants and schedule for one iteration.
 
     m1 left as None falls back to the operator's declared bounds, else to
     1.1 times a power-iteration estimate at the start (flagged in the
-    report notes).  alpha_rule maps (n, a_n) to a step size and must stay
-    inside the band; the default is the band's upper endpoint.  n_max left
-    as None resolves to ten times the a-priori stopping estimate when
-    y_norm is given, else to 100000.
+    report notes); the gradient and simple variants step at the top of
+    the stability band it fixes.  n_max left as None resolves to ten
+    times the a-priori stopping estimate when y_norm is given, else to
+    100000.
     """
 
     schedule: DiscreteSchedule
@@ -60,8 +58,6 @@ class IterConfig:
     gamma_or_zeta: float = 0.9
     n_max: int | None = None
     m1: float | None = None
-    alpha_rule: Callable[[int, float], float] | None = None
-    alpha_floor: float | None = None
     inner_tol: float = 1e-10
     y_norm: float | None = None
     keep_iterates: bool = False
@@ -131,7 +127,7 @@ def iter_simple(
 
 
 def _run_damped(F, f_delta, delta, cfg, u0, method, band) -> SolveReport:
-    """_run with step sizes alpha_n in [floor, band(m1, a_n)]."""
+    """_run with the step size alpha_n = band(m1, a_n)."""
     notes = ()
     if cfg.m1 is not None:
         m1 = cfg.m1
@@ -140,29 +136,8 @@ def _run_damped(F, f_delta, delta, cfg, u0, method, band) -> SolveReport:
     else:
         m1 = 1.1 * operator_norm_estimate(F.deriv(u0))
         notes = (f"m1_estimated={m1:.6g}",)
-    if cfg.alpha_floor is not None:
-        floor = cfg.alpha_floor
-    else:
-        # the band top grows as a_n decays, so its smallest value is at n = 0
-        floor = 0.5 * band(m1, float(cfg.schedule.a(0)))
-
-    def step_size(n: int, a: float) -> float:
-        top = band(m1, a)
-        if floor > top:
-            raise InvalidStepSize(
-                f"empty step band at n={n}: floor {floor:g} exceeds top "
-                f"{top:g} (m1 mis-specified?)"
-            )
-        if cfg.alpha_rule is None:
-            return top
-        alpha = cfg.alpha_rule(n, a)
-        if not floor <= alpha <= top:
-            raise InvalidStepSize(
-                f"alpha_rule({n}) = {alpha:g} outside [{floor:g}, {top:g}]"
-            )
-        return alpha
-
-    return _run(F, f_delta, delta, cfg, u0, method, step_size, notes)
+    return _run(F, f_delta, delta, cfg, u0, method,
+                lambda a: band(m1, a), notes)
 
 
 def operator_norm_estimate(A: LinearMap, n_iter: int = 50, seed: int = 0) -> float:
@@ -197,7 +172,7 @@ def _run(F, f_delta, delta, cfg, u0, method, step_size=None,
     u = u0
     for n in range(n_max):
         a_n = float(sched.a(n))
-        alpha = None if step_size is None else step_size(n, a_n)
+        alpha = None if step_size is None else step_size(a_n)
         d = direction(F, u, a_n, F_u + a_n * u - f_delta, cfg.inner_tol)
         u = u - d if alpha is None else u - alpha * d
         F_u = F(u)

@@ -22,6 +22,7 @@ from .errors import BudgetExceeded, NoDerivative, NonConvergence, NonFinite, NoR
 MAX_NEWTON = 200
 MAX_RELAX = 10_000
 LINE_SEARCH_FLOOR = 1e-4
+MAX_DOUBLINGS = 200  # halvings or doublings of a before a bracket search fails
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,6 @@ def bracket_for_target(
     target: float,
     a_init: float,
     tol: float | None = None,
-    max_doublings: int = 200,
 ) -> tuple[float, float]:
     """Geometric bracket (a_lo, a_hi] with phi(a_lo) < target <= phi(a_hi).
 
@@ -157,11 +157,11 @@ def bracket_for_target(
     below, so a target at or above that ceiling has no root (NoRoot) and
     any smaller positive target brackets after finitely many doublings.
     """
-    lo, hi, _, _ = _bracket_search(F, f_delta, target, a_init, tol, max_doublings)
+    lo, hi, _, _ = _bracket_search(F, f_delta, target, a_init, tol)
     return lo, hi
 
 
-def _bracket_search(F, f_delta, target, a_init, tol, max_doublings):
+def _bracket_search(F, f_delta, target, a_init, tol):
     """As bracket_for_target, also returning (evaluations, last solution)."""
     if target <= 0:
         raise ValueError("target must be positive")
@@ -189,17 +189,17 @@ def _bracket_search(F, f_delta, target, a_init, tol, max_doublings):
     p, warm = phi_at(a, warm)
     if p >= target:
         # contract downward until phi drops below the target
-        for _ in range(max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             a_hi, a = a, a / 2.0
             p, warm = phi_at(a, warm)
             if p < target:
                 return a, a_hi, evals, warm
         raise BudgetExceeded(
-            f"no lower bracket endpoint after {max_doublings} halvings"
+            f"no lower bracket endpoint after {MAX_DOUBLINGS} halvings"
         )
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         a_lo, a = a, a * 2.0
         p, warm = phi_at(a, warm)
         if p >= target:
             return a_lo, a, evals, warm
-    raise BudgetExceeded(f"no upper bracket endpoint after {max_doublings} doublings")
+    raise BudgetExceeded(f"no upper bracket endpoint after {MAX_DOUBLINGS} doublings")

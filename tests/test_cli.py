@@ -161,9 +161,12 @@ _CONST = {"form": "const", "value": 1.0}
                   "schedule": {"form": "continuous", "kind": "simple_flow",
                                "b": 0.5, "c": 9.0, "d": 1.0},
                   "stop": {"t_max": "1e5"}}, "stop: t_max"),
+        # a_rtol is a module constant, not a key of the dp section
+        ("dp", {"problem": {"kind": "rank_one"},
+                "dp": {"C": 1.5, "gamma": 1.0, "a_rtol": 1e-12}}, "dp: "),
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
-         "string-t-max"],
+         "string-t-max", "dp-a-rtol"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(
@@ -189,10 +192,9 @@ def test_flag_the_subcommand_does_not_read_is_rejected(
     tmp_path, capsys, command, config, flag
 ):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(CONFIGS / config), "--out", str(out),
-              *flag])
-    assert exc.value.code == 2
+    # a usage error exits 3 like a config error; 2 means a failed solve
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(out),
+                 *flag]) == 3
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
 

@@ -367,8 +367,9 @@ def test_gmres_path_matches_dense_on_random_monotone_maps(seed, n, log_a):
     assert (gmres - dense).norm() <= 1e-8 * dense.norm()
 
 
-def _counted_products(A):
-    # A with a count of its products and an adjoint that raises
+def _counted_products(A, keep_matrix=False):
+    # A with a count of its products and an adjoint that raises; it hides
+    # A's matrix unless keep_matrix is set
     counts = {"apply": 0}
 
     def apply_fn(v):
@@ -378,7 +379,8 @@ def _counted_products(A):
     def no_adjoint(v):
         raise AssertionError("the shifted solve took an adjoint")
 
-    return LinearMap(apply_fn, no_adjoint, A.weights), counts
+    matrix = A.to_dense() if keep_matrix else None
+    return LinearMap(apply_fn, no_adjoint, A.weights, matrix), counts
 
 
 def test_gmres_path_uses_one_product_per_step_and_no_adjoint(monkeypatch):
@@ -394,12 +396,34 @@ def test_gmres_path_uses_one_product_per_step_and_no_adjoint(monkeypatch):
     assert (A(x) + 0.05 * x - F(u)).norm() <= 1e-10 * F(u).norm()
 
 
-@pytest.mark.parametrize("dense_limit", [2000, 4], ids=["dense", "gmres"])
+# the three paths of solve_shifted: LU on the matrix the map holds, LU on
+# the matrix materialized from a map without one, and GMRES
+_SOLVE_PATHS = ["matrix", "dense", "gmres"]
+
+
+def _map_on_path(monkeypatch, M, path):
+    """A counted map over M that solve_shifted sends down `path`, and a
+    function listing the paths solve_shifted has taken since."""
+    if path == "gmres":
+        monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
+    A, counts = _counted_products(LinearMap.from_matrix(M, np.ones(len(M))),
+                                  keep_matrix=path == "matrix")
+    gmres_calls = _gmres_calls(monkeypatch)
+    factorized = []
+    to_dense = LinearMap.to_dense
+
+    def spy(self):
+        factorized.append("dense" if self._matrix is None else "matrix")
+        return to_dense(self)
+
+    monkeypatch.setattr(LinearMap, "to_dense", spy)
+    return A, counts, lambda: factorized + ["gmres"] * len(gmres_calls)
+
+
+@pytest.mark.parametrize("path", _SOLVE_PATHS)
 @pytest.mark.parametrize("bad", ["rhs", "shift"])
-def test_shifted_solve_rejects_nan_input(monkeypatch, dense_limit, bad):
-    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", dense_limit)
-    A, counts = _counted_products(
-        LinearMap.from_matrix(np.eye(6), np.ones(6)))
+def test_shifted_solve_rejects_nan_input(monkeypatch, path, bad):
+    A, counts, taken = _map_on_path(monkeypatch, np.eye(6), path)
     rhs = vec(np.ones(6))
     a = 0.5
     if bad == "rhs":
@@ -408,20 +432,23 @@ def test_shifted_solve_rejects_nan_input(monkeypatch, dense_limit, bad):
         a = float("nan")
     with pytest.raises(NonFinite):
         solve_shifted(A, a, rhs)
-    assert counts["apply"] == 0
+    assert counts["apply"] == 0 and taken() == []
+    # with finite input the same map takes the path under test
+    solve_shifted(A, 0.5, vec(np.ones(6)))
+    assert taken() == [path]
 
 
-@pytest.mark.parametrize("dense_limit", [2000, 4], ids=["dense", "gmres"])
-def test_shifted_solve_fails_on_nan_operator(monkeypatch, dense_limit):
+@pytest.mark.parametrize("path", _SOLVE_PATHS)
+def test_shifted_solve_fails_on_nan_operator(monkeypatch, path):
     # a NaN solution must not pass the residual check, and GMRES must not
     # spend its budget of 20 N products on it
-    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", dense_limit)
     M = np.eye(6)
     M[2, 3] = np.nan
-    A, counts = _counted_products(LinearMap.from_matrix(M, np.ones(6)))
+    A, counts, taken = _map_on_path(monkeypatch, M, path)
     with pytest.raises(SolveFailed):
         solve_shifted(A, 0.5, vec(np.ones(6)))
-    if dense_limit == 4:
+    assert taken() == [path]
+    if path == "gmres":
         assert counts["apply"] <= monoreg.core.GMRES_RESTART + 1
 
 

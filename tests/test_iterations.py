@@ -241,23 +241,6 @@ def test_delta_sweep_error_decreases(ham50_euclidean):
     assert all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
 
 
-def test_out_of_band_step_rule_rejected():
-    from monoreg import InvalidStepSize
-
-    F, f = one_dim(1.0)
-    schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
-    cfg = IterConfig(
-        schedule=schedule,
-        C1=1.5,
-        gamma_or_zeta=0.9,
-        n_max=50,
-        m1=1.0,
-        alpha_rule=lambda n, a: 10.0,  # above 2 / (m1 + 2a) for any a
-    )
-    with pytest.raises(InvalidStepSize):
-        iter_simple(F, f, 0.05, cfg, HilbertVector.zeros(np.ones(1)))
-
-
 def test_mismatched_schedule_kind_rejected():
     F, f = one_dim()
     schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
