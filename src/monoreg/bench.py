@@ -14,7 +14,12 @@ Up to `core.MATERIALIZE_LIMIT` nodes the kernel is a dense N x N matrix.
 Above it the problem is matrix-free: the kernel exp(-|x - y|) is an
 Ornstein-Uhlenbeck covariance, which factors as e^{-x} e^{y} for y <= x
 and e^{x} e^{-y} for y > x, so a kernel product is two cumulative sums in
-O(N), and so are its weighted adjoint and the derivative's products.
+O(N), and so are its weighted adjoint and the derivative's products.  On
+the uniform grid the kernel matrix is a Kac-Murdock-Szego matrix, whose
+inverse is tridiagonal, so every shifted Newton system is a tridiagonal
+one: the matrix-free derivative carries a `shifted_solver` that solves it
+exactly in O(N) by cyclic reduction (`_kms_shifted_solver`), whatever the
+shift.
 
 Norm convention: `norm_mode="trapezoid"` puts the discrete space in
 weighted L2, which is the mode in which discrete monotonicity is exact;
@@ -154,8 +159,99 @@ def _matrix_free_map(
         )
 
     return LinearMap(
-        product(_kernel_product), product(_kernel_adjoint_product), prob.weights
+        product(_kernel_product),
+        product(_kernel_adjoint_product),
+        prob.weights,
+        shifted_solver=lambda a: _kms_shifted_solver(prob, diagonal + a),
     )
+
+
+# cyclic reduction stops at this many unknowns and solves the rest densely
+_REDUCED_SIZE = 31
+
+
+def _kms_shifted_solver(prob: HammersteinProblem, s: np.ndarray | float):
+    """Factors of (K + diag(s)) x = b for s > 0; returns the solve b -> x.
+
+    On the uniform grid K = E Q with E_ij = rho^|i-j|, rho = e^{-h}, and
+    Q = diag(quad_weights).  E is a Kac-Murdock-Szego matrix, whose inverse
+    is tridiagonal: (1 - rho^2) E^{-1} = T, with 1 + rho^2 on the diagonal
+    (1 at both ends) and -rho beside it.  So with S = diag(s) and
+    D = (1 - rho^2) Q S^{-1} the system is the tridiagonal
+    (T + D) S x = T b.  T + D is a symmetric M-matrix whose row sums are
+    (1 - rho)^2 + D_i ((1 - rho) + D_i at the ends), and
+    `_cyclic_reduction` keeps every quantity of its elimination a sum of
+    nonnegative terms.  T b is formed from the first differences of b,
+    which are exact where neighbouring values of b lie within a factor 2
+    of each other (Sterbenz), so their difference, the O(h^2) second
+    difference inside T b, keeps its relative accuracy."""
+    n = prob.n_nodes
+    c = -np.expm1(-prob.grid[1])  # 1 - rho without cancellation
+    rho = 1.0 - c
+    row_sums = np.full(n, c * c)
+    row_sums[[0, -1]] = c
+    solve = _cyclic_reduction(
+        rho, row_sums + (c * (1.0 + rho)) * prob.quad_weights / s
+    )
+
+    def solve_kms(b: np.ndarray) -> np.ndarray:
+        g = np.zeros(n + 1)
+        g[1:-1] = b[1:] - b[:-1]
+        return solve(row_sums * b + rho * (g[:-1] - g[1:])) / s
+
+    return solve_kms
+
+
+def _cyclic_reduction(off: float, margin: np.ndarray):
+    """Factor the tridiagonal M-matrix with off-diagonal entries -off (row i,
+    columns i +- 1) and row sums margin > 0; returns the solve f -> x.
+
+    The system is padded with identity rows to 2^k - 1 unknowns.  Each
+    level eliminates the even (0-based) unknowns from the odd equations and
+    halves the system, down to `_REDUCED_SIZE` unknowns, which are solved
+    densely: O(N) work in O(log N) steps of a few NumPy operations.  Like
+    the GTH algorithm (Grassmann, Taksar & Heyman 1985), the elimination
+    carries the row sums, not the diagonal: eliminating unknown j from row
+    i adds (-a_ij / a_jj) times row sum j to row sum i, and each diagonal is
+    its row sum plus its off-diagonal magnitudes.  No step subtracts, so
+    the factors keep their relative accuracy however weakly the matrix is
+    diagonally dominant."""
+    n = margin.size
+    padded = 2 ** n.bit_length() - 1
+    lo, up, m = np.zeros(padded), np.zeros(padded), np.ones(padded)
+    lo[1:n] = up[: n - 1] = off
+    m[:n] = margin
+    levels = []
+    while m.size > _REDUCED_SIZE:
+        lo_e, up_e, m_e = lo[::2], up[::2], m[::2]
+        diag_e = m_e + lo_e + up_e
+        alpha = lo[1::2] / diag_e[:-1]
+        gamma = up[1::2] / diag_e[1:]
+        levels.append((alpha, gamma, lo_e, up_e, diag_e))
+        lo, up = alpha * lo_e[:-1], gamma * up_e[1:]
+        m = m[1::2] + alpha * m_e[:-1] + gamma * m_e[1:]
+    reduced = np.diag(m + lo + up) - np.diag(lo[1:], -1) - np.diag(up[:-1], 1)
+
+    def solve(f: np.ndarray) -> np.ndarray:
+        # x carries a zero at each end, so both neighbours of every
+        # eliminated unknown are slices of it
+        x = np.zeros(padded + 2)
+        x[1:n + 1] = f
+        f = x[1:-1]
+        rhs = []
+        for alpha, gamma, *_ in levels:
+            rhs.append(f)
+            f = f[1::2] + alpha * f[:-1:2] + gamma * f[2::2]
+        x = np.zeros(f.size + 2)
+        x[1:-1] = np.linalg.solve(reduced, f)
+        for f, (_, _, lo_e, up_e, diag_e) in zip(reversed(rhs), reversed(levels)):
+            y = np.zeros(f.size + 2)
+            y[2:-2:2] = x[1:-1]
+            y[1::2] = (f[::2] + lo_e * x[:-1] + up_e * x[1:]) / diag_e
+            x = y
+        return x[1:n + 1]
+
+    return solve
 
 
 def hammerstein_apply(prob: HammersteinProblem, u: HilbertVector) -> HilbertVector:

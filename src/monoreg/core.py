@@ -77,8 +77,9 @@ class HilbertVector:
     @classmethod
     def _trusted(cls, values: np.ndarray, weights: np.ndarray) -> "HilbertVector":
         # For the library's own arithmetic and linear maps only (the operators
-        # below, from_matrix, to_dense, zero_map, _gmres, bench.hammerstein_apply,
-        # bench._matrix_free_map, synthetic.random_monotone_problem): `values`
+        # below, from_matrix, to_dense, zero_map, _gmres, the refinement pass of
+        # solve_shifted, bench.hammerstein_apply, bench._matrix_free_map,
+        # synthetic.random_monotone_problem): `values`
         # is a fresh float array and `weights` a validated one, shared by identity.
         values.setflags(write=False)
         vec = object.__new__(cls)
@@ -139,7 +140,12 @@ class LinearMap:
 
     The adjoint is taken with respect to the weighted inner product: for a
     dense matrix M acting on values, ``M* = W^{-1} M^T W`` with
-    ``W = diag(weights)``.
+    ``W = diag(weights)``.  `shifted_solver`, when given, factorizes the
+    shifted map: it takes a shift a > 0 and returns a function from
+    right-hand-side values b to the values of x with (M + aI) x = b, up
+    to rounding.  `solve_shifted` then uses it in place of its generic
+    paths, with the returned function called once more for a refinement
+    pass when the residual misses the tolerance.
     """
 
     def __init__(
@@ -148,11 +154,14 @@ class LinearMap:
         adjoint_fn: Callable[[HilbertVector], HilbertVector],
         weights: np.ndarray,
         matrix: np.ndarray | None = None,
+        shifted_solver: Callable[[float], Callable[[np.ndarray], np.ndarray]]
+        | None = None,
     ):
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self.weights = np.asarray(weights, dtype=float)
         self._matrix = matrix
+        self.shifted_solver = shifted_solver
 
     @property
     def dimension(self) -> int:
@@ -361,14 +370,17 @@ def solve_shifted(
 
     For the derivative of a monotone operator the shifted map is
     invertible with inverse norm at most 1/a, so the solve is well posed
-    for any positive shift.  A map that holds a matrix is factorized
-    densely (plus one iterative refinement pass) up to DENSE_LIMIT, a map
-    without one up to MATERIALIZE_LIMIT; beyond them restarted GMRES runs
-    in the weighted inner product, where the field of values of A + aI
-    lies in Re z >= a, with one product with A per step and no adjoint.
-    Both paths check the residual explicitly and raise `SolveFailed` when
-    it misses the tolerance; a non-finite shift or right-hand side raises
-    `NonFinite` at once.
+    for any positive shift.  A map with a `shifted_solver` (the matrix-free
+    Hammerstein derivative, bench._matrix_free_map) is solved by it, plus
+    one refinement pass with the same factors when the residual misses
+    the tolerance.  Otherwise a map that holds a matrix is factorized
+    densely (plus one refinement pass) up to DENSE_LIMIT, a map without
+    one up to MATERIALIZE_LIMIT; beyond them restarted GMRES runs in the
+    weighted inner product, where the field of values of A + aI lies in
+    Re z >= a, with one product with A per step and no adjoint.  Every
+    path checks the residual with products with A and raises `SolveFailed`
+    when it misses the tolerance; a non-finite shift or right-hand side
+    raises `NonFinite` at once.
     """
     if a <= 0:
         raise ValueError("shift a must be positive")
@@ -379,32 +391,51 @@ def solve_shifted(
         )
     if rhs_norm == 0.0:
         return rhs.with_values(np.zeros_like(rhs.values))
-    n = A.dimension
-    if n > DENSE_LIMIT or (A._matrix is None and n > MATERIALIZE_LIMIT):
-        return _gmres(A, a, rhs, tol * rhs_norm)
-    # the bits of A + a * np.eye(n) without its two N x N temporaries:
-    # x + 0.0 turns -0.0 into 0.0 as x + a * 0.0 does, and a * 1.0 is a
-    M = A.to_dense() + 0.0
-    diagonal_view(M)[:] += a
+    target = tol * rhs_norm
     b = rhs.values
-    try:
-        x = np.linalg.solve(M, b)
-        x += np.linalg.solve(M, b - M @ x)
-    except np.linalg.LinAlgError as exc:
+    n = A.dimension
+    if A.shifted_solver is not None:
+        solve = A.shifted_solver(a)
+        sol = rhs.with_values(solve(b))
+        r, residual = _shifted_residual(A, a, sol, b)
+        if not residual <= target:
+            # one refinement pass with the same factors
+            sol = HilbertVector._trusted(sol.values - solve(r), rhs.weights)
+            _, residual = _shifted_residual(A, a, sol, b)
+        path = "structured"
+    elif n > DENSE_LIMIT or (A._matrix is None and n > MATERIALIZE_LIMIT):
+        return _gmres(A, a, rhs, target)
+    else:
+        # the bits of A + a * np.eye(n) without its two N x N temporaries:
+        # x + 0.0 turns -0.0 into 0.0 as x + a * 0.0 does, and a * 1.0 is a
+        M = A.to_dense() + 0.0
+        diagonal_view(M)[:] += a
+        try:
+            x = np.linalg.solve(M, b)
+            x += np.linalg.solve(M, b - M @ x)
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailed(
+                f"shifted matrix is singular at a = {a:g}; the operator "
+                "violates the nonnegativity contract"
+            ) from exc
+        sol = rhs.with_values(x)
+        _, residual = _shifted_residual(A, a, sol, b)
+        path = "dense"
+    if not residual <= target:
         raise SolveFailed(
-            f"shifted matrix is singular at a = {a:g}; the operator "
-            "violates the nonnegativity contract"
-        ) from exc
-    sol = rhs.with_values(x)
-    # ||A x + a x - rhs|| in the operation order of the vector expression
-    r = A(sol).values + sol.values * float(a) - b
-    residual = math.sqrt((rhs.weights * r * r).sum())
-    if not residual <= tol * rhs_norm:
-        raise SolveFailed(
-            f"dense shifted solve residual {residual:g} exceeds "
+            f"{path} shifted solve residual {residual:g} exceeds "
             f"{tol:g} * ||rhs||"
         )
     return sol
+
+
+def _shifted_residual(
+    A: LinearMap, a: float, sol: HilbertVector, b: np.ndarray
+) -> tuple[np.ndarray, float]:
+    # A x + a x - b and its weighted norm, in the operation order of the
+    # vector expression ||A x + a x - rhs||
+    r = A(sol).values + sol.values * float(a) - b
+    return r, math.sqrt((sol.weights * r * r).sum())
 
 
 def _gmres(

@@ -20,7 +20,17 @@ from monoreg import (
     zero_map,
 )
 import monoreg.core
-from monoreg.bench import EUCLIDEAN, TRAPEZOID, make_hammerstein, trapezoid_weights
+from monoreg.bench import (
+    EUCLIDEAN,
+    TRAPEZOID,
+    NoiseSpec,
+    _matrix_free_map,
+    gen_noise,
+    hammerstein_apply,
+    hammerstein_derivative,
+    make_hammerstein,
+    trapezoid_weights,
+)
 
 from helpers import const_vector
 
@@ -367,7 +377,7 @@ def test_gmres_path_matches_dense_on_random_monotone_maps(seed, n, log_a):
     assert (gmres - dense).norm() <= 1e-8 * dense.norm()
 
 
-def _counted_products(A, keep_matrix=False):
+def _counted_products(A, keep_matrix=False, shifted_solver=None):
     # A with a count of its products and an adjoint that raises; it hides
     # A's matrix unless keep_matrix is set
     counts = {"apply": 0}
@@ -380,7 +390,8 @@ def _counted_products(A, keep_matrix=False):
         raise AssertionError("the shifted solve took an adjoint")
 
     matrix = A.to_dense() if keep_matrix else None
-    return LinearMap(apply_fn, no_adjoint, A.weights, matrix), counts
+    return LinearMap(apply_fn, no_adjoint, A.weights, matrix,
+                     shifted_solver), counts
 
 
 def test_gmres_path_uses_one_product_per_step_and_no_adjoint(monkeypatch):
@@ -396,9 +407,94 @@ def test_gmres_path_uses_one_product_per_step_and_no_adjoint(monkeypatch):
     assert (A(x) + 0.05 * x - F(u)).norm() <= 1e-10 * F(u).norm()
 
 
-# the three paths of solve_shifted: LU on the matrix the map holds, LU on
-# the matrix materialized from a map without one, and GMRES
-_SOLVE_PATHS = ["matrix", "dense", "gmres"]
+@pytest.mark.parametrize("u_kind", ["zero", "sin"])
+@pytest.mark.parametrize("norm_mode", [TRAPEZOID, EUCLIDEAN])
+@pytest.mark.parametrize("n", [monoreg.core.MATERIALIZE_LIMIT + 1, 200, 300])
+def test_structured_solve_matches_dense_lu(monkeypatch, n, norm_mode, u_kind):
+    # the matrix-free Hammerstein derivative is solved by its KMS tridiagonal
+    # solver, on the right-hand side of a Newton step; dense LU on the
+    # materialized matrix is the oracle.  At a = 1e-6 and u = 0 the shifted
+    # matrix has condition number about 1e6, and LU itself is off by up to
+    # 1.5e-12 (300 nodes; the structured solve is within 2e-13 of LU with its
+    # residual refined in extended precision), so the pin there is 1e-11
+    prob = make_hammerstein(n, norm_mode)
+    assert prob.kernel is None
+    F = hammerstein_operator(prob)
+    f_delta, _ = gen_noise(F(prob.exact_solution), NoiseSpec(0.01, seed=0))
+    u = prob.exact_solution.with_values(
+        np.zeros(n) if u_kind == "zero" else np.sin(3.0 * prob.grid))
+    rhs = F(u) - f_delta
+    dense = LinearMap.from_matrix(F.deriv(u).to_dense(), prob.weights)
+    A = F.deriv(u)
+    calls = _gmres_calls(monkeypatch)
+    for a, rel in ((1.0, 1e-12), (0.05, 1e-12), (1e-3, 1e-12), (1e-6, 1e-11)):
+        x = solve_shifted(A, a, rhs)
+        expected = solve_shifted(dense, a, rhs)
+        assert (x - expected).norm() <= rel * expected.norm(), a
+    assert calls == [] and A._matrix is None
+
+
+def test_kernel_only_map_takes_the_structured_solve():
+    # the kernel map of the operator bounds has the scalar diagonal 0; it
+    # solves as the derivative at u = 0 does, whose slopes are all 0
+    prob = make_hammerstein(200, TRAPEZOID)
+    F = hammerstein_operator(prob)
+    zero = HilbertVector.zeros(prob.weights)
+    rhs = F(prob.exact_solution)
+    for a in (0.05, 1e-6):
+        x = solve_shifted(_matrix_free_map(prob), a, rhs)
+        assert np.array_equal(x.values, solve_shifted(F.deriv(zero), a, rhs).values)
+
+
+def test_structured_solve_at_100000_nodes(monkeypatch):
+    # O(N) and independent of the shift: GMRES took 3.2 s here
+    prob = make_hammerstein(100_000, TRAPEZOID)
+    u = prob.exact_solution.with_values(np.sin(3.0 * prob.grid))
+    A = hammerstein_derivative(prob, u)
+    rhs = hammerstein_apply(prob, u) - hammerstein_apply(prob, prob.exact_solution)
+
+    def no_dense(self):
+        raise AssertionError("the shifted solve materialized the matrix")
+
+    monkeypatch.setattr(LinearMap, "to_dense", no_dense)
+    calls = _gmres_calls(monkeypatch)
+    x = solve_shifted(A, 1e-6, rhs)
+    assert calls == []
+    assert (A(x) + 1e-6 * x - rhs).norm() <= 1e-10 * rhs.norm()
+
+
+@pytest.mark.parametrize("shift_factor, solves", [(1.0, 1), (1.0 + 1e-6, 2), (2.0, 2)],
+                         ids=["exact", "near", "wrong"])
+def test_structured_solve_refines_once_on_a_miss(shift_factor, solves):
+    # the map's solver is factorized at shift_factor * a: the exact factors
+    # meet the tolerance at once; near ones miss it, and one refinement pass
+    # with them meets it; wrong ones are not a silent bad step: a pass only
+    # quarters their residual, and solve_shifted raises
+    prob = make_hammerstein(200, TRAPEZOID)
+    F = hammerstein_operator(prob)
+    u = prob.exact_solution.with_values(np.sin(3.0 * prob.grid))
+    exact = F.deriv(u)
+    calls = []
+
+    def solver(a):
+        solve = exact.shifted_solver(shift_factor * a)
+        return lambda b: calls.append(1) or solve(b)
+
+    A = LinearMap(exact, exact.adjoint_apply, exact.weights, shifted_solver=solver)
+    rhs = F(u)
+    if shift_factor == 2.0:
+        with pytest.raises(SolveFailed, match="structured"):
+            solve_shifted(A, 0.05, rhs)
+    else:
+        x = solve_shifted(A, 0.05, rhs)
+        assert (A(x) + 0.05 * x - rhs).norm() <= 1e-10 * rhs.norm()
+    assert len(calls) == solves
+
+
+# the four paths of solve_shifted: the map's own shifted solver, LU on the
+# matrix the map holds, LU on the matrix materialized from a map without
+# one, and GMRES
+_SOLVE_PATHS = ["structured", "matrix", "dense", "gmres"]
 
 
 def _map_on_path(monkeypatch, M, path):
@@ -406,10 +502,18 @@ def _map_on_path(monkeypatch, M, path):
     function listing the paths solve_shifted has taken since."""
     if path == "gmres":
         monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
-    A, counts = _counted_products(LinearMap.from_matrix(M, np.ones(len(M))),
-                                  keep_matrix=path == "matrix")
-    gmres_calls = _gmres_calls(monkeypatch)
     factorized = []
+    solver = None
+    if path == "structured":
+        def solver(a):
+            factorized.append("structured")
+            shifted = M + a * np.eye(len(M))
+            return lambda b: np.linalg.solve(shifted, b)
+
+    A, counts = _counted_products(LinearMap.from_matrix(M, np.ones(len(M))),
+                                  keep_matrix=path == "matrix",
+                                  shifted_solver=solver)
+    gmres_calls = _gmres_calls(monkeypatch)
     to_dense = LinearMap.to_dense
 
     def spy(self):
@@ -440,14 +544,17 @@ def test_shifted_solve_rejects_nan_input(monkeypatch, path, bad):
 
 @pytest.mark.parametrize("path", _SOLVE_PATHS)
 def test_shifted_solve_fails_on_nan_operator(monkeypatch, path):
-    # a NaN solution must not pass the residual check, and GMRES must not
-    # spend its budget of 20 N products on it
+    # a NaN solution must not pass the residual check, the structured path
+    # must not refine it more than once, and GMRES must not spend its budget
+    # of 20 N products on it
     M = np.eye(6)
     M[2, 3] = np.nan
     A, counts, taken = _map_on_path(monkeypatch, M, path)
     with pytest.raises(SolveFailed):
         solve_shifted(A, 0.5, vec(np.ones(6)))
     assert taken() == [path]
+    if path == "structured":
+        assert counts["apply"] == 2
     if path == "gmres":
         assert counts["apply"] <= monoreg.core.GMRES_RESTART + 1
 

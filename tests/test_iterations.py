@@ -290,26 +290,49 @@ def test_arithmetic_stays_on_the_trusted_path(ham50_euclidean, monkeypatch):
     assert len(validated) <= 4 * len(report.residual_history)
 
 
+def _counted_derivative(F, products, keep_solver):
+    # F with a count of the products of its derivatives; the derivatives
+    # keep their shifted solver only if keep_solver is set
+    def derivative(u):
+        A = F.deriv(u)
+        return LinearMap(lambda v: products.append(1) or A(v),
+                         A.adjoint_apply, A.weights,
+                         shifted_solver=A.shifted_solver if keep_solver else None)
+
+    return NonlinearOperator(F.apply, derivative, F.bounds)
+
+
 def test_matrix_free_products_stay_on_the_trusted_path(monkeypatch):
-    # above MATERIALIZE_LIMIT every Newton step solves by GMRES, one product
-    # with the matrix-free derivative per Arnoldi step; those products are
-    # not validated, so the validated constructions per recorded state do
-    # not grow with the product count
+    # this pins the generic GMRES path of a user map without a shifted
+    # solver: the wrapper drops the solver of the matrix-free derivative, so
+    # every Newton step solves by GMRES, one product per Arnoldi step; those
+    # products are not validated, so the validated constructions per
+    # recorded state do not grow with the product count
     prob = make_hammerstein(300, TRAPEZOID)
     F = hammerstein_operator(prob)
     f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.05, seed=0))
     products = []
-
-    def derivative(u):
-        A = F.deriv(u)
-        return LinearMap(lambda v: products.append(1) or A(v),
-                         A.adjoint_apply, A.weights)
-
-    counted = NonlinearOperator(F.apply, derivative, F.bounds)
+    counted = _counted_derivative(F, products, keep_solver=False)
     validated = _validated_constructions(monkeypatch)
     report = _table1_newton(counted, prob, f_delta, delta)
     states = len(report.residual_history)
     assert len(products) > 4 * states
+    assert len(validated) <= 4 * states
+
+
+def test_structured_newton_steps_take_at_most_two_products(monkeypatch):
+    # with the solver kept, as the library runs it, a Newton step takes the
+    # product of the residual check and at most one more after a refinement
+    prob = make_hammerstein(300, TRAPEZOID)
+    F = hammerstein_operator(prob)
+    f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.05, seed=0))
+    products = []
+    counted = _counted_derivative(F, products, keep_solver=True)
+    validated = _validated_constructions(monkeypatch)
+    report = _table1_newton(counted, prob, f_delta, delta)
+    states = len(report.residual_history)
+    assert report.steps_taken > 0
+    assert report.steps_taken <= len(products) <= 2 * report.steps_taken
     assert len(validated) <= 4 * states
 
 
