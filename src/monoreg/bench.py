@@ -373,6 +373,8 @@ class Table1Config:
             raise InvalidConfig("C0 must be positive")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
+        if self.n_max < 1:
+            raise InvalidConfig(f"n_max must be positive, got {self.n_max}")
 
 
 @dataclass(frozen=True)

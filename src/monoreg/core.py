@@ -42,6 +42,12 @@ MATERIALIZE_LIMIT = 128
 GMRES_RESTART = 30
 
 
+def weighted_norm(weights: np.ndarray, values: np.ndarray) -> float:
+    """sqrt(sum_i w_i v_i^2), summed as (w * v) * v: the bits of
+    `HilbertVector.norm`, for loops that keep their states as arrays."""
+    return math.sqrt((weights * values * values).sum())
+
+
 @dataclass(frozen=True)
 class HilbertVector:
     """A grid function with positive quadrature weights.
@@ -64,7 +70,7 @@ class HilbertVector:
                 f"values ({values.size}) and weights ({weights.size}) must "
                 "have equal length >= 1"
             )
-        if not np.all(weights > 0):
+        if not (weights > 0).all():
             raise ValueError("all weights must be positive")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -79,8 +85,12 @@ class HilbertVector:
         # For the library's own arithmetic and linear maps only (the operators
         # below, from_matrix, to_dense, zero_map, _gmres, the refinement pass of
         # solve_shifted, bench.hammerstein_apply, bench._matrix_free_map,
-        # synthetic.random_monotone_problem): `values`
-        # is a fresh float array and `weights` a validated one, shared by identity.
+        # synthetic.random_monotone_problem, the gradient direction of
+        # reports.DIRECTIONS) and for the states and defects that the array
+        # loops of flows._integrate, iterations._run, regularized._newton and
+        # _relaxation and inequalities.evolution_norm_bound hand to callbacks:
+        # `values` is a fresh float array and `weights` a validated one,
+        # shared by identity.
         values.setflags(write=False)
         vec = object.__new__(cls)
         object.__setattr__(vec, "values", values)
@@ -105,7 +115,7 @@ class HilbertVector:
         return float((self.weights * self.values * other.values).sum())
 
     def norm(self) -> float:
-        return math.sqrt((self.weights * self.values * self.values).sum())
+        return weighted_norm(self.weights, self.values)
 
     def with_values(self, values: np.ndarray) -> "HilbertVector":
         return HilbertVector(values, self.weights)

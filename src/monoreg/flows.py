@@ -38,6 +38,7 @@ from .reports import (
     a_end,
     check_field_types,
     check_stop_constants,
+    data_residual,
     require_kind,
     stop_level,
 )
@@ -74,6 +75,8 @@ class FlowConfig:
         check_stop_constants(self.C1, self.zeta, "zeta")
         if not 0 < self.step_min <= self.step_init <= self.step_max:
             raise InvalidConfig("need 0 < step_min <= step_init <= step_max")
+        if self.t_max is not None and not self.t_max > 0:
+            raise InvalidConfig(f"t_max must be positive, got {self.t_max}")
 
     def threshold(self, delta: float) -> float:
         return stop_level(self.C1, delta, self.zeta)
@@ -199,8 +202,16 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
         step_max = min(step_max,
                        1.5 / (F.bounds.m1 + float(sched.a(0.0))) ** cap_power)
 
-    F_u = F(u0)
-    res = (F_u - f_delta).norm()
+    # the states are kept as arrays on u0's grid and wrapped once for F and
+    # the direction; every expression keeps the order of its vector form
+    u0._check_grid(f_delta)
+    w, fd = u0.weights, f_delta.values
+
+    def state(x):
+        u = HilbertVector._trusted(x, w)
+        return (u, *data_residual(F, u, fd))
+
+    F_u, res = data_residual(F, u0, fd)
     if trajectory.record(0.0, u0, res):
         return trajectory.report(u0, STOPPED_BY_DISCREPANCY, sched.a(0.0),
                                  t_stop=0.0)
@@ -212,13 +223,12 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
     while t < t_max:
         # one direction evaluation per state, reused across halved retries
         a = sched.a(t)
-        d = direction(F, u, a, F_u + a * u - f_delta, cfg.inner_tol)
+        G = HilbertVector._trusted(F_u + u.values * float(a) - fd, w)
+        d = direction(F, u, a, G, cfg.inner_tol).values
         accepted = False
         while not accepted:
             h_step = min(h, t_max - t)
-            u_try = u - h_step * d
-            F_try = F(u_try)
-            res_try = (F_try - f_delta).norm()
+            u_try, F_try, res_try = state(u.values - d * float(h_step))
             if res_try <= res * (1.0 + RESIDUAL_SLACK):
                 accepted = True
             else:
@@ -228,7 +238,7 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
                     return trajectory.report(u, STEP_FLOOR, a, t_stop=t)
         if res_try <= thresh:
             t_stop, u_stop, res_stop = _refine_crossing(
-                F, f_delta, thresh, u, d, t, h_step)
+                state, thresh, u.values, d, t, h_step)
             trajectory.record(t_stop, u_stop, res_stop)
             return trajectory.report(u_stop, STOPPED_BY_DISCREPANCY,
                                      sched.a(t_stop), t_stop=t_stop)
@@ -241,16 +251,15 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
     return trajectory.report(u, EXHAUSTED_HORIZON, sched.a(t), t_stop=t)
 
 
-def _refine_crossing(F, f_delta, thresh, u_prev, d, t_prev, h):
+def _refine_crossing(state, thresh, u_prev, d, t_prev, h):
     """Bisect the crossing step to locate the stop time within REFINE_RTOL
-    relative; the substate u(s) = u_prev - s d stays on the Euler segment."""
+    relative; the substate u(s) = u_prev - s d stays on the Euler segment.
+    `state` maps values to (vector, values of F, data residual)."""
     lo, hi = 0.0, h
-    u_hi = u_prev - hi * d
-    res_hi = (F(u_hi) - f_delta).norm()
+    u_hi, _, res_hi = state(u_prev - d * float(hi))
     while hi - lo > REFINE_RTOL * max(t_prev + hi, 1e-30):
         mid = 0.5 * (lo + hi)
-        u_mid = u_prev - mid * d
-        res_mid = (F(u_mid) - f_delta).norm()
+        u_mid, _, res_mid = state(u_prev - d * float(mid))
         if res_mid <= thresh:
             hi, u_hi, res_hi = mid, u_mid, res_mid
         else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HilbertVector, LinearMap, NonlinearOperator
-from .errors import HorizonExceeded
+from .errors import HorizonExceeded, InvalidConfig
 from .reports import (
     DIRECTIONS,
     EXHAUSTED_HORIZON,
@@ -28,6 +28,7 @@ from .reports import (
     a_end,
     check_field_types,
     check_stop_constants,
+    data_residual,
     require_kind,
     stop_level,
 )
@@ -65,6 +66,8 @@ class IterConfig:
     def __post_init__(self):
         check_field_types(self)
         check_stop_constants(self.C1, self.gamma_or_zeta, "gamma_or_zeta")
+        if self.n_max is not None and self.n_max < 1:
+            raise InvalidConfig(f"n_max must be positive, got {self.n_max}")
 
     def threshold(self, delta: float) -> float:
         return stop_level(self.C1, delta, self.gamma_or_zeta)
@@ -165,18 +168,24 @@ def _run(F, f_delta, delta, cfg, u0, method, step_size=None,
     sched = cfg.schedule
     direction = DIRECTIONS[method]
 
-    F_u = F(u0)
-    if trajectory.record(0.0, u0, (F_u - f_delta).norm()):
+    # the iterates are kept as arrays on u0's grid and wrapped once for F
+    # and the direction; every expression keeps the order of its vector form
+    u0._check_grid(f_delta)
+    w, fd = u0.weights, f_delta.values
+    F_u, res = data_residual(F, u0, fd)
+    if trajectory.record(0.0, u0, res):
         return trajectory.report(u0, STOPPED_BY_DISCREPANCY, sched.a(0),
                                  n_stop=0)
     u = u0
     for n in range(n_max):
         a_n = float(sched.a(n))
         alpha = None if step_size is None else step_size(a_n)
-        d = direction(F, u, a_n, F_u + a_n * u - f_delta, cfg.inner_tol)
-        u = u - d if alpha is None else u - alpha * d
-        F_u = F(u)
-        if trajectory.record(float(n + 1), u, (F_u - f_delta).norm()):
+        G = HilbertVector._trusted(F_u + u.values * a_n - fd, w)
+        d = direction(F, u, a_n, G, cfg.inner_tol).values
+        u = HilbertVector._trusted(
+            u.values - d if alpha is None else u.values - d * float(alpha), w)
+        F_u, res = data_residual(F, u, fd)
+        if trajectory.record(float(n + 1), u, res):
             return trajectory.report(u, STOPPED_BY_DISCREPANCY, a_n, n_stop=n)
     partial = trajectory.report(u, EXHAUSTED_HORIZON, sched.a(n_max - 1),
                                 n_stop=n_max - 1)

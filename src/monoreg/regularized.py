@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import HilbertVector, NonlinearOperator, solve_shifted
+from .core import HilbertVector, NonlinearOperator, solve_shifted, weighted_norm
 from .errors import BudgetExceeded, NoDerivative, NonConvergence, NonFinite, NoRoot
 
 MAX_NEWTON = 200
@@ -61,14 +61,19 @@ def solve_regularized(
     if tol <= 0:
         raise ValueError("tol must be positive")
     V = warm_start if warm_start is not None else HilbertVector.zeros(f_delta.weights)
+    V._check_grid(f_delta)
 
     if F.has_derivative:
-        return _newton(F, f_delta, a, tol, V)
-    return _relaxation(F, f_delta, a, tol, V)
+        return _newton(F, f_delta.values, a, tol, V)
+    return _relaxation(F, f_delta.values, a, tol, V)
 
 
-def _defect(F, f_delta, a, V):
-    return F(V) + a * V - f_delta
+def _defect(F, fd, a, V):
+    """The values of F(V) + a V - f_delta, for the values fd of f_delta,
+    with F(V) checked to live on V's grid."""
+    F_V = F(V)
+    V._check_grid(F_V)
+    return F_V.values + V.values * float(a) - fd
 
 
 def _require_finite(value: float, what: str) -> None:
@@ -79,19 +84,23 @@ def _require_finite(value: float, what: str) -> None:
         )
 
 
-def _newton(F, f_delta, a, tol, V) -> RegularizedSolution:
-    G = _defect(F, f_delta, a, V)
-    ng = G.norm()
+# The two solvers keep the defect as an array on V's grid and wrap only
+# the iterates (for F) and the newton right-hand side (for the solve).
+def _newton(F, fd, a, tol, V) -> RegularizedSolution:
+    w = V.weights
+    G = _defect(F, fd, a, V)
+    ng = weighted_norm(w, G)
     _require_finite(ng, f"the defect at a = {a:g}")
     for it in range(MAX_NEWTON):
         if ng <= tol:
             return RegularizedSolution(V, a, ng, it)
-        direction = solve_shifted(F.deriv(V), a, G, tol=1e-10)
+        direction = solve_shifted(F.deriv(V), a, HilbertVector._trusted(G, w),
+                                  tol=1e-10).values
         s = 1.0
         while s >= LINE_SEARCH_FLOOR:
-            V_try = V - s * direction
-            G_try = _defect(F, f_delta, a, V_try)
-            ng_try = G_try.norm()
+            V_try = HilbertVector._trusted(V.values - direction * float(s), w)
+            G_try = _defect(F, fd, a, V_try)
+            ng_try = weighted_norm(w, G_try)
             if ng_try < ng:
                 V, G, ng = V_try, G_try, ng_try
                 break
@@ -108,20 +117,21 @@ def _newton(F, f_delta, a, tol, V) -> RegularizedSolution:
     )
 
 
-def _relaxation(F, f_delta, a, tol, V) -> RegularizedSolution:
+def _relaxation(F, fd, a, tol, V) -> RegularizedSolution:
     if F.bounds is None:
         raise NoDerivative(
             "derivative-free solve needs declared bounds (m1) for its step size"
         )
     s = 1.0 / (F.bounds.m1 + 2.0 * a)
     what = f"the defect at a = {a:g}"
+    w = V.weights
     for it in range(MAX_RELAX):
-        G = _defect(F, f_delta, a, V)
-        ng = G.norm()
+        G = _defect(F, fd, a, V)
+        ng = weighted_norm(w, G)
         _require_finite(ng, what)
         if ng <= tol:
             return RegularizedSolution(V, a, ng, it)
-        V = V - s * G
+        V = HilbertVector._trusted(V.values - G * float(s), w)
     raise NonConvergence(
         f"no convergence in {MAX_RELAX} relaxation steps (defect {ng:g}, tol {tol:g})"
     )

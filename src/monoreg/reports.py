@@ -20,7 +20,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .core import HilbertVector, solve_shifted
+import numpy as np
+
+from .core import HilbertVector, solve_shifted, weighted_norm
 from .errors import InvalidConfig, NonFinite
 
 STOPPED_BY_DISCREPANCY = "stopped_by_discrepancy"
@@ -28,13 +30,29 @@ EXHAUSTED_HORIZON = "exhausted_horizon"
 STEP_FLOOR = "step_floor"
 
 
+def _gradient(F, u, a, G, tol):
+    # (F'(u)* G) + a G in the order of the vector expression, one wrapper
+    adj = F.deriv(u).adjoint_apply(G)
+    adj._check_grid(G)
+    return HilbertVector._trusted(adj.values + G.values * float(a), G.weights)
+
+
 # method -> direction(F, u, a, G, inner_tol); solve_shifted is looked up
 # as a global at call time, so rebinding it here reaches every newton step
 DIRECTIONS = {
     "newton": lambda F, u, a, G, tol: solve_shifted(F.deriv(u), a, G, tol=tol),
-    "gradient": lambda F, u, a, G, tol: F.deriv(u).adjoint_apply(G) + a * G,
+    "gradient": _gradient,
     "simple": lambda F, u, a, G, tol: G,
 }
+
+
+def data_residual(F, u: HilbertVector, fd: np.ndarray) -> tuple[np.ndarray, float]:
+    """The values of F(u), checked to live on u's grid, and the data
+    residual ||F(u) - f_delta|| for the values fd of f_delta."""
+    F_u = F(u)
+    u._check_grid(F_u)
+    r = F_u.values - fd
+    return F_u.values, weighted_norm(u.weights, r)
 
 
 def require_kind(schedule, kind: str, solver: str) -> None:

@@ -8,6 +8,7 @@ import monoreg.core
 from monoreg import (
     GridMismatch,
     HilbertVector,
+    InvalidConfig,
     IterConfig,
     NoiseSpec,
     Table1Config,
@@ -251,6 +252,12 @@ def test_table_rows_shape_and_status(small_table):
 def test_table_error_decreases_with_noise(small_table):
     errors = [row.rel_error for row in small_table]
     assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_table_with_an_empty_budget_rejected(n_max):
+    with pytest.raises(InvalidConfig, match="n_max must be positive"):
+        Table1Config(n_max=n_max)
 
 
 def test_table_row_without_a_successful_seed_fails():

@@ -164,9 +164,21 @@ _CONST = {"form": "const", "value": 1.0}
         # a_rtol is a module constant, not a key of the dp section
         ("dp", {"problem": {"kind": "rank_one"},
                 "dp": {"C": 1.5, "gamma": 1.0, "a_rtol": 1e-12}}, "dp: "),
+        # an empty budget or horizon runs no step at all
+        ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
+                     "method": "simple",
+                     "schedule": {"form": "discrete", "kind": "simple_iter",
+                                  "b": 0.5, "d_or_c": 1.0, "d0": 1.0},
+                     "stop": {"n_max": 0}}, "stop: n_max must be positive"),
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
+                  "schedule": {"form": "continuous", "kind": "simple_flow",
+                               "b": 0.5, "c": 9.0, "d": 1.0},
+                  "stop": {"t_max": -1.0}}, "stop: t_max must be positive"),
+        ("bench", {"bench": {"n_max": 0}}, "bench: n_max must be positive"),
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
-         "string-t-max", "dp-a-rtol"],
+         "string-t-max", "dp-a-rtol", "zero-n-max", "negative-t-max",
+         "zero-bench-n-max"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(

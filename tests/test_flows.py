@@ -206,6 +206,14 @@ def test_mismatched_schedule_kind_rejected():
         flow_newton(F, f, 0.01, cfg, HilbertVector.zeros(np.ones(1)))
 
 
+@pytest.mark.parametrize("t_max", [0.0, -1.0, np.nan])
+def test_empty_horizon_rejected(t_max):
+    # t_max = -1 used to report exhausted_horizon after 0 steps
+    schedule = make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0)
+    with pytest.raises(InvalidConfig, match="t_max must be positive"):
+        FlowConfig(schedule=schedule, t_max=t_max)
+
+
 def test_nan_in_data_fails_in_init_u0(ham50, ham_data):
     # the start point's regularized solve names the cause too
     prob, F = ham50

@@ -249,6 +249,14 @@ def test_mismatched_schedule_kind_rejected():
         iter_newton(F, f, 0.01, cfg, HilbertVector.zeros(np.ones(1)))
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_empty_budget_rejected(n_max):
+    # n_max = 0 used to evaluate a(-1) and report no crossing in 0 steps
+    schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
+    with pytest.raises(InvalidConfig, match="n_max must be positive"):
+        IterConfig(schedule=schedule, n_max=n_max)
+
+
 def test_m1_estimation_is_flagged():
     w = np.ones(2)
     from monoreg.core import LinearMap, NonlinearOperator
