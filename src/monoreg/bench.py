@@ -10,7 +10,7 @@ so the operator is monotone; its derivative is the kernel part plus the
 diagonal 3 arctan(u)**2 / (1 + u**2), which degenerates wherever u
 vanishes (the problem is genuinely ill-posed at the zero start).
 
-Up to `core.MATERIALIZE_LIMIT` nodes the kernel is a dense N x N matrix.
+Up to `DENSE_KERNEL_LIMIT` nodes the kernel is a dense N x N matrix.
 Above it the problem is matrix-free: the kernel exp(-|x - y|) is an
 Ornstein-Uhlenbeck covariance, which factors as e^{-x} e^{y} for y <= x
 and e^{x} e^{-y} for y > x, so a kernel product is two cumulative sums in
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
 from .core import (
     HilbertVector,
     LinearMap,
@@ -48,11 +47,16 @@ from .core import (
 )
 from .errors import GridMismatch, InvalidConfig, MonoregError
 from .iterations import IterConfig, iter_newton, operator_norm_estimate
-from .reports import check_field_types
+from .reports import check_fields
 from .schedules import NEWTON_ITER, make_discrete
 
 TRAPEZOID = "trapezoid"
 EUCLIDEAN = "euclidean"
+
+# The kernel is a dense matrix up to this many nodes and matrix-free above:
+# the measured crossover of a whole `iter_newton` run from zero, where the
+# matrix-free derivative has its exact O(N) solve (README "Shifted solves").
+DENSE_KERNEL_LIMIT = 72
 
 
 def trapezoid_weights(n_nodes: int) -> np.ndarray:
@@ -74,8 +78,8 @@ class HammersteinProblem:
     weights: np.ndarray  # inner-product weights (mode dependent)
     quad_weights: np.ndarray  # trapezoid weights (always, inside the kernel)
     # K[i, j] = exp(-|x_i - x_j|) * quad_weights[j] up to
-    # core.MATERIALIZE_LIMIT nodes; None above it, where products with K
-    # take O(N) (`_exp_kernel`)
+    # DENSE_KERNEL_LIMIT nodes; None above it, where products with K take
+    # O(N) (`_exp_kernel`)
     kernel: np.ndarray | None
     norm_mode: str
     exact_solution: HilbertVector
@@ -105,7 +109,7 @@ def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> Hammerste
     x = np.linspace(0.0, 1.0, n_nodes)
     qw = trapezoid_weights(n_nodes)
     kernel = None
-    if n_nodes <= core.MATERIALIZE_LIMIT:
+    if n_nodes <= DENSE_KERNEL_LIMIT:
         kernel = np.exp(-np.abs(x[:, None] - x[None, :])) * qw[None, :]
     weights = qw if norm_mode == TRAPEZOID else np.ones(n_nodes)
     return HammersteinProblem(
@@ -270,7 +274,7 @@ def nonlinearity_slope(u: np.ndarray) -> np.ndarray:
 def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> LinearMap:
     """w -> D(u) w + K w; self-adjoint in trapezoid mode since the kernel
     is symmetric against the quadrature weights and D is diagonal.  A
-    matrix-free map (no `to_dense` matrix) above `core.MATERIALIZE_LIMIT`."""
+    matrix-free map with its own shifted solver above `DENSE_KERNEL_LIMIT`."""
     _check_grid(prob, u)
     if prob.kernel is None:
         return _matrix_free_map(prob, nonlinearity_slope(u.values))
@@ -364,17 +368,13 @@ class Table1Config:
     n_max: int = 2000
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, ("C0", "n_max"))
         if not self.C > 1:
             raise InvalidConfig("C must exceed 1")
         if not 0 < self.gamma <= 1:
             raise InvalidConfig("gamma must lie in (0, 1]")
-        if self.C0 <= 0:
-            raise InvalidConfig("C0 must be positive")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
-        if self.n_max < 1:
-            raise InvalidConfig(f"n_max must be positive, got {self.n_max}")
 
 
 @dataclass(frozen=True)

@@ -420,10 +420,9 @@ def _bound_check(section: dict):
             tau0=float(section.get("tau0", 0.0)),
             horizon=float(section["horizon"]),
         )
-        return functools.partial(
-            inequalities.bound_continuous, inst,
-            n_steps=int(section.get("n_steps", 20_000)),
-        )
+        n_steps = int(section.get("n_steps", 20_000))
+        inequalities.check_n_steps(n_steps)
+        return functools.partial(inequalities.bound_continuous, inst, n_steps=n_steps)
     if kind == "discrete":
         n = np.arange(int(section["n_last"]) + 1, dtype=float)
         inst = inequalities.DiscreteInequality(

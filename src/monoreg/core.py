@@ -28,15 +28,6 @@ EPS_FLOOR = 1e-14
 # the factorization.
 DENSE_LIMIT = 2000
 
-# A map that holds no matrix is materialized (N products) and factorized only
-# up to this dimension, and GMRES runs beyond it.  The Hammerstein benchmark
-# holds its kernel as a matrix up to the same size and is matrix-free above.
-# The limit is the measured crossover of a whole `iter_newton` run from zero
-# (one OpenBLAS thread, README "Shifted solves"): matrix-free overtakes the
-# dense kernel at about N = 125-140 with weighted norms and about 110-115
-# with euclidean ones, and runs 2-3x faster at N = 200.
-MATERIALIZE_LIMIT = 128
-
 # Arnoldi steps per GMRES cycle: each step keeps one more basis vector of
 # length N, and the Hammerstein Newton systems converge within one cycle.
 GMRES_RESTART = 30
@@ -84,13 +75,13 @@ class HilbertVector:
     def _trusted(cls, values: np.ndarray, weights: np.ndarray) -> "HilbertVector":
         # For the library's own arithmetic and linear maps only (the operators
         # below, from_matrix, to_dense, zero_map, _gmres, the refinement pass of
-        # solve_shifted, bench.hammerstein_apply, bench._matrix_free_map,
-        # synthetic.random_monotone_problem, the gradient direction of
-        # reports.DIRECTIONS) and for the states and defects that the array
-        # loops of flows._integrate, iterations._run, regularized._newton and
-        # _relaxation and inequalities.evolution_norm_bound hand to callbacks:
-        # `values` is a fresh float array and `weights` a validated one,
-        # shared by identity.
+        # every direct solve in solve_shifted, bench.hammerstein_apply,
+        # bench._matrix_free_map, synthetic.random_monotone_problem, the
+        # gradient direction of reports.DIRECTIONS) and for the states and
+        # defects that the array loops of flows._integrate, iterations._run,
+        # regularized._newton and _relaxation and
+        # inequalities.evolution_norm_bound hand to callbacks: `values` is a
+        # fresh float array and `weights` a validated one, shared by identity.
         values.setflags(write=False)
         vec = object.__new__(cls)
         object.__setattr__(vec, "values", values)
@@ -150,12 +141,12 @@ class LinearMap:
 
     The adjoint is taken with respect to the weighted inner product: for a
     dense matrix M acting on values, ``M* = W^{-1} M^T W`` with
-    ``W = diag(weights)``.  `shifted_solver`, when given, factorizes the
-    shifted map: it takes a shift a > 0 and returns a function from
-    right-hand-side values b to the values of x with (M + aI) x = b, up
-    to rounding.  `solve_shifted` then uses it in place of its generic
-    paths, with the returned function called once more for a refinement
-    pass when the residual misses the tolerance.
+    ``W = diag(weights)``.  `shifted_solver` factorizes the shifted map:
+    it takes a shift a > 0 and returns a function from right-hand-side
+    values b to the values of x with (M + aI) x = b, up to rounding.  A
+    map that holds a matrix of at most DENSE_LIMIT rows and brings no
+    solver gets dense LU (`_lu_solver`); `solve_shifted` runs GMRES on a
+    map left without one.
     """
 
     def __init__(
@@ -171,6 +162,8 @@ class LinearMap:
         self._adjoint = adjoint_fn
         self.weights = np.asarray(weights, dtype=float)
         self._matrix = matrix
+        if shifted_solver is None and matrix is not None and len(matrix) <= DENSE_LIMIT:
+            shifted_solver = lambda a: _lu_solver(matrix, a)
         self.shifted_solver = shifted_solver
 
     @property
@@ -217,16 +210,16 @@ class LinearMap:
         return self._adjoint(v)
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the matrix, by basis application if necessary."""
-        if self._matrix is None:
-            n = self.dimension
-            cols = np.empty((n, n))
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = 1.0
-                cols[:, j] = self._apply(HilbertVector._trusted(e, self.weights)).values
-            self._matrix = cols
-        return self._matrix
+        """The matrix the map holds, or a new one built by N products."""
+        if self._matrix is not None:
+            return self._matrix
+        n = self.dimension
+        cols = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1.0
+            cols[:, j] = self._apply(HilbertVector._trusted(e, self.weights)).values
+        return cols
 
 
 def diagonal_view(matrix: np.ndarray) -> np.ndarray:
@@ -235,14 +228,12 @@ def diagonal_view(matrix: np.ndarray) -> np.ndarray:
 
 
 def identity_map(weights: np.ndarray) -> LinearMap:
-    weights = np.asarray(weights, dtype=float)
-    return LinearMap(lambda v: v, lambda v: v, weights, matrix=np.eye(weights.size))
+    return LinearMap(lambda v: v, lambda v: v, weights, matrix=np.eye(len(weights)))
 
 
 def zero_map(weights: np.ndarray) -> LinearMap:
-    weights = np.asarray(weights, dtype=float)
     z = lambda v: HilbertVector._trusted(np.zeros_like(v.values), v.weights)
-    return LinearMap(z, z, weights, matrix=np.zeros((weights.size, weights.size)))
+    return LinearMap(z, z, weights, matrix=np.zeros((len(weights), len(weights))))
 
 
 @dataclass(frozen=True)
@@ -296,7 +287,6 @@ class NonlinearOperator:
 
 
 def identity_operator(weights: np.ndarray) -> NonlinearOperator:
-    weights = np.asarray(weights, dtype=float)
     eye = identity_map(weights)
     return NonlinearOperator(lambda u: u, lambda u: eye, OperatorBounds(m1=1.0))
 
@@ -380,17 +370,15 @@ def solve_shifted(
 
     For the derivative of a monotone operator the shifted map is
     invertible with inverse norm at most 1/a, so the solve is well posed
-    for any positive shift.  A map with a `shifted_solver` (the matrix-free
-    Hammerstein derivative, bench._matrix_free_map) is solved by it, plus
-    one refinement pass with the same factors when the residual misses
-    the tolerance.  Otherwise a map that holds a matrix is factorized
-    densely (plus one refinement pass) up to DENSE_LIMIT, a map without
-    one up to MATERIALIZE_LIMIT; beyond them restarted GMRES runs in the
-    weighted inner product, where the field of values of A + aI lies in
-    Re z >= a, with one product with A per step and no adjoint.  Every
-    path checks the residual with products with A and raises `SolveFailed`
-    when it misses the tolerance; a non-finite shift or right-hand side
-    raises `NonFinite` at once.
+    for any positive shift.  A map with a `shifted_solver` (its own, as
+    the matrix-free Hammerstein derivative has, or dense LU on the matrix
+    it holds) is solved by it, plus one refinement pass with the same
+    factors when the residual misses the tolerance.  A map without one
+    takes restarted GMRES in the weighted inner product, where the field
+    of values of A + aI lies in Re z >= a, with one product with A per
+    step and no adjoint.  Both paths check the residual with products
+    with A and raise `SolveFailed` when it misses the tolerance; a
+    non-finite shift or right-hand side raises `NonFinite` at once.
     """
     if a <= 0:
         raise ValueError("shift a must be positive")
@@ -402,9 +390,10 @@ def solve_shifted(
     if rhs_norm == 0.0:
         return rhs.with_values(np.zeros_like(rhs.values))
     target = tol * rhs_norm
+    if A.shifted_solver is None:
+        return _gmres(A, a, rhs, target)
     b = rhs.values
-    n = A.dimension
-    if A.shifted_solver is not None:
+    try:
         solve = A.shifted_solver(a)
         sol = rhs.with_values(solve(b))
         r, residual = _shifted_residual(A, a, sol, b)
@@ -412,31 +401,31 @@ def solve_shifted(
             # one refinement pass with the same factors
             sol = HilbertVector._trusted(sol.values - solve(r), rhs.weights)
             _, residual = _shifted_residual(A, a, sol, b)
-        path = "structured"
-    elif n > DENSE_LIMIT or (A._matrix is None and n > MATERIALIZE_LIMIT):
-        return _gmres(A, a, rhs, target)
-    else:
-        # the bits of A + a * np.eye(n) without its two N x N temporaries:
-        # x + 0.0 turns -0.0 into 0.0 as x + a * 0.0 does, and a * 1.0 is a
-        M = A.to_dense() + 0.0
-        diagonal_view(M)[:] += a
-        try:
-            x = np.linalg.solve(M, b)
-            x += np.linalg.solve(M, b - M @ x)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailed(
-                f"shifted matrix is singular at a = {a:g}; the operator "
-                "violates the nonnegativity contract"
-            ) from exc
-        sol = rhs.with_values(x)
-        _, residual = _shifted_residual(A, a, sol, b)
-        path = "dense"
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailed(
+            f"shifted matrix is singular at a = {a:g}; the operator "
+            "violates the nonnegativity contract"
+        ) from exc
     if not residual <= target:
         raise SolveFailed(
-            f"{path} shifted solve residual {residual:g} exceeds "
-            f"{tol:g} * ||rhs||"
+            f"shifted solve residual {residual:g} exceeds {tol:g} * ||rhs|| "
+            "after one refinement pass"
         )
     return sol
+
+
+def _lu_solver(matrix: np.ndarray, a: float) -> Callable[[np.ndarray], np.ndarray]:
+    # the bits of matrix + a * np.eye(n) without its two N x N temporaries:
+    # x + 0.0 turns -0.0 into 0.0 as x + a * 0.0 does, and a * 1.0 is a
+    M = matrix + 0.0
+    diagonal_view(M)[:] += a
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.linalg.solve(M, b)
+        x += np.linalg.solve(M, b - M @ x)
+        return x
+
+    return solve
 
 
 def _shifted_residual(

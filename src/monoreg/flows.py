@@ -36,7 +36,7 @@ from .reports import (
     SolveReport,
     Trajectory,
     a_end,
-    check_field_types,
+    check_fields,
     check_stop_constants,
     data_residual,
     require_kind,
@@ -71,12 +71,10 @@ class FlowConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, ("t_max", "inner_tol", "y_norm"))
         check_stop_constants(self.C1, self.zeta, "zeta")
         if not 0 < self.step_min <= self.step_init <= self.step_max:
             raise InvalidConfig("need 0 < step_min <= step_init <= step_max")
-        if self.t_max is not None and not self.t_max > 0:
-            raise InvalidConfig(f"t_max must be positive, got {self.t_max}")
 
     def threshold(self, delta: float) -> float:
         return stop_level(self.C1, delta, self.zeta)

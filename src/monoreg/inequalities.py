@@ -33,6 +33,12 @@ MIN_MARGIN = 1e-9  # least feasibility margin of an accepted random instance
 MAX_DRAWS = 500
 
 
+def check_n_steps(n_steps: int) -> None:
+    """Raise InvalidConfig unless the fixed-step RK4 runs take a step."""
+    if not n_steps >= 1:
+        raise InvalidConfig(f"n_steps must be >= 1, got {n_steps}")
+
+
 @dataclass(frozen=True)
 class ContinuousInequality:
     """Coefficients of the continuous inequality on [tau0, horizon].
@@ -193,6 +199,7 @@ def bound_continuous(
     whose worst margin is reported).  Raises PreconditionFailed naming the
     violated hypothesis, or BoundViolated with the first crossing time.
     """
+    check_n_steps(n_steps)
     margins = precondition_margins(inst, n_condition_samples)
     _require_continuous_preconditions(margins)
 
@@ -387,6 +394,7 @@ def evolution_norm_bound(
     once per time node, 3 times per step (k2 and k3 share t + dt/2), and
     h 4 times per step, besides the sampled conditions above.
     """
+    check_n_steps(n_steps)
     inst = replace(inst, g0=u0.norm(), horizon=T)
     margins = precondition_margins(inst)
     _require_continuous_preconditions(margins)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HilbertVector, LinearMap, NonlinearOperator
-from .errors import HorizonExceeded, InvalidConfig
+from .errors import HorizonExceeded
 from .reports import (
     DIRECTIONS,
     EXHAUSTED_HORIZON,
@@ -26,7 +26,7 @@ from .reports import (
     SolveReport,
     Trajectory,
     a_end,
-    check_field_types,
+    check_fields,
     check_stop_constants,
     data_residual,
     require_kind,
@@ -64,10 +64,8 @@ class IterConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, ("n_max", "inner_tol", "y_norm"), ("m1",))
         check_stop_constants(self.C1, self.gamma_or_zeta, "gamma_or_zeta")
-        if self.n_max is not None and self.n_max < 1:
-            raise InvalidConfig(f"n_max must be positive, got {self.n_max}")
 
     def threshold(self, delta: float) -> float:
         return stop_level(self.C1, delta, self.gamma_or_zeta)

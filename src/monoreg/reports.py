@@ -74,12 +74,14 @@ def check_stop_constants(C1: float, exponent: float, name: str) -> None:
 _NUMBERS = {"float": numbers.Real, "int": numbers.Integral}
 
 
-def check_field_types(cfg) -> None:
+def check_fields(cfg, positive=(), nonnegative=()) -> None:
     """Raise InvalidConfig naming the first numeric field of the config
     dataclass `cfg` that holds something else: a field annotated `float`
     takes a real number, `int` an integer (a bool is neither), `X | None`
     also None, and `tuple[X, ...]` a tuple or list of X.  The annotations
-    are read as strings, as postponed evaluation leaves them."""
+    are read as strings, as postponed evaluation leaves them.  Then the
+    same for the first field named in `positive` (`nonnegative`) that is
+    set but not > 0 (>= 0); NaN is neither."""
     for f in dataclasses.fields(cfg):
         kind = f.type.removesuffix(" | None")
         value = getattr(cfg, f.name)
@@ -94,6 +96,11 @@ def check_field_types(cfg) -> None:
             isinstance(x, bool) or not isinstance(x, accepted) for x in items
         ):
             raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}")
+    for name in positive + nonnegative:
+        value = getattr(cfg, name)
+        if not (value is None or value > 0 or (value == 0 and name in nonnegative)):
+            kind = "nonnegative" if name in nonnegative else "positive"
+            raise InvalidConfig(f"{name} must be {kind}, got {value}")
 
 
 def stop_level(C: float, delta: float, exponent: float) -> float:

@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import monoreg.core
-
 from monoreg import (
     GridMismatch,
     HilbertVector,
@@ -23,7 +21,13 @@ from monoreg import (
     run_table1,
     trapezoid_weights,
 )
-from monoreg.bench import EUCLIDEAN, TRAPEZOID, nonlinearity_slope, schedule_scale
+from monoreg.bench import (
+    DENSE_KERNEL_LIMIT,
+    EUCLIDEAN,
+    TRAPEZOID,
+    nonlinearity_slope,
+    schedule_scale,
+)
 from monoreg.schedules import NEWTON_ITER
 
 from helpers import const_vector
@@ -103,7 +107,7 @@ def test_derivative_adjoint_consistency(ham50):
 
 
 @pytest.mark.parametrize("norm_mode", [TRAPEZOID, EUCLIDEAN])
-@pytest.mark.parametrize("n", [50, monoreg.core.MATERIALIZE_LIMIT])
+@pytest.mark.parametrize("n", [50, DENSE_KERNEL_LIMIT])
 def test_derivative_adjoint_is_the_weighted_transpose_bit_for_bit(n, norm_mode):
     # the adjoint is the cached kernel adjoint with its diagonal rewritten;
     # two derivatives taking turns must not see each other's diagonal
@@ -158,8 +162,8 @@ def _dense_kernel(prob):
 
 
 def test_kernel_is_dense_exactly_up_to_the_limit():
-    assert make_hammerstein(monoreg.core.MATERIALIZE_LIMIT).kernel is not None
-    assert make_hammerstein(monoreg.core.MATERIALIZE_LIMIT + 1).kernel is None
+    assert make_hammerstein(DENSE_KERNEL_LIMIT).kernel is not None
+    assert make_hammerstein(DENSE_KERNEL_LIMIT + 1).kernel is None
 
 
 @pytest.mark.parametrize("norm_mode", [TRAPEZOID, EUCLIDEAN])

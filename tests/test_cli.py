@@ -175,10 +175,32 @@ _CONST = {"form": "const", "value": 1.0}
                                "b": 0.5, "c": 9.0, "d": 1.0},
                   "stop": {"t_max": -1.0}}, "stop: t_max must be positive"),
         ("bench", {"bench": {"n_max": 0}}, "bench: n_max must be positive"),
+        # a negative m1 and a tolerance no solve can meet ran before
+        ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
+                     "method": "simple",
+                     "schedule": {"form": "discrete", "kind": "simple_iter",
+                                  "b": 0.5, "d_or_c": 1.0, "d0": 1.0},
+                     "stop": {"m1": -1}}, "stop: m1 must be nonnegative"),
+        ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
+                     "method": "newton",
+                     "schedule": {"form": "discrete", "kind": "newton_iter",
+                                  "b": 0.5, "d_or_c": 1.0, "d0": 1.0},
+                     "stop": {"inner_tol": 0.0}},
+         "stop: inner_tol must be positive"),
+        # the bound check is built, with its step count checked, before it runs
+        ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
+                               "horizon": 10.0, "n_steps": 0, "alpha": _CONST,
+                               "beta": _CONST, "gamma": _CONST, "mu": _CONST}},
+         "instance: n_steps must be >= 1, got 0"),
+        ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
+                               "horizon": 10.0, "n_steps": -5, "alpha": _CONST,
+                               "beta": _CONST, "gamma": _CONST, "mu": _CONST}},
+         "instance: n_steps must be >= 1, got -5"),
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
          "string-t-max", "dp-a-rtol", "zero-n-max", "negative-t-max",
-         "zero-bench-n-max"],
+         "zero-bench-n-max", "negative-m1", "zero-inner-tol", "zero-n-steps",
+         "negative-n-steps"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(

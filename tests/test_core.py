@@ -282,10 +282,10 @@ def _gmres_calls(monkeypatch):
 
 
 def test_map_with_a_matrix_is_factorized_above_materialize_limit(monkeypatch):
-    # a dense map between the two limits keeps the factorization, which a
-    # small shift on a degenerate spectrum needs to stay fast
-    n = monoreg.core.MATERIALIZE_LIMIT + 1
-    assert n <= monoreg.core.DENSE_LIMIT
+    # a map that holds a matrix keeps the factorization at every size up to
+    # DENSE_LIMIT, which a small shift on a degenerate spectrum needs to stay
+    # fast; one row more and it has no solver, so it takes GMRES
+    n = 129
     diag = np.linspace(0.0, 1.0, n)
     A = LinearMap.from_matrix(np.diag(diag), np.ones(n))
     rhs = vec(np.cos(np.arange(n)), np.ones(n))
@@ -293,10 +293,15 @@ def test_map_with_a_matrix_is_factorized_above_materialize_limit(monkeypatch):
     x = solve_shifted(A, 1e-3, rhs)
     assert calls == []
     assert np.allclose((diag + 1e-3) * x.values, rhs.values, atol=1e-8)
+    limit = monoreg.core.DENSE_LIMIT
+    for n, has_solver in ((limit, True), (limit + 1, False)):
+        matrix = np.broadcast_to(np.float64(0.0), (n, n))
+        A = LinearMap(lambda v: v, lambda v: v, np.ones(n), matrix)
+        assert (A.shifted_solver is not None) == has_solver
 
 
 def test_map_without_a_matrix_takes_gmres_above_materialize_limit(monkeypatch):
-    n = monoreg.core.MATERIALIZE_LIMIT + 1
+    n = 129
     diag = np.linspace(0.0, 3.0, n)
     scale = lambda v: v.with_values(diag * v.values)
     A = LinearMap(scale, scale, np.ones(n))
@@ -307,10 +312,25 @@ def test_map_without_a_matrix_takes_gmres_above_materialize_limit(monkeypatch):
     assert np.allclose((diag + 0.5) * x.values, rhs.values, atol=1e-8)
 
 
-def test_gmres_hands_the_map_vectors_it_may_keep(monkeypatch):
+def test_to_dense_does_not_move_a_map_off_gmres(monkeypatch):
+    # to_dense builds a matrix for its caller and does not keep it, so a
+    # map without a matrix takes GMRES at any size, before and after
+    n = 60
+    diag = np.linspace(0.0, 3.0, n)
+    scale = lambda v: v.with_values(diag * v.values)
+    A = LinearMap(scale, scale, np.ones(n))
+    rhs = vec(np.cos(np.arange(n)), np.ones(n))
+    calls = _gmres_calls(monkeypatch)
+    x = solve_shifted(A, 0.5, rhs)
+    assert len(calls) == 1
+    assert np.array_equal(A.to_dense(), np.diag(diag))
+    assert np.array_equal(solve_shifted(A, 0.5, rhs).values, x.values)
+    assert len(calls) == 2 and A._matrix is None and A.shifted_solver is None
+
+
+def test_gmres_hands_the_map_vectors_it_may_keep():
     # vectors are immutable: one the map keeps must not change later, when
     # the Krylov basis is overwritten by the next restart cycle
-    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
     diag = np.linspace(0.0, 3.0, 60)
     kept = []
 
@@ -325,10 +345,11 @@ def test_gmres_hands_the_map_vectors_it_may_keep(monkeypatch):
 
 
 def _dense_and_gmres(monkeypatch, A, a, rhs, tol=1e-10):
-    dense = solve_shifted(A, a, rhs, tol)
-    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
+    # LU on the matrix A holds, and GMRES on its matrix-free view
     calls = _gmres_calls(monkeypatch)
-    x = solve_shifted(A, a, rhs, tol)
+    dense = solve_shifted(A, a, rhs, tol)
+    assert calls == []
+    x = solve_shifted(LinearMap(A, A.adjoint_apply, A.weights), a, rhs, tol)
     assert len(calls) == 1
     return dense, x
 
@@ -394,14 +415,13 @@ def _counted_products(A, keep_matrix=False, shifted_solver=None):
                      shifted_solver), counts
 
 
-def test_gmres_path_uses_one_product_per_step_and_no_adjoint(monkeypatch):
+def test_gmres_path_uses_one_product_per_step_and_no_adjoint():
     # the solve takes 28 products (27 Arnoldi steps and the residual
     # check); two per step, as on the normal equations, would take about 55
     prob = make_hammerstein(40, TRAPEZOID)
     F = hammerstein_operator(prob)
     u = prob.exact_solution.with_values(np.sin(3.0 * prob.grid))
     A, counts = _counted_products(F.deriv(u))
-    monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
     x = solve_shifted(A, 0.05, F(u))
     assert counts["apply"] <= 36
     assert (A(x) + 0.05 * x - F(u)).norm() <= 1e-10 * F(u).norm()
@@ -409,7 +429,7 @@ def test_gmres_path_uses_one_product_per_step_and_no_adjoint(monkeypatch):
 
 @pytest.mark.parametrize("u_kind", ["zero", "sin"])
 @pytest.mark.parametrize("norm_mode", [TRAPEZOID, EUCLIDEAN])
-@pytest.mark.parametrize("n", [monoreg.core.MATERIALIZE_LIMIT + 1, 200, 300])
+@pytest.mark.parametrize("n", [129, 200, 300])
 def test_structured_solve_matches_dense_lu(monkeypatch, n, norm_mode, u_kind):
     # the matrix-free Hammerstein derivative is solved by its KMS tridiagonal
     # solver, on the right-hand side of a Newton step; dense LU on the
@@ -483,7 +503,7 @@ def test_structured_solve_refines_once_on_a_miss(shift_factor, solves):
     A = LinearMap(exact, exact.adjoint_apply, exact.weights, shifted_solver=solver)
     rhs = F(u)
     if shift_factor == 2.0:
-        with pytest.raises(SolveFailed, match="structured"):
+        with pytest.raises(SolveFailed, match="after one refinement pass"):
             solve_shifted(A, 0.05, rhs)
     else:
         x = solve_shifted(A, 0.05, rhs)
@@ -491,36 +511,29 @@ def test_structured_solve_refines_once_on_a_miss(shift_factor, solves):
     assert len(calls) == solves
 
 
-# the four paths of solve_shifted: the map's own shifted solver, LU on the
-# matrix the map holds, LU on the matrix materialized from a map without
-# one, and GMRES
-_SOLVE_PATHS = ["structured", "matrix", "dense", "gmres"]
+# the paths of solve_shifted: the map's own shifted solver, LU on the
+# matrix the map holds (the solver it gets when it brings none), and GMRES
+_SOLVE_PATHS = ["structured", "matrix", "gmres"]
 
 
 def _map_on_path(monkeypatch, M, path):
     """A counted map over M that solve_shifted sends down `path`, and a
-    function listing the paths solve_shifted has taken since."""
-    if path == "gmres":
-        monkeypatch.setattr(monoreg.core, "DENSE_LIMIT", 4)
-    factorized = []
+    function listing the paths solve_shifted has taken since: each call
+    of the map's solver, and each GMRES solve."""
     solver = None
     if path == "structured":
         def solver(a):
-            factorized.append("structured")
             shifted = M + a * np.eye(len(M))
             return lambda b: np.linalg.solve(shifted, b)
 
     A, counts = _counted_products(LinearMap.from_matrix(M, np.ones(len(M))),
                                   keep_matrix=path == "matrix",
                                   shifted_solver=solver)
+    factorized = []
+    if A.shifted_solver is not None:
+        own = A.shifted_solver
+        A.shifted_solver = lambda a: factorized.append(path) or own(a)
     gmres_calls = _gmres_calls(monkeypatch)
-    to_dense = LinearMap.to_dense
-
-    def spy(self):
-        factorized.append("dense" if self._matrix is None else "matrix")
-        return to_dense(self)
-
-    monkeypatch.setattr(LinearMap, "to_dense", spy)
     return A, counts, lambda: factorized + ["gmres"] * len(gmres_calls)
 
 
@@ -544,19 +557,19 @@ def test_shifted_solve_rejects_nan_input(monkeypatch, path, bad):
 
 @pytest.mark.parametrize("path", _SOLVE_PATHS)
 def test_shifted_solve_fails_on_nan_operator(monkeypatch, path):
-    # a NaN solution must not pass the residual check, the structured path
-    # must not refine it more than once, and GMRES must not spend its budget
-    # of 20 N products on it
+    # a NaN solution must not pass the residual check, a direct solve must
+    # not refine it more than once, and GMRES must not spend its budget of
+    # 20 N products on it
     M = np.eye(6)
     M[2, 3] = np.nan
     A, counts, taken = _map_on_path(monkeypatch, M, path)
     with pytest.raises(SolveFailed):
         solve_shifted(A, 0.5, vec(np.ones(6)))
     assert taken() == [path]
-    if path == "structured":
-        assert counts["apply"] == 2
     if path == "gmres":
         assert counts["apply"] <= monoreg.core.GMRES_RESTART + 1
+    else:
+        assert counts["apply"] == 2
 
 
 def test_shifted_solve_failure_is_reported():

@@ -214,6 +214,16 @@ def test_empty_horizon_rejected(t_max):
         FlowConfig(schedule=schedule, t_max=t_max)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("y_norm", 0.0), ("y_norm", -1.0), ("y_norm", np.nan),
+    ("inner_tol", 0.0), ("inner_tol", -1e-10), ("inner_tol", np.nan),
+])
+def test_out_of_range_setting_rejected(field, value):
+    schedule = make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0)
+    with pytest.raises(InvalidConfig, match=f"{field} must be positive"):
+        FlowConfig(schedule=schedule, **{field: value})
+
+
 def test_nan_in_data_fails_in_init_u0(ham50, ham_data):
     # the start point's regularized solve names the cause too
     prob, F = ham50

@@ -9,6 +9,7 @@ from monoreg import (
     ContinuousInequality,
     DiscreteInequality,
     HilbertVector,
+    InvalidConfig,
     LinearMap,
     PreconditionFailed,
     bound_continuous,
@@ -253,6 +254,25 @@ def test_evolution_linear_semigroup_decay():
     )
     assert report.passed
     assert report.norms[-1] == pytest.approx(u0.norm() * np.exp(-10.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_a_run_without_a_step_is_rejected(n_steps):
+    # 0 divided by zero and -5 failed on a negative array size
+    w = np.ones(2)
+    inst = ContinuousInequality(
+        p=2.0, alpha=const(0.0), beta=const(0.0), gamma=const(1.0),
+        mu=const(1.0), mu_dot=const(0.0), g0=0.5, horizon=5.0,
+    )
+    with pytest.raises(InvalidConfig, match=f"n_steps must be >= 1, got {n_steps}"):
+        bound_continuous(inst, n_steps=n_steps)
+    with pytest.raises(InvalidConfig, match=f"n_steps must be >= 1, got {n_steps}"):
+        evolution_norm_bound(
+            LinearMap.from_matrix(-np.eye(2), w),
+            lambda t, u: u.with_values(np.zeros(2)),
+            lambda t: HilbertVector(np.zeros(2), w),
+            HilbertVector(np.array([0.3, 0.2]), w), inst, T=5.0, n_steps=n_steps,
+        )
 
 
 def test_evolution_zero_start_is_vacuous():

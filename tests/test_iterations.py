@@ -257,6 +257,28 @@ def test_empty_budget_rejected(n_max):
         IterConfig(schedule=schedule, n_max=n_max)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("y_norm", 0.0, "y_norm must be positive"),
+    ("y_norm", -1.0, "y_norm must be positive"),
+    ("m1", -1.0, "m1 must be nonnegative"),
+    ("m1", np.nan, "m1 must be nonnegative"),
+    ("inner_tol", 0.0, "inner_tol must be positive"),
+    ("inner_tol", np.nan, "inner_tol must be positive"),
+])
+def test_out_of_range_setting_rejected(field, value, message):
+    # y_norm 0 divided by zero in a_end and -1 resolved n_max to 1000010; m1
+    # -1 made the simple step 2 / (m1 + 2 a) divide by zero; inner_tol 0 made
+    # every newton step fail its shifted solve
+    schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
+    with pytest.raises(InvalidConfig, match=message):
+        IterConfig(schedule=schedule, **{field: value})
+
+
+def test_zero_m1_is_accepted():
+    schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
+    assert IterConfig(schedule=schedule, m1=0.0).m1 == 0.0
+
+
 def test_m1_estimation_is_flagged():
     w = np.ones(2)
     from monoreg.core import LinearMap, NonlinearOperator

@@ -1,11 +1,12 @@
-"""Large grids: above MATERIALIZE_LIMIT the Hammerstein newton iteration
-holds no N x N array, and it takes the steps and errors of the dense path."""
+"""Large grids: above bench.DENSE_KERNEL_LIMIT the Hammerstein newton
+iteration holds no N x N array, and it takes the steps and errors of the
+dense kernel."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import monoreg.core
+import monoreg.bench
 from monoreg import (
     HilbertVector,
     IterConfig,
@@ -18,7 +19,7 @@ from monoreg import (
     make_discrete,
     make_hammerstein,
 )
-from monoreg.bench import EUCLIDEAN, TRAPEZOID, schedule_scale
+from monoreg.bench import DENSE_KERNEL_LIMIT, EUCLIDEAN, TRAPEZOID, schedule_scale
 from monoreg.schedules import NEWTON_ITER
 
 
@@ -44,9 +45,8 @@ def test_newton_at_large_n_holds_no_dense_matrix(monkeypatch):
     # grid first that the kernel is matrix-free above the limit, so that a
     # regression fails before it allocates one
     n_nodes = 20_000
-    assert n_nodes > monoreg.core.MATERIALIZE_LIMIT
-    limit = monoreg.core.MATERIALIZE_LIMIT
-    assert make_hammerstein(limit + 1, TRAPEZOID).kernel is None
+    assert n_nodes > DENSE_KERNEL_LIMIT
+    assert make_hammerstein(DENSE_KERNEL_LIMIT + 1, TRAPEZOID).kernel is None
 
     def no_dense(self):
         raise AssertionError("a shifted solve materialized the matrix")
@@ -70,7 +70,7 @@ def test_newton_above_the_limit_matches_the_dense_path():
 
 
 @pytest.mark.parametrize("norm_mode, delta_rel", [(TRAPEZOID, 0.05), (EUCLIDEAN, 0.01)])
-@pytest.mark.parametrize("n_nodes", [monoreg.core.MATERIALIZE_LIMIT + 1, 200])
+@pytest.mark.parametrize("n_nodes", [DENSE_KERNEL_LIMIT + 1, 100, 129, 200])
 def test_newton_between_the_limit_and_200_matches_a_dense_kernel(
     monkeypatch, n_nodes, norm_mode, delta_rel
 ):
@@ -78,7 +78,7 @@ def test_newton_between_the_limit_and_200_matches_a_dense_kernel(
     # must take its steps and agree with its error
     assert make_hammerstein(n_nodes, norm_mode).kernel is None
     steps, rel_error = _newton_on_mesh(n_nodes, norm_mode, delta_rel)
-    monkeypatch.setattr(monoreg.core, "MATERIALIZE_LIMIT", 200)
+    monkeypatch.setattr(monoreg.bench, "DENSE_KERNEL_LIMIT", 200)
     assert make_hammerstein(n_nodes, norm_mode).kernel is not None
     dense_steps, dense_error = _newton_on_mesh(n_nodes, norm_mode, delta_rel)
     assert steps == dense_steps
