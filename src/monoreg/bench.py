@@ -47,7 +47,7 @@ from .core import (
 )
 from .errors import GridMismatch, InvalidConfig, MonoregError
 from .iterations import IterConfig, iter_newton, operator_norm_estimate
-from .reports import check_fields
+from .reports import check_fields, check_stop_constants
 from .schedules import NEWTON_ITER, make_discrete
 
 TRAPEZOID = "trapezoid"
@@ -330,8 +330,8 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.delta_rel <= 0:
-            raise InvalidConfig("delta_rel must be positive")
+        if not self.delta_rel > 0:
+            raise InvalidConfig(f"delta_rel must be positive, got {self.delta_rel}")
 
 
 def gen_noise(f: HilbertVector, spec: NoiseSpec) -> tuple[HilbertVector, float]:
@@ -369,10 +369,7 @@ class Table1Config:
 
     def __post_init__(self):
         check_fields(self, ("C0", "n_max"))
-        if not self.C > 1:
-            raise InvalidConfig("C must exceed 1")
-        if not 0 < self.gamma <= 1:
-            raise InvalidConfig("gamma must lie in (0, 1]")
+        check_stop_constants(self, "C", "gamma")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
 

@@ -373,6 +373,9 @@ def _build_fn(section: dict, where: str):
     """Closed-form evaluator from a descriptor: const, exp, or power."""
     _expect_keys(section, {"form", "value", "coef", "rate", "offset", "exponent"},
                  where)
+    for key, value in section.items():
+        if key != "form" and not np.isfinite(float(value)):
+            raise ConfigError(f"{key} must be finite, got {value}", key=where)
     form = section.get("form")
     if form == "const":
         value = float(section["value"])

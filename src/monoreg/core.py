@@ -29,7 +29,9 @@ EPS_FLOOR = 1e-14
 DENSE_LIMIT = 2000
 
 # Arnoldi steps per GMRES cycle: each step keeps one more basis vector of
-# length N, and the Hammerstein Newton systems converge within one cycle.
+# length N.  Only a map without a shifted solver takes GMRES (a matrix of
+# more than DENSE_LIMIT rows, or a matrix-free map a caller builds); the
+# Hammerstein Newton systems carry their own O(N) solver and take none.
 GMRES_RESTART = 30
 
 
@@ -245,7 +247,7 @@ class OperatorBounds:
     m2: float = 0.0
 
     def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0:
+        if not (self.m1 >= 0 and self.m2 >= 0):
             raise ValueError("bounds must be nonnegative")
 
 

@@ -10,14 +10,14 @@ two-condition test in `accept_candidate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import HilbertVector, NonlinearOperator
 from .errors import InvalidConfig, NonConvergence
 from .regularized import _bracket_search, solve_regularized
-from .reports import stop_level
+from .reports import check_stop_constants, stop_level
 
 CONVERGED = "converged"
 ALREADY_COMPATIBLE = "already_compatible"
@@ -42,10 +42,7 @@ class DPConfig:
     dp_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.C > 1:
-            raise InvalidConfig(f"C must exceed 1, got {self.C}")
-        if not 0 < self.gamma <= 1:
-            raise InvalidConfig(f"gamma must lie in (0, 1], got {self.gamma}")
+        check_stop_constants(self, "C", "gamma")
         if not self.theta > 0:
             raise InvalidConfig("theta must be positive")
         lo, hi = self.residual_window()
@@ -179,27 +176,8 @@ def solve_dp_shifted(
     returns V = w + u_bar; the solution converges (as delta -> 0) to the
     solution nearest u_bar rather than the minimal-norm one.
     """
-    cfg.check_delta(delta)
-    target = cfg.target(delta)
-    r_bar = (F(u_bar) - f_delta).norm()
-    if r_bar <= target:
-        return DPResult(
-            a_delta=math.inf,
-            V=u_bar,
-            achieved_residual=r_bar,
-            bracket_evals=1,
-            target=target,
-            status=ALREADY_COMPATIBLE,
-        )
     inner = solve_dp(F.shifted(u_bar), f_delta, delta, cfg)
-    return DPResult(
-        a_delta=inner.a_delta,
-        V=inner.V + u_bar,
-        achieved_residual=inner.achieved_residual,
-        bracket_evals=inner.bracket_evals,
-        target=inner.target,
-        status=inner.status,
-    )
+    return replace(inner, V=inner.V + u_bar)
 
 
 @dataclass(frozen=True)

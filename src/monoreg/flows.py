@@ -72,7 +72,7 @@ class FlowConfig:
 
     def __post_init__(self):
         check_fields(self, ("t_max", "inner_tol", "y_norm"))
-        check_stop_constants(self.C1, self.zeta, "zeta")
+        check_stop_constants(self, "C1", "zeta")
         if not 0 < self.step_min <= self.step_init <= self.step_max:
             raise InvalidConfig("need 0 < step_min <= step_init <= step_max")
 

@@ -15,7 +15,6 @@ dissipative finite-dimensional evolution equation.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -62,7 +61,7 @@ class ContinuousInequality:
     def __post_init__(self):
         if not self.p > 1:
             raise InvalidConfig("p must exceed 1")
-        if self.g0 < 0:
+        if not self.g0 >= 0:
             raise InvalidConfig("g0 must be nonnegative")
         if not self.horizon > self.tau0:
             raise InvalidConfig("horizon must exceed tau0")
@@ -98,7 +97,7 @@ class DiscreteInequality:
             raise InvalidConfig("coefficient arrays must share a length >= 2")
         if not self.p > 1:
             raise InvalidConfig("p must exceed 1")
-        if self.g0 < 0:
+        if not self.g0 >= 0:
             raise InvalidConfig("g0 must be nonnegative")
 
     @property
@@ -127,19 +126,28 @@ class BoundReport:
         }
 
 
-def _verdict(grid, values, bound, crossed) -> tuple[float, float]:
+def _require(condition: str, location, margin: float, floor: float = 0.0,
+             strict: bool = False) -> None:
+    """Raise PreconditionFailed naming the hypothesis unless margin > floor
+    (strict) or margin >= floor; NaN fails both."""
+    if not (margin > floor if strict else margin >= floor):
+        raise PreconditionFailed(condition, location, margin)
+
+
+def _verdict(grid, values, bound, strict: bool) -> tuple[float, float]:
     """(min_margin, margin_at) of the gaps bound - values over the grid.
 
-    Raises BoundViolated at the first grid point where crossed(gap, 0)
-    holds, when it holds at the smallest gap.
+    Raises BoundViolated at the first grid point whose gap is not > 0
+    (strict) or not >= 0; NaN fails both.
     """
     gaps = bound - values
-    i = int(np.argmin(gaps))
-    if crossed(gaps[i], 0):
-        first = int(np.argmax(crossed(gaps, 0)))
+    failed = ~(gaps > 0) if strict else ~(gaps >= 0)
+    if failed.any():
+        first = int(np.argmax(failed))
         raise BoundViolated(
             grid[first].item(), float(values[first]), float(bound[first])
         )
+    i = int(np.argmin(gaps))
     return float(gaps[i]), float(grid[i])
 
 
@@ -170,20 +178,14 @@ def precondition_margins(
 
 
 def _require_continuous_preconditions(margins: dict) -> None:
-    if margins["mu_positive"] <= 0:
-        raise PreconditionFailed("mu_positive", "horizon", margins["mu_positive"])
-    if margins["alpha_nonneg"] < 0:
-        raise PreconditionFailed("alpha_nonneg", "horizon", margins["alpha_nonneg"])
-    if margins["beta_nonneg"] < 0:
-        raise PreconditionFailed("beta_nonneg", "horizon", margins["beta_nonneg"])
+    _require("mu_positive", "horizon", margins["mu_positive"], strict=True)
+    _require("alpha_nonneg", "horizon", margins["alpha_nonneg"])
+    _require("beta_nonneg", "horizon", margins["beta_nonneg"])
     # exact-equality feasibility is admissible; allow roundoff-scale noise
-    round_off = 1e-13 * max(margins.get("feasibility_scale", 1.0), 1e-30)
-    if margins["feasibility"] < -round_off:
-        raise PreconditionFailed(
-            "feasibility", margins["feasibility_at"], margins["feasibility"]
-        )
-    if margins["initial_gap"] <= 0:
-        raise PreconditionFailed("initial_gap", "tau0", margins["initial_gap"])
+    round_off = 1e-13 * max(margins["feasibility_scale"], 1e-30)
+    _require("feasibility", margins["feasibility_at"], margins["feasibility"],
+             floor=-round_off)
+    _require("initial_gap", "tau0", margins["initial_gap"], strict=True)
 
 
 def bound_continuous(
@@ -236,7 +238,7 @@ def bound_continuous(
         g = max(g + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
         traj[k + 1] = g
     bound = 1.0 / np.asarray(inst.mu(ts), dtype=float)
-    min_margin, margin_at = _verdict(ts, traj, bound, operator.le)
+    min_margin, margin_at = _verdict(ts, traj, bound, strict=True)
     return BoundReport(
         passed=True,
         min_margin=min_margin,
@@ -278,22 +280,12 @@ def bound_discrete(inst: DiscreteInequality) -> BoundReport:
     """
     margins = discrete_precondition_margins(inst)
     for name in ("mu_positive", "h_positive"):
-        if margins[name] <= 0:
-            raise PreconditionFailed(name, "sequence", margins[name])
-    if margins["mu_growing"] < 0:
-        raise PreconditionFailed("mu_growing", "sequence", margins["mu_growing"])
-    if margins["step_product_low"] <= 0 or margins["step_product_high"] <= 0:
-        raise PreconditionFailed(
-            "step_product_in_(0,1)",
-            "sequence",
-            min(margins["step_product_low"], margins["step_product_high"]),
-        )
-    if margins["feasibility"] < 0:
-        raise PreconditionFailed(
-            "feasibility", margins["feasibility_at"], margins["feasibility"]
-        )
-    if margins["initial_gap"] < 0:
-        raise PreconditionFailed("initial_gap", 0, margins["initial_gap"])
+        _require(name, "sequence", margins[name], strict=True)
+    _require("mu_growing", "sequence", margins["mu_growing"])
+    for name in ("step_product_low", "step_product_high"):
+        _require("step_product_in_(0,1)", "sequence", margins[name], strict=True)
+    _require("feasibility", margins["feasibility_at"], margins["feasibility"])
+    _require("initial_gap", 0, margins["initial_gap"])
 
     n_last = inst.n_last
     traj = np.empty(n_last + 1)
@@ -309,7 +301,7 @@ def bound_discrete(inst: DiscreteInequality) -> BoundReport:
     bound = 1.0 / inst.mu
     # integer indices: a crossing is located at its index n
     n = np.arange(n_last + 1)
-    min_margin, margin_at = _verdict(n, traj, bound, operator.lt)
+    min_margin, margin_at = _verdict(n, traj, bound, strict=False)
     return BoundReport(
         passed=True,
         min_margin=min_margin,
@@ -409,8 +401,7 @@ def evolution_norm_bound(
     lam_max = float(np.linalg.eigvalsh(sym).max())
     gamma_max = float(np.max(np.asarray(inst.gamma(t_samples), dtype=float)))
     margins["dissipativity"] = -gamma_max - lam_max
-    if margins["dissipativity"] < 0:
-        raise PreconditionFailed("dissipativity", "operator", margins["dissipativity"])
+    _require("dissipativity", "operator", margins["dissipativity"])
 
     # sampled growth condition on the nonlinearity
     rng = np.random.Generator(np.random.PCG64(GROWTH_SEED))
@@ -425,10 +416,10 @@ def evolution_norm_bound(
         v = v * (rng.uniform() * radius / nv)
         lhs = h_map(t, v).inner(v)
         rhs = float(inst.alpha(t)) * v.norm() ** (1.0 + inst.p)
-        growth_margin = min(growth_margin, rhs - lhs)
+        # np.minimum keeps a NaN sample, where Python's min drops it
+        growth_margin = np.minimum(growth_margin, rhs - lhs)
     margins["growth"] = float(growth_margin)
-    if growth_margin < -1e-12:
-        raise PreconditionFailed("growth", "sampled", float(growth_margin))
+    _require("growth", "sampled", margins["growth"], floor=-1e-12)
 
     forcing_margin = float(
         np.min(
@@ -439,8 +430,7 @@ def evolution_norm_bound(
         )
     )
     margins["forcing"] = forcing_margin
-    if forcing_margin < -1e-12:
-        raise PreconditionFailed("forcing", "sampled", forcing_margin)
+    _require("forcing", "sampled", forcing_margin, floor=-1e-12)
 
     dt = (T - inst.tau0) / n_steps
     ts = inst.tau0 + dt * np.arange(n_steps + 1)
@@ -478,7 +468,7 @@ def evolution_norm_bound(
         x = x + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * sixth
         norms[k + 1] = weighted_norm(w, x)
     bound = 1.0 / np.asarray(inst.mu(ts), dtype=float)
-    min_margin, margin_at = _verdict(ts, norms, bound, operator.le)
+    min_margin, margin_at = _verdict(ts, norms, bound, strict=True)
     return ComparisonReport(
         passed=True,
         min_margin=min_margin,

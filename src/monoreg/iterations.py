@@ -65,7 +65,7 @@ class IterConfig:
 
     def __post_init__(self):
         check_fields(self, ("n_max", "inner_tol", "y_norm"), ("m1",))
-        check_stop_constants(self.C1, self.gamma_or_zeta, "gamma_or_zeta")
+        check_stop_constants(self, "C1", "gamma_or_zeta")
 
     def threshold(self, delta: float) -> float:
         return stop_level(self.C1, delta, self.gamma_or_zeta)

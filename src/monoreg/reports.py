@@ -63,11 +63,15 @@ def require_kind(schedule, kind: str, solver: str) -> None:
         )
 
 
-def check_stop_constants(C1: float, exponent: float, name: str) -> None:
-    if not C1 > 1:
-        raise InvalidConfig("C1 must exceed 1")
+def check_stop_constants(cfg, C_name: str, exponent_name: str) -> None:
+    """Raise InvalidConfig unless the stop constant named C_name of the
+    config exceeds 1 and the exponent named exponent_name lies in (0, 1];
+    NaN does neither."""
+    C, exponent = getattr(cfg, C_name), getattr(cfg, exponent_name)
+    if not C > 1:
+        raise InvalidConfig(f"{C_name} must exceed 1, got {C}")
     if not 0 < exponent <= 1:
-        raise InvalidConfig(f"{name} must lie in (0, 1]")
+        raise InvalidConfig(f"{exponent_name} must lie in (0, 1], got {exponent}")
 
 
 # field annotation -> the numbers a config field of that type accepts

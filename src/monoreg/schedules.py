@@ -120,7 +120,7 @@ def make_discrete(kind: str, b: float, d_or_c: float, d0: float) -> DiscreteSche
     if kind not in DISCRETE_KINDS:
         raise InvalidConfig(f"unknown discrete schedule kind {kind!r}")
     _check_positive(b=b, d0=d0)
-    if d_or_c < 1.0:
+    if not d_or_c >= 1.0:
         raise ConstraintViolated("d_or_c >= 1", d_or_c - 1.0)
     if b > _B_MAX[kind]:
         raise ConstraintViolated(f"b <= {_B_MAX[kind]}", _B_MAX[kind] - b)
@@ -158,7 +158,7 @@ class ValidationParams:
 
     def __post_init__(self):
         for name in ("m1", "c0", "c1", "y_norm", "residual0"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise InvalidConfig(f"{name} must be nonnegative")
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise InvalidConfig("horizon must be finite and positive")

@@ -211,6 +211,12 @@ def test_noise_level_exact_by_construction(unit_pair):
         assert (f_delta - f).norm() == pytest.approx(delta, rel=1e-14)
 
 
+@pytest.mark.parametrize("delta_rel", [0.0, -0.01, np.nan])
+def test_noise_level_must_be_positive(delta_rel):
+    with pytest.raises(InvalidConfig, match="delta_rel must be positive"):
+        NoiseSpec(delta_rel, seed=0)
+
+
 def test_noise_is_bit_deterministic(ham_data):
     a1, d1 = gen_noise(ham_data, NoiseSpec(0.01, seed=123))
     a2, d2 = gen_noise(ham_data, NoiseSpec(0.01, seed=123))

@@ -1,3 +1,5 @@
+import copy
+import functools
 import json
 import math
 from pathlib import Path
@@ -196,11 +198,38 @@ _CONST = {"form": "const", "value": 1.0}
                                "horizon": 10.0, "n_steps": -5, "alpha": _CONST,
                                "beta": _CONST, "gamma": _CONST, "mu": _CONST}},
          "instance: n_steps must be >= 1, got -5"),
+        # NaN fails every range check, the coefficient descriptors included
+        ("schedule-check",
+         {"schedule": {"form": "continuous", "kind": "newton_flow", "b": 1.0,
+                       "c": 7.0, "d": 32.0},
+          "params": {"m1": 1.73, "c0": 0.53, "c1": 5.0, "y_norm": math.nan,
+                     "residual0": 1.3, "horizon": 1e5}},
+         "params: y_norm must be nonnegative"),
+        ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
+                     "method": "simple",
+                     "schedule": {"form": "discrete", "kind": "simple_iter",
+                                  "b": 0.5, "d_or_c": math.nan, "d0": 1.0}},
+         "schedule: constraint 'd_or_c >= 1'"),
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
+                  "schedule": {"form": "continuous", "kind": "simple_flow",
+                               "b": 0.5, "c": 9.0, "d": 1.0},
+                  "noise": {"delta_rel": [math.nan]}},
+         "delta_rel must be positive, got nan"),
+        ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": math.nan,
+                               "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
+                               "gamma": _CONST, "mu": _CONST}},
+         "instance: g0 must be nonnegative"),
+        ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
+                               "horizon": 10.0,
+                               "alpha": {"form": "exp", "coef": math.nan},
+                               "beta": _CONST, "gamma": _CONST, "mu": _CONST}},
+         "instance.alpha: coef must be finite, got nan"),
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
          "string-t-max", "dp-a-rtol", "zero-n-max", "negative-t-max",
          "zero-bench-n-max", "negative-m1", "zero-inner-tol", "zero-n-steps",
-         "negative-n-steps"],
+         "negative-n-steps", "nan-y-norm", "nan-d-or-c", "nan-delta-rel",
+         "nan-g0", "nan-coef"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(
@@ -258,6 +287,49 @@ def test_small_shipped_configs_write_identical_csv_twice(tmp_path):
         assert csv[0] == csv[1], path.name
         ran.append(path.name)
     assert len(ran) == len(list(CONFIGS.glob("*.json"))) - 1
+
+
+# sections in which a NaN is a config error; a NaN in any other section
+# must not pass either
+_CONFIG_SECTIONS = {"dp", "stop", "schedule", "params", "bench", "noise",
+                    "instance"}
+
+
+def _numeric_keys(section, path=()):
+    """The key paths of the numbers and lists in a config section."""
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from _numeric_keys(value, (*path, key))
+        elif isinstance(value, list) or (
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+        ):
+            yield (*path, key)
+
+
+@pytest.mark.parametrize(
+    "path",
+    # the N = 1e5 mesh config builds its problem too slowly for a sweep
+    [p for p in sorted(CONFIGS.glob("*.json"))
+     if p.name != "iterate_newton_mesh.json"],
+    ids=lambda p: p.stem,
+)
+def test_nan_in_any_numeric_key_of_a_shipped_config_fails(tmp_path, path):
+    # one key at a time, a list as [NaN], the output section left alone
+    cfg = json.loads(path.read_text())
+    command = _SUBCOMMAND[path.stem.split("_")[0]]
+    keys = list(_numeric_keys({k: v for k, v in cfg.items() if k != "output"}))
+    assert keys
+    for key in keys:
+        bad = copy.deepcopy(cfg)
+        *parents, last = key
+        node = functools.reduce(dict.__getitem__, parents, bad)
+        node[last] = [math.nan] if isinstance(node[last], list) else math.nan
+        code = main([command, "--config", write_config(tmp_path, bad),
+                     "--out", str(tmp_path / "out")])
+        if key[0] in _CONFIG_SECTIONS:
+            assert code == 3, key
+        else:
+            assert code != 0, key
 
 
 def test_dp_rank_one_reports_analytic_comparison(tmp_path):

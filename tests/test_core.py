@@ -10,6 +10,7 @@ from monoreg import (
     LinearMap,
     NonFinite,
     NonlinearOperator,
+    OperatorBounds,
     SolveFailed,
     check_monotonicity,
     fd_derivative_check,
@@ -74,6 +75,13 @@ def test_grid_mismatch_on_length_and_weights():
 def test_weights_must_be_positive():
     with pytest.raises(ValueError):
         vec([1.0], [0.0])
+
+
+@pytest.mark.parametrize("m1, m2", [(-1.0, 0.0), (1.0, -1.0), (np.nan, 0.0),
+                                    (1.0, np.nan)])
+def test_operator_bounds_must_be_nonnegative(m1, m2):
+    with pytest.raises(ValueError, match="bounds must be nonnegative"):
+        OperatorBounds(m1, m2)
 
 
 def test_norm_zero_iff_zero_vector():
@@ -281,7 +289,7 @@ def _gmres_calls(monkeypatch):
     return calls
 
 
-def test_map_with_a_matrix_is_factorized_above_materialize_limit(monkeypatch):
+def test_map_with_a_matrix_is_factorized_up_to_dense_limit(monkeypatch):
     # a map that holds a matrix keeps the factorization at every size up to
     # DENSE_LIMIT, which a small shift on a degenerate spectrum needs to stay
     # fast; one row more and it has no solver, so it takes GMRES
@@ -300,7 +308,7 @@ def test_map_with_a_matrix_is_factorized_above_materialize_limit(monkeypatch):
         assert (A.shifted_solver is not None) == has_solver
 
 
-def test_map_without_a_matrix_takes_gmres_above_materialize_limit(monkeypatch):
+def test_map_without_a_matrix_takes_gmres(monkeypatch):
     n = 129
     diag = np.linspace(0.0, 3.0, n)
     scale = lambda v: v.with_values(diag * v.values)

@@ -4,6 +4,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoreg import inequalities
 from monoreg import (
     BoundViolated,
     ContinuousInequality,
@@ -361,3 +362,124 @@ def test_evolution_rejects_insufficient_dissipation():
             n_steps=500,
         )
     assert info.value.condition == "dissipativity"
+
+
+# NaN fails every hypothesis and every bound comparison, so no check
+# returns passed=True with a NaN margin
+
+
+def nan_at(value, t_nan):
+    """A constant coefficient that is NaN at the one time t_nan."""
+    return lambda t: np.where(np.asarray(t, dtype=float) == t_nan, np.nan, value)
+
+
+def _continuous(**coefficients):
+    base = dict(p=2.0, alpha=const(0.0), beta=const(0.0), gamma=const(1.0),
+                mu=const(1.0), mu_dot=const(0.0), g0=0.5, horizon=10.0)
+    return ContinuousInequality(**{**base, **coefficients})
+
+
+def _decaying_system(h_map=None):
+    """(A, h_map, forcing, u0) of a dissipative 2-dim system."""
+    w = np.ones(2)
+    return (
+        LinearMap.from_matrix(-np.eye(2), w),
+        h_map or (lambda t, u: u.with_values(np.zeros(2))),
+        lambda t: HilbertVector(np.zeros(2), w),
+        HilbertVector(np.array([0.3, 0.2]), w),
+    )
+
+
+def test_a_nan_g0_is_rejected_by_both_inequalities():
+    with pytest.raises(InvalidConfig, match="g0 must be nonnegative"):
+        _continuous(g0=np.nan)
+    ones = np.ones(4)
+    with pytest.raises(InvalidConfig, match="g0 must be nonnegative"):
+        DiscreteInequality(p=2.0, alpha=0 * ones, beta=0 * ones, gamma=ones,
+                           mu=ones, h=0.5 * ones, g0=np.nan)
+
+
+@pytest.mark.parametrize("checker", ["bound_continuous", "evolution_norm_bound"])
+@pytest.mark.parametrize(
+    "coefficient, value, condition",
+    [("alpha", 0.0, "alpha_nonneg"), ("beta", 0.0, "beta_nonneg"),
+     ("gamma", 1.0, "feasibility"), ("mu", 1.0, "mu_positive")],
+)
+def test_a_nan_coefficient_sample_fails_its_hypothesis(checker, coefficient,
+                                                       value, condition):
+    # the horizon is a condition sample of every sampling grid
+    inst = _continuous(**{coefficient: nan_at(value, 10.0)})
+    with pytest.raises(PreconditionFailed) as info:
+        if checker == "bound_continuous":
+            bound_continuous(inst, n_steps=100)
+        else:
+            evolution_norm_bound(*_decaying_system(), inst, T=10.0, n_steps=100)
+    assert info.value.condition == condition
+
+
+@pytest.mark.parametrize(
+    "coefficient, condition",
+    [("alpha", "feasibility"), ("beta", "feasibility"),
+     ("gamma", "step_product_in_(0,1)"), ("mu", "mu_positive"),
+     ("h", "h_positive")],
+)
+def test_a_nan_discrete_coefficient_fails_its_hypothesis(coefficient, condition):
+    ones = np.ones(6)
+    arrays = dict(alpha=0 * ones, beta=0 * ones, gamma=ones, mu=ones, h=0.5 * ones)
+    arrays[coefficient] = arrays[coefficient].copy()
+    arrays[coefficient][3] = np.nan
+    with pytest.raises(PreconditionFailed) as info:
+        bound_discrete(DiscreteInequality(p=2.0, g0=0.5, **arrays))
+    assert info.value.condition == condition
+
+
+def test_a_nan_step_product_high_alone_fails(monkeypatch):
+    # min(low, nan) is low, so each side of the band is gated on its own
+    inst = random_discrete_instance(0)
+    margins = inequalities.discrete_precondition_margins
+    monkeypatch.setattr(
+        inequalities, "discrete_precondition_margins",
+        lambda inst: {**margins(inst), "step_product_high": np.nan},
+    )
+    with pytest.raises(PreconditionFailed) as info:
+        bound_discrete(inst)
+    assert info.value.condition == "step_product_in_(0,1)"
+
+
+def test_a_nan_trajectory_violates_the_continuous_bound():
+    # every condition sample is an integer time, every RK4 midpoint NaN
+    alpha = lambda t: np.where(np.asarray(t) % 1.0 == 0.0, 0.0, np.nan)
+    with pytest.raises(BoundViolated) as info:
+        bound_continuous(_continuous(alpha=alpha), n_steps=10,
+                         n_condition_samples=11)
+    assert info.value.location == 1.0
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_a_nan_gap_fails_the_verdict(strict):
+    grid = np.arange(4.0)
+    with pytest.raises(BoundViolated) as info:
+        inequalities._verdict(grid, np.array([0.1, 0.2, np.nan, 0.1]),
+                              np.ones(4), strict)
+    assert info.value.location == 2.0
+
+
+_T_NAN = np.linspace(0.0, 10.0, 200)[1]  # a sample of these checks only
+
+
+@pytest.mark.parametrize(
+    "condition, inst, h_map",
+    [
+        ("dissipativity", _continuous(gamma=nan_at(1.0, _T_NAN)), None),
+        ("forcing", _continuous(beta=nan_at(0.0, _T_NAN)), None),
+        # NaN away from the trajectory, which stays in the ball of 0.4
+        ("growth", _continuous(),
+         lambda t, u: u.with_values(np.zeros(2) if u.norm() < 0.4
+                                    else np.full(2, np.nan))),
+    ],
+    ids=["dissipativity", "forcing", "growth"],
+)
+def test_a_nan_evolution_sample_fails_its_hypothesis(condition, inst, h_map):
+    with pytest.raises(PreconditionFailed) as info:
+        evolution_norm_bound(*_decaying_system(h_map), inst, T=10.0, n_steps=100)
+    assert info.value.condition == condition

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from monoreg import (
     BudgetExceeded,
     ConstraintViolated,
+    InvalidConfig,
     ValidationParams,
     find_continuous,
     find_discrete,
@@ -70,8 +71,9 @@ def test_exponent_ranges_per_kind():
 def test_discrete_ratio_boundary():
     s = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=5.0)
     assert s.a(0) / s.a(1) == pytest.approx(2.0)
-    with pytest.raises(ConstraintViolated):
-        make_discrete(NEWTON_ITER, b=1.0, d_or_c=0.5, d0=5.0)
+    for d_or_c in (0.5, np.nan):
+        with pytest.raises(ConstraintViolated, match="d_or_c >= 1"):
+            make_discrete(NEWTON_ITER, b=1.0, d_or_c=d_or_c, d0=5.0)
 
 
 def test_benchmark_heuristic_scale():
@@ -140,6 +142,13 @@ def _params(**overrides):
     )
     defaults.update(overrides)
     return ValidationParams(**defaults)
+
+
+@pytest.mark.parametrize("field", ["m1", "c0", "c1", "y_norm", "residual0"])
+@pytest.mark.parametrize("value", [-1.0, np.nan])
+def test_validation_params_must_be_nonnegative(field, value):
+    with pytest.raises(InvalidConfig, match=f"{field} must be nonnegative"):
+        _params(**{field: value})
 
 
 def test_equality_ratio_condition_passes_at_zero_margin():
