@@ -30,7 +30,6 @@ from .core import (
     check_monotonicity,
     fd_derivative_check,
     identity_map,
-    identity_operator,
     solve_shifted,
     zero_map,
 )
@@ -42,7 +41,6 @@ from .discrepancy import (
     DPResult,
     accept_candidate,
     solve_dp,
-    solve_dp_shifted,
 )
 from .errors import (
     BoundViolated,
@@ -56,7 +54,6 @@ from .errors import (
     NoDerivative,
     NonConvergence,
     NonFinite,
-    NoRoot,
     PreconditionFailed,
     SolveFailed,
 )
@@ -83,7 +80,6 @@ from .iterations import (
 )
 from .regularized import (
     RegularizedSolution,
-    bracket_for_target,
     phi_psi,
     solve_regularized,
 )

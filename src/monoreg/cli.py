@@ -97,8 +97,9 @@ def _keys(config_class) -> set[str]:
 def _read(cfg: dict, where: str, allowed: set[str], build: Callable):
     """build(section) for the config section `where` after its key check.
 
-    A missing key, a value of the wrong type and a value out of range all
-    become one ConfigError that names the section.
+    A missing key, a value of the wrong type and a value out of range (an
+    integer too large for a float included) all become one ConfigError
+    that names the section.
     """
     section = cfg.get(where, {})
     _expect_keys(section, allowed, where)
@@ -106,7 +107,8 @@ def _read(cfg: dict, where: str, allowed: set[str], build: Callable):
         return build(section)
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}", key=where) from exc
-    except (TypeError, ValueError, InvalidConfig, ConstraintViolated) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidConfig,
+            ConstraintViolated) as exc:
         raise ConfigError(str(exc), key=where) from exc
 
 
@@ -228,7 +230,9 @@ def _sweep(cfg: dict, args, stem: str, solve) -> int:
 
 
 def _cmd_dp(cfg: dict, args) -> int:
-    dp_cfg = _read(cfg, "dp", _keys(DPConfig), lambda section: DPConfig(**section))
+    # the keys solve_dp reads; theta, C1 and C2 serve accept_candidate only
+    dp_cfg = _read(cfg, "dp", {"C", "gamma", "dp_tol"},
+                   lambda section: DPConfig(**section))
 
     def solve(problem, f_delta, delta, history):
         result = solve_dp(problem.F, f_delta, delta, dp_cfg)

@@ -9,7 +9,7 @@ here: `HilbertVector`, `LinearMap`, and `NonlinearOperator`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -276,22 +276,6 @@ class NonlinearOperator:
             raise NoDerivative("operator declares no derivative")
         return self.derivative(u)
 
-    def shifted(self, u_bar: HilbertVector) -> "NonlinearOperator":
-        """The composed operator w -> F(w + u_bar); monotone iff F is."""
-
-        def apply_fn(w: HilbertVector) -> HilbertVector:
-            return self.apply(w + u_bar)
-
-        deriv_fn = None
-        if self.derivative is not None:
-            deriv_fn = lambda w: self.derivative(w + u_bar)
-        return NonlinearOperator(apply_fn, deriv_fn, self.bounds)
-
-
-def identity_operator(weights: np.ndarray) -> NonlinearOperator:
-    eye = identity_map(weights)
-    return NonlinearOperator(lambda u: u, lambda u: eye, OperatorBounds(m1=1.0))
-
 
 @dataclass(frozen=True)
 class BallSampler:
@@ -328,15 +312,6 @@ class MonotonicityReport:
     tol: float
     passed: bool
     worst_index: int
-
-    def to_dict(self) -> dict:
-        return {
-            "min_inner": self.min_inner,
-            "n_pairs": self.n_pairs,
-            "tol": self.tol,
-            "passed": self.passed,
-            "worst_index": self.worst_index,
-        }
 
 
 def check_monotonicity(

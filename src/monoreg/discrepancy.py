@@ -10,13 +10,11 @@ two-condition test in `accept_candidate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator
 from .errors import InvalidConfig, NonConvergence
-from .regularized import _bracket_search, solve_regularized
+from .regularized import _bracket_search, _require_finite, solve_regularized
 from .reports import check_stop_constants, stop_level
 
 CONVERGED = "converged"
@@ -107,15 +105,17 @@ def solve_dp(
 ) -> DPResult:
     """Find a(delta) with ||F(V_a) - f_delta|| = C * delta**gamma.
 
-    Bisection on the bracket from `bracket_for_target`, exploiting the
-    strict monotonicity of phi.  Inner solves are warm-started along the
-    bisection path and run well below dp_tol so the measured residual is
-    trustworthy at the match tolerance.
+    phi is strictly increasing and tends to r0 = ||F(0) - f_delta|| from
+    below, so a root exists iff r0 exceeds the target, and bisection on a
+    geometric bracket grown from a_init finds it.  Inner solves are
+    warm-started along the bisection path and run well below dp_tol so the
+    measured residual is trustworthy at the match tolerance.
     """
     cfg.check_delta(delta)
     target = cfg.target(delta)
     zero = HilbertVector.zeros(f_delta.weights)
     r0 = (F(zero) - f_delta).norm()
+    _require_finite(r0, "||F(0) - f_delta||, the ceiling of phi,")
     if r0 <= target:
         return DPResult(
             a_delta=math.inf,
@@ -162,24 +162,6 @@ def solve_dp(
     )
 
 
-def solve_dp_shifted(
-    F: NonlinearOperator,
-    f_delta: HilbertVector,
-    delta: float,
-    cfg: DPConfig,
-    u_bar: HilbertVector,
-) -> DPResult:
-    """Residual matching for the recentered equation
-    F(V) + a (V - u_bar) = f_delta.
-
-    Reduces to `solve_dp` for the composed operator w -> F(w + u_bar) and
-    returns V = w + u_bar; the solution converges (as delta -> 0) to the
-    solution nearest u_bar rather than the minimal-norm one.
-    """
-    inner = solve_dp(F.shifted(u_bar), f_delta, delta, cfg)
-    return replace(inner, V=inner.V + u_bar)
-
-
 @dataclass(frozen=True)
 class AcceptanceReport:
     """Both measured sides of the two-condition candidate test."""
@@ -192,18 +174,6 @@ class AcceptanceReport:
     residual: float
     residual_lo: float
     residual_hi: float
-
-    def to_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "defect_ok": self.defect_ok,
-            "residual_ok": self.residual_ok,
-            "defect_norm": self.defect_norm,
-            "defect_bound": self.defect_bound,
-            "residual": self.residual,
-            "residual_lo": self.residual_lo,
-            "residual_hi": self.residual_hi,
-        }
 
 
 def accept_candidate(

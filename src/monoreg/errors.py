@@ -25,10 +25,6 @@ class NonConvergence(MonoregError):
     """An inner nonlinear solve exhausted its iteration budget."""
 
 
-class NoRoot(MonoregError):
-    """The residual target is not attainable for any positive shift."""
-
-
 class BudgetExceeded(MonoregError):
     """A bracketing or search loop ran out of its expansion budget."""
 

@@ -355,15 +355,6 @@ class ComparisonReport:
     norms: np.ndarray
     bound: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_margin": self.min_margin,
-            "margin_at": self.margin_at,
-            "max_norm": self.max_norm,
-            "precondition_margins": dict(self.precondition_margins),
-        }
-
 
 def evolution_norm_bound(
     A: LinearMap,

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator, solve_shifted, weighted_norm
-from .errors import BudgetExceeded, NoDerivative, NonConvergence, NonFinite, NoRoot
+from .errors import BudgetExceeded, NoDerivative, NonConvergence, NonFinite
 
 MAX_NEWTON = 200
 MAX_RELAX = 10_000
@@ -154,38 +154,16 @@ def phi_psi(
     return a * psi, psi
 
 
-def bracket_for_target(
-    F: NonlinearOperator,
-    f_delta: HilbertVector,
-    target: float,
-    a_init: float,
-    tol: float | None = None,
-) -> tuple[float, float]:
-    """Geometric bracket (a_lo, a_hi] with phi(a_lo) < target <= phi(a_hi).
+def _bracket_search(F, f_delta, target, a_init, tol):
+    """Geometric bracket (a_lo, a_hi] with phi(a_lo) < target <= phi(a_hi),
+    with the number of phi evaluations and the last solution.
 
     phi is strictly increasing in a and tends to ||F(0) - f_delta|| from
-    below, so a target at or above that ceiling has no root (NoRoot) and
-    any smaller positive target brackets after finitely many doublings.
+    below; the caller guarantees a positive target below that ceiling, so
+    the bracket closes after finitely many doublings.
     """
-    lo, hi, _, _ = _bracket_search(F, f_delta, target, a_init, tol)
-    return lo, hi
-
-
-def _bracket_search(F, f_delta, target, a_init, tol):
-    """As bracket_for_target, also returning (evaluations, last solution)."""
-    if target <= 0:
-        raise ValueError("target must be positive")
     if a_init <= 0:
         raise ValueError("a_init must be positive")
-    zero = HilbertVector.zeros(f_delta.weights)
-    ceiling = (F(zero) - f_delta).norm()
-    _require_finite(ceiling, "||F(0) - f_delta||, the ceiling of phi,")
-    if target >= ceiling:
-        raise NoRoot(
-            f"target {target:g} is not attainable: phi is bounded above by "
-            f"||F(0) - f_delta|| = {ceiling:g}"
-        )
-
     a = a_init
     warm = None
     evals = 0

@@ -166,6 +166,13 @@ _CONST = {"form": "const", "value": 1.0}
         # a_rtol is a module constant, not a key of the dp section
         ("dp", {"problem": {"kind": "rank_one"},
                 "dp": {"C": 1.5, "gamma": 1.0, "a_rtol": 1e-12}}, "dp: "),
+        # solve_dp never reads the acceptance-test constants
+        ("dp", {"problem": {"kind": "rank_one"},
+                "dp": {"C": 1.5, "gamma": 1.0, "theta": 2.0}}, "dp: "),
+        ("dp", {"problem": {"kind": "rank_one"},
+                "dp": {"C": 1.5, "gamma": 1.0, "C1": 0.1}}, "dp: "),
+        ("dp", {"problem": {"kind": "rank_one"},
+                "dp": {"C": 1.5, "gamma": 1.0, "C2": 99.0}}, "dp: "),
         # an empty budget or horizon runs no step at all
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
                      "method": "simple",
@@ -224,12 +231,17 @@ _CONST = {"form": "const", "value": 1.0}
                                "alpha": {"form": "exp", "coef": math.nan},
                                "beta": _CONST, "gamma": _CONST, "mu": _CONST}},
          "instance.alpha: coef must be finite, got nan"),
+        # an integer literal too large for a float
+        ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
+                               "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
+                               "gamma": {"form": "const", "value": 10**400},
+                               "mu": _CONST}}, "instance: "),
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
-         "string-t-max", "dp-a-rtol", "zero-n-max", "negative-t-max",
-         "zero-bench-n-max", "negative-m1", "zero-inner-tol", "zero-n-steps",
-         "negative-n-steps", "nan-y-norm", "nan-d-or-c", "nan-delta-rel",
-         "nan-g0", "nan-coef"],
+         "string-t-max", "dp-a-rtol", "dp-theta", "dp-c1", "dp-c2",
+         "zero-n-max", "negative-t-max", "zero-bench-n-max", "negative-m1",
+         "zero-inner-tol", "zero-n-steps", "negative-n-steps", "nan-y-norm",
+         "nan-d-or-c", "nan-delta-rel", "nan-g0", "nan-coef", "overflowing-int"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(

@@ -16,7 +16,6 @@ from monoreg import (
     fd_derivative_check,
     hammerstein_operator,
     identity_map,
-    identity_operator,
     solve_shifted,
     zero_map,
 )
@@ -33,7 +32,7 @@ from monoreg.bench import (
     trapezoid_weights,
 )
 
-from helpers import const_vector
+from helpers import const_vector, identity_operator
 
 
 def vec(values, weights=None):

@@ -12,15 +12,13 @@ from monoreg import (
     NonFinite,
     accept_candidate,
     gen_noise,
-    identity_operator,
     rank_one_problem,
     solve_dp,
-    solve_dp_shifted,
     solve_regularized,
 )
 from monoreg.bench import NoiseSpec
 
-from helpers import const_vector
+from helpers import const_vector, identity_operator
 
 
 def test_one_dimensional_closed_form():
@@ -92,40 +90,6 @@ def test_dp_error_decreases_with_noise(ham50, ham_data):
         result = solve_dp(F, f_delta, delta, cfg)
         errors.append((result.V - one).norm() / one.norm())
     assert errors[0] > errors[1] > errors[2]
-
-
-# ------------------------------------------------------------- shifted form
-
-
-def test_shifted_with_zero_center_matches_plain(ham50, ham_data):
-    prob, F = ham50
-    f_delta, delta = gen_noise(ham_data, NoiseSpec(0.01, seed=2))
-    cfg = DPConfig(C=1.01, gamma=0.9)
-    plain = solve_dp(F, f_delta, delta, cfg)
-    shifted = solve_dp_shifted(
-        F, f_delta, delta, cfg, HilbertVector.zeros(prob.weights)
-    )
-    assert shifted.a_delta == pytest.approx(plain.a_delta, rel=1e-9)
-    assert (shifted.V - plain.V).norm() <= 1e-8
-
-
-def test_shifted_center_already_solving(unit_pair):
-    F = identity_operator(unit_pair)
-    f = const_vector(2.0, unit_pair)
-    cfg = DPConfig(C=1.5, gamma=0.5)
-    result = solve_dp_shifted(F, f, delta=0.01, cfg=cfg, u_bar=f)
-    assert result.status == ALREADY_COMPATIBLE
-    assert (result.V - f).norm() == 0.0
-
-
-def test_shifted_near_solution_on_benchmark(ham50, ham_data):
-    prob, F = ham50
-    one = prob.exact_solution
-    f_delta, delta = gen_noise(ham_data, NoiseSpec(0.001, seed=4))
-    cfg = DPConfig(C=1.01, gamma=0.9)
-    result = solve_dp_shifted(F, f_delta, delta, cfg, 0.9 * one)
-    assert result.status == CONVERGED
-    assert (result.V - one).norm() / one.norm() <= 0.02
 
 
 # --------------------------------------------------------------- acceptance

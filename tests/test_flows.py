@@ -18,7 +18,6 @@ from monoreg import (
     flow_simple,
     gen_noise,
     identity_map,
-    identity_operator,
     init_u0,
     iter_gradient,
     iter_newton,
@@ -43,6 +42,8 @@ from monoreg.schedules import (
     SIMPLE_FLOW,
     SIMPLE_ITER,
 )
+
+from helpers import identity_operator
 
 
 def scalar_problem():

@@ -12,7 +12,6 @@ from monoreg import (
     gen_noise,
     hammerstein_operator,
     identity_map,
-    identity_operator,
     iter_gradient,
     iter_newton,
     iter_simple,
@@ -25,7 +24,7 @@ from monoreg.iterations import DEFAULT_N_MAX
 from monoreg.reports import STOPPED_BY_DISCREPANCY
 from monoreg.schedules import GRADIENT_ITER, NEWTON_ITER, SIMPLE_ITER
 
-from helpers import const_vector
+from helpers import identity_operator
 
 
 def one_dim(value=1.0):

@@ -6,19 +6,17 @@ from monoreg import (
     BallSampler,
     HilbertVector,
     NonFinite,
-    NoRoot,
     NonlinearOperator,
     OperatorBounds,
-    bracket_for_target,
     gen_noise,
-    identity_operator,
     phi_psi,
     solve_regularized,
     zero_map,
 )
 from monoreg.bench import NoiseSpec
+from monoreg.regularized import _bracket_search
 
-from helpers import const_vector
+from helpers import const_vector, identity_operator
 
 
 def test_zero_operator():
@@ -144,7 +142,7 @@ def test_phi_increasing_psi_nonincreasing_on_benchmark(ham50, ham_data):
 def test_bracket_geometric_expansion(unit_pair):
     F = identity_operator(unit_pair)
     f = const_vector(2.0, unit_pair)  # phi(a) = 2a / (1 + a)
-    lo, hi = bracket_for_target(F, f, target=1.0, a_init=0.25)
+    lo, hi, _, _ = _bracket_search(F, f, 1.0, 0.25, None)
     assert lo == pytest.approx(0.5)
     assert hi == pytest.approx(1.0)
 
@@ -152,24 +150,17 @@ def test_bracket_geometric_expansion(unit_pair):
 def test_bracket_contraction_from_above(unit_pair):
     F = identity_operator(unit_pair)
     f = const_vector(2.0, unit_pair)
-    lo, hi = bracket_for_target(F, f, target=0.5, a_init=8.0)
+    lo, hi, _, _ = _bracket_search(F, f, 0.5, 8.0, None)
     phi_lo, _ = phi_psi(F, f, lo)
     phi_hi, _ = phi_psi(F, f, hi)
     assert phi_lo < 0.5 <= phi_hi
-
-
-def test_bracket_no_root_above_ceiling(unit_pair):
-    F = identity_operator(unit_pair)
-    f = const_vector(2.0, unit_pair)
-    with pytest.raises(NoRoot):
-        bracket_for_target(F, f, target=2.5, a_init=1.0)
 
 
 def test_bracket_on_noisy_benchmark(ham50, ham_data):
     prob, F = ham50
     f_delta, delta = gen_noise(ham_data, NoiseSpec(0.02, seed=11))
     target = 1.01 * delta**0.9
-    lo, hi = bracket_for_target(F, f_delta, target, a_init=1.0, tol=1e-12)
+    lo, hi, _, _ = _bracket_search(F, f_delta, target, 1.0, 1e-12)
     phi_lo, _ = phi_psi(F, f_delta, lo, tol=1e-12)
     phi_hi, _ = phi_psi(F, f_delta, hi, tol=1e-12)
     assert phi_lo < target <= phi_hi
