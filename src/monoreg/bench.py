@@ -276,24 +276,30 @@ def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> Linear
     is symmetric against the quadrature weights and D is diagonal.  A
     matrix-free map with its own shifted solver above `DENSE_KERNEL_LIMIT`."""
     _check_grid(prob, u)
+    slope = nonlinearity_slope(u.values)
     if prob.kernel is None:
-        return _matrix_free_map(prob, nonlinearity_slope(u.values))
-    # the kernel entries are positive, so adding 0.0 off the diagonal (as
-    # kernel + np.diag(slope) would) changes no bit; skip its N x N temporary
-    matrix = prob.kernel.copy()
-    diagonal = diagonal_view(matrix)
-    diagonal += nonlinearity_slope(u.values)
+        return _matrix_free_map(prob, slope)
     w = prob.weights
+
+    def forward() -> np.ndarray:
+        # the kernel entries are positive, so adding 0.0 off the diagonal
+        # (as kernel + np.diag(slope) would) changes no bit; skip its N x N
+        # temporary
+        matrix = prob.kernel.copy()
+        diagonal_view(matrix)[:] += slope
+        return matrix
 
     def adjoint() -> np.ndarray:
         # W^{-1} (K + D)^T W differs from the cached W^{-1} K^T W only on the
         # diagonal, entry (d_i w_i) / w_i as the generic expression has it.
         # The copy keeps the F order, and with it the bits of every product.
         adj = prob.kernel_adjoint.copy(order="K")
-        diagonal_view(adj)[:] = (diagonal * w) / w
+        diagonal_view(adj)[:] = ((prob.kernel.diagonal() + slope) * w) / w
         return adj
 
-    return LinearMap.from_matrix(matrix, w, adjoint)
+    # both built on first use: the gradient direction applies only the
+    # adjoint, a newton step only the forward matrix
+    return LinearMap.from_matrix(forward, w, adjoint)
 
 
 @functools.cache

@@ -178,7 +178,13 @@ def _noise_grid(cfg: dict, args) -> tuple[list[float], list[int]]:
             seeds = [args.seed]
         if not delta_rel or not seeds:
             raise ConfigError("noise grid is empty", key="noise")
-        return [float(x) for x in delta_rel], [int(s) for s in seeds]
+        levels = [float(x) for x in delta_rel]
+        # every level is checked before the first row is solved
+        for level in levels:
+            if not level > 0:
+                raise ConfigError(f"delta_rel must be positive, got {level}",
+                                  key="noise.delta_rel")
+        return levels, [int(s) for s in seeds]
 
     return _read(cfg, "noise", {"delta_rel", "seeds"}, build)
 

@@ -143,12 +143,13 @@ class LinearMap:
 
     The adjoint is taken with respect to the weighted inner product: for a
     dense matrix M acting on values, ``M* = W^{-1} M^T W`` with
-    ``W = diag(weights)``.  `shifted_solver` factorizes the shifted map:
-    it takes a shift a > 0 and returns a function from right-hand-side
-    values b to the values of x with (M + aI) x = b, up to rounding.  A
-    map that holds a matrix of at most DENSE_LIMIT rows and brings no
-    solver gets dense LU (`_lu_solver`); `solve_shifted` runs GMRES on a
-    map left without one.
+    ``W = diag(weights)``.  `matrix` is M itself or a zero-argument
+    function that returns M, the same array at every call.
+    `shifted_solver` factorizes the shifted map: it takes a shift a > 0
+    and returns a function from right-hand-side values b to the values of
+    x with (M + aI) x = b, up to rounding.  A map that holds a matrix of
+    at most DENSE_LIMIT rows and brings no solver gets dense LU
+    (`_lu_solver`); `solve_shifted` runs GMRES on a map left without one.
     """
 
     def __init__(
@@ -156,16 +157,19 @@ class LinearMap:
         apply_fn: Callable[[HilbertVector], HilbertVector],
         adjoint_fn: Callable[[HilbertVector], HilbertVector],
         weights: np.ndarray,
-        matrix: np.ndarray | None = None,
+        matrix: np.ndarray | Callable[[], np.ndarray] | None = None,
         shifted_solver: Callable[[float], Callable[[np.ndarray], np.ndarray]]
         | None = None,
     ):
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self.weights = np.asarray(weights, dtype=float)
-        self._matrix = matrix
-        if shifted_solver is None and matrix is not None and len(matrix) <= DENSE_LIMIT:
-            shifted_solver = lambda a: _lu_solver(matrix, a)
+        build = matrix if matrix is None or callable(matrix) else lambda: matrix
+        # a zero-argument function returning the matrix, or None
+        self._matrix = build
+        if (shifted_solver is None and build is not None
+                and self.dimension <= DENSE_LIMIT):
+            shifted_solver = lambda a: _lu_solver(build(), a)
         self.shifted_solver = shifted_solver
 
     @property
@@ -175,22 +179,37 @@ class LinearMap:
     @classmethod
     def from_matrix(
         cls,
-        matrix: np.ndarray,
+        matrix: np.ndarray | Callable[[], np.ndarray],
         weights: np.ndarray,
         adjoint: Callable[[], np.ndarray] | None = None,
     ) -> "LinearMap":
-        """The map v -> matrix @ v.  `adjoint`, when given, returns the
-        matrix of the weighted adjoint W^{-1} M^T W; a caller that knows
-        most of it already (bench.hammerstein_derivative) builds it cheaper
-        than the generic expression."""
-        matrix = np.asarray(matrix, dtype=float)
+        """The map v -> M @ v.  `matrix` is M, or a zero-argument function
+        that builds it on the first product, solve or `to_dense`; `adjoint`,
+        when given, returns the matrix of the weighted adjoint
+        W^{-1} M^T W, built on the first adjoint product.  A caller that
+        knows most of it already (bench.hammerstein_derivative) builds it
+        cheaper than the generic expression, and passes both builders: the
+        gradient direction applies only the adjoint."""
         weights = np.asarray(weights, dtype=float)
-        if matrix.shape != (weights.size, weights.size):
-            raise GridMismatch("matrix shape does not match the grid")
-        adj = None
+        if callable(matrix):
+            build, M = matrix, None
 
-        def apply_fn(v: HilbertVector) -> HilbertVector:
-            return HilbertVector._trusted(matrix @ v.values, v.weights)
+            def forward() -> np.ndarray:
+                nonlocal M
+                if M is None:
+                    M = _square(build(), weights)
+                return M
+
+            def apply_fn(v: HilbertVector) -> HilbertVector:
+                return HilbertVector._trusted(forward() @ v.values, v.weights)
+        else:
+            M = _square(matrix, weights)
+            forward = lambda: M
+
+            def apply_fn(v: HilbertVector) -> HilbertVector:
+                return HilbertVector._trusted(M @ v.values, v.weights)
+
+        adj = None
 
         def adjoint_fn(v: HilbertVector) -> HilbertVector:
             # built on first use: the newton paths never take an adjoint
@@ -199,11 +218,11 @@ class LinearMap:
                 if adjoint is not None:
                     adj = adjoint()
                 else:
-                    adj = matrix.T * weights[None, :]
+                    adj = forward().T * weights[None, :]
                     adj /= weights[:, None]
             return HilbertVector._trusted(adj @ v.values, v.weights)
 
-        return cls(apply_fn, adjoint_fn, weights, matrix=matrix)
+        return cls(apply_fn, adjoint_fn, weights, matrix=forward)
 
     def __call__(self, v: HilbertVector) -> HilbertVector:
         return self._apply(v)
@@ -214,7 +233,7 @@ class LinearMap:
     def to_dense(self) -> np.ndarray:
         """The matrix the map holds, or a new one built by N products."""
         if self._matrix is not None:
-            return self._matrix
+            return self._matrix()
         n = self.dimension
         cols = np.empty((n, n))
         for j in range(n):
@@ -222,6 +241,13 @@ class LinearMap:
             e[j] = 1.0
             cols[:, j] = self._apply(HilbertVector._trusted(e, self.weights)).values
         return cols
+
+
+def _square(matrix, weights: np.ndarray) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (weights.size, weights.size):
+        raise GridMismatch("matrix shape does not match the grid")
+    return matrix
 
 
 def diagonal_view(matrix: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ dissipative finite-dimensional evolution equation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -218,25 +219,35 @@ def bound_continuous(
         )
 
     t_left = ts[:-1]
-    c_left = coefficients(t_left)
-    c_mid = coefficients(t_left + 0.5 * dt)
-    c_right = coefficients(t_left + dt)
-    p = inst.p
+    nodes = zip(*coefficients(t_left), *coefficients(t_left + 0.5 * dt),
+                *coefficients(t_left + dt))
+    p, half = inst.p, 0.5 * dt
 
-    def rhs(c, k, g):
-        g = max(g, 0.0)
-        return -c[0][k] * g + c[1][k] * g ** p + c[2][k]
-
+    # The right-hand side -gamma x + alpha x**p + beta at x = max(g, 0),
+    # written out per stage in Python floats.  `if 0.0 > x: x = 0.0` is
+    # x = max(x, 0.0): it keeps NaN and -0.0 as max does.  The state g
+    # entering a step is g0 >= 0 or a clamped value, so k1 needs no clamp.
     g = float(inst.g0)
-    traj = np.empty(n_steps + 1)
-    traj[0] = g
-    for k in range(n_steps):
-        k1 = rhs(c_left, k, g)
-        k2 = rhs(c_mid, k, g + 0.5 * dt * k1)
-        k3 = rhs(c_mid, k, g + 0.5 * dt * k2)
-        k4 = rhs(c_right, k, g + dt * k3)
-        g = max(g + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
-        traj[k + 1] = g
+    traj = [g]
+    for gl, al, bl, gm, am, bm, gr, ar, br in nodes:
+        k1 = -gl * g + al * g ** p + bl
+        x = g + half * k1
+        if 0.0 > x:
+            x = 0.0
+        k2 = -gm * x + am * x ** p + bm
+        x = g + half * k2
+        if 0.0 > x:
+            x = 0.0
+        k3 = -gm * x + am * x ** p + bm
+        x = g + dt * k3
+        if 0.0 > x:
+            x = 0.0
+        k4 = -gr * x + ar * x ** p + br
+        g = g + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if 0.0 > g:
+            g = 0.0
+        traj.append(g)
+    traj = np.array(traj)
     bound = 1.0 / np.asarray(inst.mu(ts), dtype=float)
     min_margin, margin_at = _verdict(ts, traj, bound, strict=True)
     return BoundReport(
@@ -288,16 +299,24 @@ def bound_discrete(inst: DiscreteInequality) -> BoundReport:
     _require("initial_gap", 0, margins["initial_gap"])
 
     n_last = inst.n_last
-    traj = np.empty(n_last + 1)
-    traj[0] = inst.g0
+    p = inst.p
     g = float(inst.g0)
-    for n in range(n_last):
-        g = (
-            g * (1.0 - inst.h[n] * inst.gamma[n])
-            + inst.alpha[n] * inst.h[n] * max(g, 0.0) ** inst.p
-            + inst.h[n] * inst.beta[n]
-        )
-        traj[n + 1] = g
+    traj = [g]
+    for h, gamma, alpha, beta in zip(
+        *(a[:n_last].tolist() for a in (inst.h, inst.gamma, inst.alpha, inst.beta))
+    ):
+        x = g
+        if 0.0 > x:  # x = max(g, 0.0), NaN and -0.0 kept
+            x = 0.0
+        try:
+            growth = alpha * h * x ** p
+        except OverflowError:
+            # a float power raises where a NumPy scalar one gives inf; the
+            # trajectory then fails the bound at the next index
+            growth = alpha * h * math.inf
+        g = g * (1.0 - h * gamma) + growth + h * beta
+        traj.append(g)
+    traj = np.array(traj)
     bound = 1.0 / inst.mu
     # integer indices: a crossing is located at its index n
     n = np.arange(n_last + 1)

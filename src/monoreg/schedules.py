@@ -10,6 +10,7 @@ large" scale parameter that makes a set pass.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -221,9 +222,14 @@ def _check(name, lhs, rhs, where, strict=False) -> ConditionCheck:
     return ConditionCheck(name, ok, margin, at, strict)
 
 
+@functools.lru_cache(maxsize=8)
 def _time_grid(horizon: float, n: int = 1000) -> np.ndarray:
+    # built once per horizon: a schedule search validates hundreds of
+    # candidates on it, so the one array every caller shares is read-only
     lo = max(horizon * 1e-9, 1e-12)
-    return np.concatenate(([0.0], np.geomspace(lo, horizon, n)))
+    t = np.concatenate(([0.0], np.geomspace(lo, horizon, n)))
+    t.setflags(write=False)
+    return t
 
 
 def validate_conditions(schedule, params: ValidationParams) -> ConditionReport:

@@ -1,13 +1,19 @@
 """The solver and RK4 loops keep their states as arrays and wrap only the
-vectors they hand to callbacks.  These tests pin that down: the bits
-equal those of the same loop written in vector arithmetic, every grid
-check of that arithmetic still raises, and evolution_norm_bound calls
-its forcing once per time node."""
+vectors they hand to callbacks, and the scalar loops of the bound checkers
+run on Python floats.  These tests pin that down: the bits equal those of
+the same loop written in vector arithmetic (or, for the bound checkers,
+with a right-hand-side closure and NumPy indexing), every grid check of
+that arithmetic still raises, and evolution_norm_bound calls its forcing
+once per time node."""
+import math
+
 import numpy as np
 import pytest
 
 from monoreg import (
+    BoundViolated,
     ContinuousInequality,
+    DiscreteInequality,
     FlowConfig,
     GridMismatch,
     HilbertVector,
@@ -16,6 +22,8 @@ from monoreg import (
     LinearMap,
     NonlinearOperator,
     OperatorBounds,
+    bound_continuous,
+    bound_discrete,
     evolution_norm_bound,
     flow_gradient,
     flow_newton,
@@ -26,6 +34,8 @@ from monoreg import (
     iter_simple,
     make_continuous,
     make_discrete,
+    random_continuous_instance,
+    random_discrete_instance,
     solve_regularized,
     solve_shifted,
 )
@@ -214,6 +224,157 @@ def test_evolution_calls_forcing_once_per_time_node():
     # 200 margin samples of the forcing; k2 and k3 share t + dt/2
     assert calls["f"] == 3 * n_steps + 200
     assert calls["h"] == 4 * n_steps + N_GROWTH_SAMPLES
+
+
+def reference_continuous_trajectory(inst, n_steps):
+    """The RK4 loop of bound_continuous with a right-hand-side closure that
+    indexes per-node coefficient lists, writing into a NumPy array."""
+    dt = (inst.horizon - inst.tau0) / n_steps
+    ts = inst.tau0 + dt * np.arange(n_steps + 1)
+
+    def coefficients(t):
+        return tuple(
+            np.broadcast_to(np.asarray(f(t), dtype=float), t.shape).tolist()
+            for f in (inst.gamma, inst.alpha, inst.beta)
+        )
+
+    t_left = ts[:-1]
+    c_left = coefficients(t_left)
+    c_mid = coefficients(t_left + 0.5 * dt)
+    c_right = coefficients(t_left + dt)
+    p = inst.p
+
+    def rhs(c, k, g):
+        g = max(g, 0.0)
+        return -c[0][k] * g + c[1][k] * g ** p + c[2][k]
+
+    g = float(inst.g0)
+    traj = np.empty(n_steps + 1)
+    traj[0] = g
+    for k in range(n_steps):
+        k1 = rhs(c_left, k, g)
+        k2 = rhs(c_mid, k, g + 0.5 * dt * k1)
+        k3 = rhs(c_mid, k, g + 0.5 * dt * k2)
+        k4 = rhs(c_right, k, g + dt * k3)
+        g = max(g + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
+        traj[k + 1] = g
+    return ts, traj, 1.0 / np.asarray(inst.mu(ts), dtype=float)
+
+
+def reference_discrete_trajectory(inst):
+    """The recursion of bound_discrete indexing the coefficient arrays."""
+    n_last = inst.n_last
+    traj = np.empty(n_last + 1)
+    traj[0] = inst.g0
+    g = float(inst.g0)
+    for n in range(n_last):
+        g = (
+            g * (1.0 - inst.h[n] * inst.gamma[n])
+            + inst.alpha[n] * inst.h[n] * max(g, 0.0) ** inst.p
+            + inst.h[n] * inst.beta[n]
+        )
+        traj[n + 1] = g
+    return np.arange(n_last + 1), traj, 1.0 / inst.mu
+
+
+def reference_verdict(grid, traj, bound, strict):
+    """(min_margin, margin_at), or the (location, value, bound) of the
+    first grid point whose gap is not > 0 (strict) or not >= 0."""
+    for x, g, b in zip(grid.tolist(), traj.tolist(), bound.tolist()):
+        if not (b - g > 0 if strict else b - g >= 0):
+            return ("violated", x, g, b)
+    i = int(np.argmin(bound - traj))
+    return bound[i] - traj[i], float(grid[i])
+
+
+def const(value):
+    return lambda t: value * np.ones_like(np.asarray(t, dtype=float))
+
+
+CONTINUOUS_SEEDS = range(24)
+
+
+def test_bound_continuous_has_the_bits_of_the_indexed_loop():
+    seen_p = set()
+    for seed in CONTINUOUS_SEEDS:
+        inst = random_continuous_instance(seed)
+        seen_p.add(inst.p)
+        report = bound_continuous(inst, n_steps=2000)
+        ts, traj, bound = reference_continuous_trajectory(inst, 2000)
+        assert report.trajectory.tobytes() == traj.tobytes()
+        assert (report.min_margin, report.margin_at) == reference_verdict(
+            ts, traj, bound, strict=True)
+    assert seen_p == {1.5, 2.0, 3.0}
+
+
+@pytest.mark.parametrize(
+    "gamma, alpha, beta, g0, dt",
+    # at gamma dt >= 2.4 the stage states overshoot below zero: the first
+    # instance clamps the last two stages and some steps, the second the
+    # first stage, the last stage and some steps; the third starts at -0.0
+    [(3.0, 0.0, 0.1, 0.5, 0.8), (5.0, 0.5, 0.0, 2.0, 1.0),
+     (3.0, 0.0, 0.1, -0.0, 0.8)],
+    ids=["late-stages", "first-stage", "signed-zero"],
+)
+def test_bound_continuous_clamps_as_max_does(gamma, alpha, beta, g0, dt):
+    n_steps = 20
+    inst = ContinuousInequality(p=2.0, alpha=const(alpha), beta=const(beta),
+                                gamma=const(gamma), mu=const(0.1),
+                                mu_dot=const(0.0), g0=g0, horizon=n_steps * dt)
+    if g0:
+        assert g0 + 0.5 * dt * (-gamma * g0 + alpha * g0 ** 2 + beta) < 0
+    report = bound_continuous(inst, n_steps=n_steps)
+    ts, traj, bound = reference_continuous_trajectory(inst, n_steps)
+    assert report.trajectory.tobytes() == traj.tobytes()
+    assert math.copysign(1.0, report.trajectory[0]) == math.copysign(1.0, g0)
+    assert (report.min_margin, report.margin_at) == reference_verdict(
+        ts, traj, bound, strict=True)
+
+
+def test_bound_continuous_fails_a_nan_coefficient_at_the_same_point():
+    # two condition samples (t = 0 and 10) miss the NaN window, the RK4
+    # nodes do not
+    beta = lambda t: np.where((t > 2.0) & (t < 3.0), np.nan, 0.1)
+    inst = ContinuousInequality(p=2.0, alpha=const(0.1), beta=beta,
+                                gamma=const(1.0), mu=const(1.0),
+                                mu_dot=const(0.0), g0=0.5, horizon=10.0)
+    with pytest.raises(BoundViolated) as info:
+        bound_continuous(inst, n_steps=100, n_condition_samples=2)
+    expected = reference_verdict(*reference_continuous_trajectory(inst, 100),
+                                 strict=True)
+    exc = info.value
+    assert repr(("violated", exc.location, exc.value, exc.bound)) == repr(expected)
+    assert math.isnan(exc.value) and 2.0 < exc.location <= 3.0
+
+
+def test_bound_discrete_has_the_bits_of_the_indexed_loop():
+    seen_p = set()
+    for seed in range(120):
+        inst = random_discrete_instance(seed)
+        seen_p.add(inst.p)
+        report = bound_discrete(inst)
+        n, traj, bound = reference_discrete_trajectory(inst)
+        assert report.trajectory.tobytes() == traj.tobytes()
+        assert (report.min_margin, report.margin_at) == reference_verdict(
+            n, traj, bound, strict=False)
+    assert seen_p == {1.5, 2.0, 3.0}
+
+
+def test_bound_discrete_fails_an_overflow_at_the_same_index():
+    # mu**3 is subnormal, so g**3 leaves the floats at step 1 although the
+    # hypotheses hold; NumPy scalars give inf there, and so must the loop
+    ones = np.ones(6)
+    inst = DiscreteInequality(p=3.0, alpha=1e-212 * ones, beta=1e104 * ones,
+                              gamma=0.5 * ones, mu=1e-105 * ones, h=ones,
+                              g0=5e102)
+    with pytest.raises(BoundViolated) as info:
+        bound_discrete(inst)
+    with np.errstate(over="ignore"):
+        expected = reference_verdict(*reference_discrete_trajectory(inst),
+                                     strict=False)
+    exc = info.value
+    assert (("violated", exc.location, exc.value, exc.bound) == expected
+            == ("violated", 2, math.inf, 1.0 / 1e-105))
 
 
 # ---------------------------------------------------------- grid checks

@@ -8,6 +8,7 @@ from monoreg import (
     HilbertVector,
     InvalidConfig,
     IterConfig,
+    LinearMap,
     NoiseSpec,
     Table1Config,
     fd_derivative_check,
@@ -19,6 +20,7 @@ from monoreg import (
     make_discrete,
     make_hammerstein,
     run_table1,
+    solve_shifted,
     trapezoid_weights,
 )
 from monoreg.bench import (
@@ -124,6 +126,33 @@ def test_derivative_adjoint_is_the_weighted_transpose_bit_for_bit(n, norm_mode):
             v = HilbertVector(rng.standard_normal(n), w)
             expected = ((M.T * w[None, :]) / w[:, None]) @ v.values
             assert np.array_equal(A.adjoint_apply(v).values, expected)
+
+
+def test_dense_derivative_builds_each_matrix_on_first_use(monkeypatch):
+    # the gradient direction applies only the adjoint, a newton step only
+    # the forward matrix
+    built = []
+    original = LinearMap.from_matrix
+
+    def counted(matrix, weights, adjoint):
+        return original(lambda: built.append("forward") or matrix(), weights,
+                        lambda: built.append("adjoint") or adjoint())
+
+    monkeypatch.setattr(LinearMap, "from_matrix", staticmethod(counted))
+    prob = make_hammerstein(20)
+    rng = np.random.Generator(np.random.PCG64(6))
+    u, v = (HilbertVector(rng.standard_normal(20), prob.weights)
+            for _ in range(2))
+    A = hammerstein_derivative(prob, u)
+    assert built == []
+    A.adjoint_apply(v)
+    A.adjoint_apply(v)
+    assert built == ["adjoint"]
+    A(v)
+    solve_shifted(A, 0.1, v)
+    expected = prob.kernel + np.diag(nonlinearity_slope(u.values))
+    assert np.array_equal(A.to_dense(), expected)
+    assert built == ["adjoint", "forward"]
 
 
 def test_newton_run_does_not_build_the_kernel_adjoint():

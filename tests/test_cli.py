@@ -2,11 +2,15 @@ import copy
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monoreg
 from monoreg.cli import emit_report, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -222,6 +226,12 @@ _CONST = {"form": "const", "value": 1.0}
                                "b": 0.5, "c": 9.0, "d": 1.0},
                   "noise": {"delta_rel": [math.nan]}},
          "delta_rel must be positive, got nan"),
+        # every noise level is checked before the first row is solved
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
+                  "schedule": {"form": "continuous", "kind": "simple_flow",
+                               "b": 0.5, "c": 9.0, "d": 1.0},
+                  "noise": {"delta_rel": [0.01, math.nan]}},
+         "noise.delta_rel: delta_rel must be positive, got nan"),
         ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": math.nan,
                                "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
                                "gamma": _CONST, "mu": _CONST}},
@@ -241,7 +251,8 @@ _CONST = {"form": "const", "value": 1.0}
          "string-t-max", "dp-a-rtol", "dp-theta", "dp-c1", "dp-c2",
          "zero-n-max", "negative-t-max", "zero-bench-n-max", "negative-m1",
          "zero-inner-tol", "zero-n-steps", "negative-n-steps", "nan-y-norm",
-         "nan-d-or-c", "nan-delta-rel", "nan-g0", "nan-coef", "overflowing-int"],
+         "nan-d-or-c", "nan-delta-rel", "nan-second-delta-rel", "nan-g0",
+         "nan-coef", "overflowing-int"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(
@@ -250,6 +261,24 @@ def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     assert main([command, "--config", cfg]) == 3
     assert section in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [[], ["--delta-rel", "0.01,nan"]])
+def test_every_noise_level_is_checked_before_the_first_solve(
+    tmp_path, capsys, monkeypatch, flag
+):
+    # the first level is valid: no noise is drawn for it either
+    drawn = []
+    monkeypatch.setattr("monoreg.bench.gen_noise",
+                        lambda *args: drawn.append(args))
+    cfg = json.loads((CONFIGS / "flow_gradient_hammerstein.json").read_text())
+    cfg["noise"]["delta_rel"] = [0.01, -0.5] if not flag else [0.01]
+    path = write_config(tmp_path, {**cfg, "output": {"dir": str(tmp_path)}})
+    assert main(["flow", "--config", path, *flag]) == 3
+    bad = "-0.5" if not flag else "nan"
+    assert (f"noise.delta_rel: delta_rel must be positive, got {bad}"
+            in capsys.readouterr().err)
+    assert drawn == []
 
 
 @pytest.mark.parametrize(
@@ -299,6 +328,51 @@ def test_small_shipped_configs_write_identical_csv_twice(tmp_path):
         assert csv[0] == csv[1], path.name
         ran.append(path.name)
     assert len(ran) == len(list(CONFIGS.glob("*.json"))) - 1
+
+
+# the shipped configs whose bytes must not depend on the BLAS thread count
+_THREAD_CHECKED = ("ineq_demo.json", "flow_gradient_hammerstein.json",
+                   "iterate_newton_hammerstein.json", "dp_hammerstein.json")
+_RUN_CONFIGS = """
+import json, sys
+from monoreg.cli import main
+for command, path, out in json.loads(sys.argv[1]):
+    for fmt in ("csv", "json"):
+        assert main([command, "--config", path, "--out", out, "--format", fmt]) == 0
+"""
+
+
+def test_small_shipped_configs_write_the_same_bytes_at_one_and_two_threads(
+    tmp_path,
+):
+    # one interpreter per thread count, run side by side; OpenBLAS reads
+    # the count when numpy loads
+    src = str(Path(monoreg.__file__).resolve().parents[1])
+    procs = []
+    for threads in ("1", "2"):
+        runs = [(_SUBCOMMAND[name.split("_")[0]], str(CONFIGS / name),
+                 str(tmp_path / threads / Path(name).stem))
+                for name in _THREAD_CHECKED]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", _RUN_CONFIGS, json.dumps(runs)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+    try:
+        errors = [proc.communicate(timeout=60)[1] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()  # a process that has exited ignores this
+            proc.wait()
+    for proc, err in zip(procs, errors):
+        assert proc.returncode == 0, err
+    written = sorted(p.relative_to(tmp_path / "1")
+                     for p in (tmp_path / "1").rglob("*") if p.is_file())
+    assert len(written) == 2 * len(_THREAD_CHECKED)
+    for path in written:
+        assert ((tmp_path / "1" / path).read_bytes()
+                == (tmp_path / "2" / path).read_bytes()), path
 
 
 # sections in which a NaN is a config error; a NaN in any other section

@@ -632,6 +632,36 @@ def test_a_given_adjoint_is_built_once_on_first_use():
     assert built == [1]
 
 
+def test_a_matrix_builder_is_called_once_on_first_forward_use():
+    rng = np.random.Generator(np.random.PCG64(11))
+    n = 5
+    weights = rng.uniform(0.2, 2.0, n)
+    M = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    eager = LinearMap.from_matrix(M, weights)
+    built = []
+    A = LinearMap.from_matrix(lambda: built.append(1) or M, weights,
+                              lambda: (M.T * weights[None, :]) / weights[:, None])
+    v = HilbertVector(rng.standard_normal(n), weights)
+    A.adjoint_apply(v)
+    assert built == []
+    assert np.array_equal(A(v).values, eager(v).values)
+    assert built == [1]
+    x = solve_shifted(A, 0.5, v)
+    assert np.array_equal(x.values, solve_shifted(eager, 0.5, v).values)
+    assert A.to_dense() is M and built == [1]
+
+
+def test_a_matrix_builder_of_the_wrong_shape_fails_on_first_use():
+    weights = np.ones(2)
+    with pytest.raises(GridMismatch):
+        LinearMap.from_matrix(np.eye(3), weights)
+    A = LinearMap.from_matrix(lambda: np.eye(3), weights)
+    with pytest.raises(GridMismatch):
+        A(HilbertVector(np.ones(2), weights))
+    with pytest.raises(GridMismatch):
+        A.to_dense()
+
+
 def test_to_dense_matches_callable_application():
     rng = np.random.Generator(np.random.PCG64(8))
     n = 5

@@ -14,6 +14,7 @@ from monoreg import (
     make_discrete,
     validate_conditions,
 )
+import monoreg.schedules
 from monoreg.schedules import (
     GRADIENT_FLOW,
     GRADIENT_ITER,
@@ -194,6 +195,22 @@ def test_search_finds_newton_flow_scale():
         result.schedule, _params(lam=result.lam)
     )
     assert again.passed
+
+
+def test_search_builds_its_time_grid_once(monkeypatch):
+    grids = []
+    geomspace = np.geomspace
+    monkeypatch.setattr(np, "geomspace",
+                        lambda *args: grids.append(args) or geomspace(*args))
+    monoreg.schedules._time_grid.cache_clear()
+    params = _params(horizon=12345.0)
+    result = find_continuous(NEWTON_FLOW, b=1.0, c=7.0, params=params)
+    assert result.report.passed and len(grids) == 1
+    # every caller gets the same array, so none may write to it
+    t = monoreg.schedules._time_grid(params.horizon)
+    assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0] = 1.0
 
 
 def test_search_finds_discrete_scales():
