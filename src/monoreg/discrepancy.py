@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import HilbertVector, NonlinearOperator
 from .errors import InvalidConfig, NonConvergence
 from .regularized import _bracket_search, _require_finite, solve_regularized
-from .reports import check_stop_constants, stop_level
+from .reports import check_stop_above_noise, check_stop_constants, stop_level
 
 CONVERGED = "converged"
 ALREADY_COMPATIBLE = "already_compatible"
@@ -61,11 +61,7 @@ class DPConfig:
     def check_delta(self, delta: float) -> None:
         if delta <= 0:
             raise InvalidConfig("delta must be positive")
-        if not self.target(delta) > delta:
-            raise InvalidConfig(
-                f"C * delta**gamma = {self.target(delta):g} must exceed "
-                f"delta = {delta:g}"
-            )
+        check_stop_above_noise(self.target(delta), delta)
 
 
 @dataclass(frozen=True)

@@ -182,10 +182,14 @@ def _require_continuous_preconditions(margins: dict) -> None:
     _require("mu_positive", "horizon", margins["mu_positive"], strict=True)
     _require("alpha_nonneg", "horizon", margins["alpha_nonneg"])
     _require("beta_nonneg", "horizon", margins["beta_nonneg"])
-    # exact-equality feasibility is admissible; allow roundoff-scale noise
-    round_off = 1e-13 * max(margins["feasibility_scale"], 1e-30)
-    _require("feasibility", margins["feasibility_at"], margins["feasibility"],
-             floor=-round_off)
+    # exact-equality feasibility is admissible; allow roundoff-scale noise.
+    # A non-finite margin or scale (mu**p underflowing, say) leaves no
+    # round-off to allow: its floor would be -inf, which -inf passes.
+    margin, scale = margins["feasibility"], margins["feasibility_scale"]
+    if not (math.isfinite(margin) and math.isfinite(scale)):
+        raise PreconditionFailed("feasibility", margins["feasibility_at"], margin)
+    _require("feasibility", margins["feasibility_at"], margin,
+             floor=-1e-13 * max(scale, 1e-30))
     _require("initial_gap", "tau0", margins["initial_gap"], strict=True)
 
 

@@ -112,6 +112,15 @@ def stop_level(C: float, delta: float, exponent: float) -> float:
     return C * delta ** exponent
 
 
+def check_stop_above_noise(level: float, delta: float) -> None:
+    """Raise InvalidConfig unless the stop level C * delta**e exceeds the
+    noise level delta, as the a-posteriori rules need; NaN fails."""
+    if not level > delta:
+        raise InvalidConfig(
+            f"stop level C * delta**e = {level:g} must exceed delta = {delta:g}"
+        )
+
+
 def a_end(C1: float, delta: float, y_norm: float) -> float:
     """Shift at which delta / a reaches y_norm / (C - 1), C = (C1 + 1) / 2;
     the residual rule has stopped by then."""
@@ -176,6 +185,7 @@ class Trajectory:
         if delta <= 0:
             raise InvalidConfig("delta must be positive")
         self.threshold = cfg.threshold(delta)
+        check_stop_above_noise(self.threshold, delta)
         self.history = []
         self.iterates = [] if cfg.keep_iterates else None
         self.notes = tuple(notes)

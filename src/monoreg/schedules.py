@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -212,14 +213,34 @@ class ConditionReport:
         ]
 
 
-def _check(name, lhs, rhs, where, strict=False) -> ConditionCheck:
-    margins = np.atleast_1d(np.asarray(rhs, dtype=float) - np.asarray(lhs, dtype=float))
-    where = np.atleast_1d(np.asarray(where, dtype=float))
+class _Condition(NamedTuple):
+    """One inequality lhs <= rhs as its margin rhs - lhs: a function of
+    lambda, or the margin itself when lambda is absent.  A `ceiling`
+    condition that fails at some lambda fails at every larger one."""
+
+    name: str
+    margin: Callable | float | np.ndarray
+    where: float | np.ndarray = 0.0
+    strict: bool = False
+    ceiling: bool = False
+
+
+def _check(cond: _Condition, lam) -> ConditionCheck:
+    value = cond.margin(lam) if callable(cond.margin) else cond.margin
+    margins = np.atleast_1d(np.asarray(value, dtype=float))
+    where = np.atleast_1d(np.asarray(cond.where, dtype=float))
     i = int(np.argmin(margins))
     margin = float(margins[i])
     at = float(where[i]) if where.size == margins.size else float(where[0])
-    ok = margin > 0 if strict else margin >= 0
-    return ConditionCheck(name, ok, margin, at, strict)
+    ok = margin > 0 if cond.strict else margin >= 0
+    return ConditionCheck(cond.name, ok, margin, at, cond.strict)
+
+
+def _holds(margin, strict: bool) -> bool:
+    # the verdict of _check without its report; NaN fails
+    if isinstance(margin, np.ndarray):
+        margin = margin.min()
+    return margin > 0 if strict else margin >= 0
 
 
 @functools.lru_cache(maxsize=8)
@@ -237,29 +258,43 @@ def validate_conditions(schedule, params: ValidationParams) -> ConditionReport:
 
     Continuous kinds are sampled at 1000 log-spaced times plus t = 0 (the
     worst case of every condition in this power-law family); discrete
-    kinds at every index up to the horizon.  The report carries worst
-    margins; nothing raises on failure.
+    kinds at every index up to the horizon.  The set's lambda-free terms
+    are computed once; the report lists every condition in its declared
+    order at params.lam or, when that is None, at the smallest lambda
+    max(m1/y_norm, 2**k) at which the whole set passes (at the bare lower
+    bound when none does).  It carries worst margins; nothing raises on
+    failure.
     """
-    if params.lam is None:
-        report = _scan_lambda(schedule, params)
-        if report is not None:
-            return report
-        # report against the bare lower bound so margins are informative
-        params = replace(params, lam=max(params.m1 / params.y_norm, 1e-12))
+    table = _conditions(schedule, params)
+    if params.lam is not None:
+        return _report(schedule.kind, table, params.lam)
+    report = _scan_lambda(schedule.kind, table, params)
+    if report is not None:
+        return report
+    # report against the bare lower bound so margins are informative
+    return _report(schedule.kind, table, max(params.m1 / params.y_norm, 1e-12))
+
+
+def _conditions(schedule, params: ValidationParams) -> list[_Condition]:
     if isinstance(schedule, ContinuousSchedule):
-        checks = _CONTINUOUS_CHECKS[schedule.kind](schedule, params)
-    elif isinstance(schedule, DiscreteSchedule):
-        checks = _DISCRETE_CHECKS[schedule.kind](schedule, params)
-    else:
-        raise InvalidConfig(f"not a schedule: {schedule!r}")
-    return ConditionReport(schedule.kind, params.lam, tuple(checks))
+        return _CONTINUOUS_CHECKS[schedule.kind](schedule, params)
+    if isinstance(schedule, DiscreteSchedule):
+        return _DISCRETE_CHECKS[schedule.kind](schedule, params)
+    raise InvalidConfig(f"not a schedule: {schedule!r}")
+
+
+def _report(kind: str, table: list[_Condition], lam) -> ConditionReport:
+    return ConditionReport(kind, lam, tuple(_check(c, lam) for c in table))
 
 
 def _g0_or_default(sched, p: ValidationParams) -> float:
-    if p.g0 is not None:
-        return p.g0
-    a0 = float(sched.a(0))
-    return p.residual0 / a0
+    return p.residual0 / float(sched.a(0)) if p.g0 is None else p.g0
+
+
+# Each margin keeps the operands and order of its lhs and rhs, so it has
+# the same bits whether it is reported or scanned.  Rounding is monotone,
+# so initial_residual (a0**k / lam falls) and initial_gap (lam * g0 rises;
+# with g0 < 0 it never fails) are ceilings.
 
 
 def _newton_flow_checks(s: ContinuousSchedule, p: ValidationParams):
@@ -267,13 +302,17 @@ def _newton_flow_checks(s: ContinuousSchedule, p: ValidationParams):
     a = s.a(t)
     ratio = np.abs(s.a_dot(t)) / a  # = b / (c + t)
     bracket = 1.0 - ratio
-    checks = [
-        _check("m1_ratio", p.m1 / p.y_norm, p.lam, 0.0),
-        _check("quadratic_term", p.c0 / a, (p.lam / (2.0 * a)) * bracket, t),
-        _check("drift_term", p.c1 * ratio, (a / (2.0 * p.lam)) * bracket, t),
-        _check("initial_residual", p.residual0, float(s.a(0)) ** 2 / p.lam, 0.0),
+    two_a, quadratic, drift = 2.0 * a, p.c0 / a, p.c1 * ratio
+    floor, a0_sq = p.m1 / p.y_norm, float(s.a(0)) ** 2
+    return [
+        _Condition("m1_ratio", lambda lam: lam - floor),
+        _Condition("quadratic_term",
+                   lambda lam: (lam / two_a) * bracket - quadratic, t),
+        _Condition("drift_term",
+                   lambda lam: (a / (2.0 * lam)) * bracket - drift, t),
+        _Condition("initial_residual", lambda lam: a0_sq / lam - p.residual0,
+                   ceiling=True),
     ]
-    return checks
 
 
 def _gradient_flow_checks(s: ContinuousSchedule, p: ValidationParams):
@@ -283,24 +322,18 @@ def _gradient_flow_checks(s: ContinuousSchedule, p: ValidationParams):
     bracket = a * a - 2.0 * adot / a
     a0 = float(s.a(0))
     g0 = _g0_or_default(s, p)
-    checks = [
-        _check("decay_rate", adot, a ** 3 / 4.0, t),
-        _check("m1_ratio", p.m1 / p.y_norm, p.lam, 0.0),
-        _check(
-            "quadratic_term",
-            p.c0 * (p.m1 + a),
-            (p.lam / (2.0 * a * a)) * bracket,
-            t,
-        ),
-        _check(
-            "drift_term",
-            p.c1 * adot / a,
-            (a * a / (2.0 * p.lam)) * bracket,
-            t,
-        ),
-        _check("initial_gap", p.lam * g0 / a0 ** 2, 1.0, 0.0, strict=True),
+    a_sq, two_a_sq, floor = a * a, 2.0 * a * a, p.m1 / p.y_norm
+    quadratic, drift, a0_sq = p.c0 * (p.m1 + a), p.c1 * adot / a, a0 ** 2
+    return [
+        _Condition("decay_rate", a ** 3 / 4.0 - adot, t),
+        _Condition("m1_ratio", lambda lam: lam - floor),
+        _Condition("quadratic_term",
+                   lambda lam: (lam / two_a_sq) * bracket - quadratic, t),
+        _Condition("drift_term",
+                   lambda lam: (a_sq / (2.0 * lam)) * bracket - drift, t),
+        _Condition("initial_gap", lambda lam: 1.0 - lam * g0 / a0_sq,
+                   strict=True, ceiling=True),
     ]
-    return checks
 
 
 def _simple_flow_checks(s: ContinuousSchedule, p: ValidationParams):
@@ -310,42 +343,40 @@ def _simple_flow_checks(s: ContinuousSchedule, p: ValidationParams):
     bracket = a - adot / a
     a0 = float(s.a(0))
     g0 = _g0_or_default(s, p)
-    checks = [
-        _check("decay_rate", adot, a * a / 2.0, t),
-        _check("m1_ratio", p.m1 / p.y_norm, p.lam, 0.0),
-        _check("bracket_nonneg", 0.0, (p.lam / (2.0 * a)) * bracket, t),
-        _check("drift_term", p.c1 * adot / a, (a / (2.0 * p.lam)) * bracket, t),
-        _check("initial_gap", p.lam * g0 / a0, 1.0, 0.0, strict=True),
+    two_a, drift, floor = 2.0 * a, p.c1 * adot / a, p.m1 / p.y_norm
+    return [
+        _Condition("decay_rate", a * a / 2.0 - adot, t),
+        _Condition("m1_ratio", lambda lam: lam - floor),
+        # its left-hand side is 0.0, and x - 0.0 is x
+        _Condition("bracket_nonneg", lambda lam: (lam / two_a) * bracket, t),
+        _Condition("drift_term",
+                   lambda lam: (a / (2.0 * lam)) * bracket - drift, t),
+        _Condition("initial_gap", lambda lam: 1.0 - lam * g0 / a0,
+                   strict=True, ceiling=True),
     ]
-    return checks
 
 
 def _discrete_grid(s: DiscreteSchedule, p: ValidationParams):
+    # n, a_n, a_{n+1} and the drift c1 (a_n - a_{n+1}) / a_{n+1}
     n = np.arange(int(p.horizon) + 1, dtype=float)
-    return n, s.a(n), s.a(n + 1.0)
+    an, anext = s.a(n), s.a(n + 1.0)
+    return n, an, anext, p.c1 * (an - anext) / anext
 
 
 def _newton_iter_checks(s: DiscreteSchedule, p: ValidationParams):
-    n, an, anext = _discrete_grid(s, p)
-    a0 = float(s.a(0))
-    checks = [
-        _check("ratio_bound", an, 2.0 * anext, n),
-        _check("initial_residual", p.residual0, a0 ** 2 / p.lam, 0.0),
-        _check("m1_ratio", p.m1 / p.lam, p.y_norm, 0.0),
-        _check(
-            "decrement_bound",
-            (an - anext) / anext ** 2,
-            1.0 / (2.0 * p.c1 * p.lam),
-            n,
-        ),
-        _check(
-            "recursion_margin",
-            p.c0 * an / p.lam ** 2 + p.c1 * (an - anext) / anext,
-            anext / p.lam,
-            n,
-        ),
+    n, an, anext, drift = _discrete_grid(s, p)
+    a0_sq = float(s.a(0)) ** 2
+    decrement, c0_an = (an - anext) / anext ** 2, p.c0 * an
+    return [
+        _Condition("ratio_bound", 2.0 * anext - an, n),
+        _Condition("initial_residual", lambda lam: a0_sq / lam - p.residual0,
+                   ceiling=True),
+        _Condition("m1_ratio", lambda lam: p.y_norm - p.m1 / lam),
+        _Condition("decrement_bound",
+                   lambda lam: 1.0 / (2.0 * p.c1 * lam) - decrement, n),
+        _Condition("recursion_margin",
+                   lambda lam: anext / lam - (c0_an / lam ** 2 + drift), n),
     ]
-    return checks
 
 
 def _require_alpha_tilde(p: ValidationParams) -> float:
@@ -358,42 +389,34 @@ def _require_alpha_tilde(p: ValidationParams) -> float:
 
 
 def _gradient_iter_checks(s: DiscreteSchedule, p: ValidationParams):
-    n, an, anext = _discrete_grid(s, p)
+    n, an, anext, drift = _discrete_grid(s, p)
     a0 = float(s.a(0))
     at = _require_alpha_tilde(p)
-    checks = [
-        _check("ratio_bound", an, 2.0 * anext, n),
-        _check("initial_residual", p.residual0, a0 ** 3 / p.lam, 0.0),
-        _check("m1_ratio", p.m1 / p.lam, p.y_norm, 0.0),
-        _check("curvature_cap", p.c0 * (p.m1 + a0) / p.lam, 0.5, 0.0),
-        _check(
-            "recursion_margin",
-            an ** 2 / p.lam
-            - at * an ** 4 / (2.0 * p.lam)
-            + p.c1 * (an - anext) / anext,
-            anext ** 2 / p.lam,
-            n,
-        ),
+    a0_cubed, cap = a0 ** 3, p.c0 * (p.m1 + a0)
+    an_sq, at_an4, anext_sq = an ** 2, at * an ** 4, anext ** 2
+    return [
+        _Condition("ratio_bound", 2.0 * anext - an, n),
+        _Condition("initial_residual",
+                   lambda lam: a0_cubed / lam - p.residual0, ceiling=True),
+        _Condition("m1_ratio", lambda lam: p.y_norm - p.m1 / lam),
+        _Condition("curvature_cap", lambda lam: 0.5 - cap / lam),
+        _Condition("recursion_margin", lambda lam: anext_sq / lam
+                   - (an_sq / lam - at_an4 / (2.0 * lam) + drift), n),
     ]
-    return checks
 
 
 def _simple_iter_checks(s: DiscreteSchedule, p: ValidationParams):
-    n, an, anext = _discrete_grid(s, p)
-    a0 = float(s.a(0))
-    at = _require_alpha_tilde(p)
-    checks = [
-        _check("ratio_bound", an, 2.0 * anext, n),
-        _check("initial_residual", p.residual0, a0 ** 2 / p.lam, 0.0),
-        _check("m1_ratio", p.m1 / p.lam, p.y_norm, 0.0),
-        _check(
-            "recursion_margin",
-            an / p.lam - at * an ** 2 / p.lam + p.c1 * (an - anext) / anext,
-            anext / p.lam,
-            n,
-        ),
+    n, an, anext, drift = _discrete_grid(s, p)
+    a0_sq = float(s.a(0)) ** 2
+    at_an_sq = _require_alpha_tilde(p) * an ** 2
+    return [
+        _Condition("ratio_bound", 2.0 * anext - an, n),
+        _Condition("initial_residual", lambda lam: a0_sq / lam - p.residual0,
+                   ceiling=True),
+        _Condition("m1_ratio", lambda lam: p.y_norm - p.m1 / lam),
+        _Condition("recursion_margin", lambda lam: anext / lam
+                   - (an / lam - at_an_sq / lam + drift), n),
     ]
-    return checks
 
 
 _CONTINUOUS_CHECKS = {
@@ -408,24 +431,35 @@ _DISCRETE_CHECKS = {
 }
 
 
-def _scan_lambda(schedule, params: ValidationParams) -> ConditionReport | None:
-    """The passing report at the smallest admissible lambda of the form
-    max(m1/y_norm, 2**k).
+@functools.lru_cache(maxsize=8)
+def _lambdas(floor: float) -> tuple[float, ...]:
+    # max(floor, 2**k) for k = -20..60, increasing, each value once
+    return tuple(dict.fromkeys(max(floor, 2.0 ** k) for k in range(-20, 61)))
 
-    Conditions pull lambda in both directions, so the admissible set is an
-    interval; scanning powers of two finds a member when the interval is
-    wide enough, else returns None (try a larger scale parameter).
-    """
+
+def _scan_lambda(kind: str, table: list[_Condition],
+                 params: ValidationParams) -> ConditionReport | None:
+    """The report at the smallest lambda max(m1/y_norm, 2**k) at which the
+    whole table passes, or None (try a larger scale parameter).
+
+    Conditions pull lambda both ways, so the admissible set is an interval.
+    Lambda-free conditions are checked once; at each lambda the scalar
+    conditions go first, the first failure rejects it, and a failed
+    `ceiling` condition ends the scan."""
+    if not all(_holds(c.margin, c.strict) for c in table
+               if not callable(c.margin)):
+        return None
+    varying = sorted((c for c in table if callable(c.margin)),
+                     key=lambda c: isinstance(c.where, np.ndarray))
     floor = params.m1 / params.y_norm if params.y_norm > 0 else 0.0
-    tried = set()
-    for k in range(-20, 61):
-        lam = max(floor, 2.0 ** k)
-        if lam in tried:
-            continue
-        tried.add(lam)
-        report = validate_conditions(schedule, replace(params, lam=lam))
-        if report.passed:
-            return report
+    for lam in _lambdas(floor):
+        for c in varying:
+            if not _holds(c.margin(lam), c.strict):
+                if c.ceiling:
+                    return None
+                break
+        else:
+            return _report(kind, table, lam)
     return None
 
 
@@ -449,10 +483,11 @@ def _search(build, grid, params: ValidationParams, failure: str) -> ScheduleSear
             schedule = build(value)
         except ConstraintViolated:
             continue
+        table = _conditions(schedule, params)
         if params.lam is None:
-            report = _scan_lambda(schedule, params)
+            report = _scan_lambda(schedule.kind, table, params)
         else:
-            report = validate_conditions(schedule, params)
+            report = _report(schedule.kind, table, params.lam)
         if report is not None and report.passed:
             return ScheduleSearch(schedule, report.lam, report)
     raise BudgetExceeded(failure)

@@ -528,6 +528,27 @@ def test_ineq_subcommand(tmp_path):
                 assert row.startswith("true,")
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero")
+def test_ineq_non_finite_feasibility_exits_2(tmp_path, capsys):
+    # mu**3 underflows to 0: a failed hypothesis, not a traceback
+    def const(value):
+        return {"form": "const", "value": value}
+
+    cfg = write_config(
+        tmp_path,
+        {
+            "instance": {
+                "kind": "continuous", "p": 3.0, "g0": 5e109, "horizon": 1.0,
+                "n_steps": 10, "alpha": const(1e-221), "beta": const(0.0),
+                "gamma": const(1.0), "mu": const(1e-110),
+            },
+            "output": {"dir": str(tmp_path / "out")},
+        },
+    )
+    assert main(["ineq", "--config", cfg]) == 2
+    assert "'feasibility'" in capsys.readouterr().err
+
+
 def test_ineq_discrete_instance(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -65,7 +65,8 @@ def test_invalid_when_target_below_delta(unit_pair):
     f = const_vector(9.0, unit_pair)
     cfg = DPConfig(C=1.5, gamma=0.5)
     # delta = 4: C * delta**gamma = 3 <= 4
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig,
+                       match=r"stop level C \* delta\*\*e = 3 must exceed delta = 4"):
         solve_dp(F, f, delta=4.0, cfg=cfg)
 
 

@@ -253,6 +253,16 @@ def test_non_finite_delta_rejected(delta):
         flow_simple(F, f, delta, cfg, HilbertVector.zeros(np.ones(1)))
 
 
+def test_stop_level_below_the_noise_rejected():
+    # 1.5 * 4**0.5 = 3 does not exceed delta = 4
+    F, f = scalar_problem()
+    schedule = make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0)
+    cfg = FlowConfig(schedule=schedule, C1=1.5, zeta=0.5, t_max=100.0)
+    with pytest.raises(InvalidConfig,
+                       match=r"stop level C \* delta\*\*e = 3 must exceed delta = 4"):
+        flow_simple(F, f, 4.0, cfg, HilbertVector.zeros(np.ones(1)))
+
+
 def test_non_finite_trial_step_is_halved():
     # F(u) = u turns NaN above 1.5: the first trial step h = 2 lands at
     # u = 2 and is rejected like any residual increase; h = 1 then crosses

@@ -79,6 +79,23 @@ def test_infeasible_instance_is_reported():
     assert info.value.condition == "feasibility"
 
 
+def _underflowing_instance():
+    # mu**3 = 1e-330 underflows to 0, so alpha / mu**p is inf on every
+    # sample: feasibility -inf with scale inf, which a -inf floor would pass
+    return ContinuousInequality(
+        p=3.0, alpha=const(1e-221), beta=const(0.0), gamma=const(1.0),
+        mu=const(1e-110), mu_dot=const(0.0), g0=5e109, horizon=1.0,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+def test_non_finite_feasibility_fails_its_hypothesis():
+    with pytest.raises(PreconditionFailed) as info:
+        bound_continuous(_underflowing_instance(), n_steps=10)
+    assert info.value.condition == "feasibility"
+    assert info.value.margin == -np.inf
+
+
 def test_initial_gap_must_be_strict():
     inst = ContinuousInequality(
         p=2.0, alpha=const(0.0), beta=const(0.0), gamma=const(1.0),

@@ -423,6 +423,16 @@ def test_non_finite_delta_rejected(delta):
         iter_newton(F, f, delta, cfg, HilbertVector.zeros(np.ones(1)))
 
 
+def test_stop_level_below_the_noise_rejected():
+    # the Table-1 stop 1.01 * delta**0.99 is 3.98 at delta = 4
+    F, f = one_dim(9.0)
+    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=5.0)
+    cfg = IterConfig(schedule=schedule, C1=1.01, gamma_or_zeta=0.99, n_max=300)
+    with pytest.raises(InvalidConfig,
+                       match=r"stop level C \* delta\*\*e = 3.98.* must exceed delta = 4"):
+        iter_newton(F, f, 4.0, cfg, HilbertVector.zeros(np.ones(1)))
+
+
 # ------------------------------------------------------------ step budget
 
 

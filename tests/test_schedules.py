@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,8 @@ from monoreg.schedules import (
     NEWTON_ITER,
     SIMPLE_FLOW,
     SIMPLE_ITER,
+    ContinuousSchedule,
+    DiscreteSchedule,
 )
 
 
@@ -211,6 +216,88 @@ def test_search_builds_its_time_grid_once(monkeypatch):
     assert not t.flags.writeable
     with pytest.raises(ValueError):
         t[0] = 1.0
+
+
+def test_search_evaluates_each_candidate_schedule_once(monkeypatch):
+    # a(t) and a'(t) on the time grid once per candidate scale d, not once
+    # per lambda tried
+    calls = collections.Counter()
+    for name in ("a", "a_dot"):
+        def counted(self, t, method=getattr(ContinuousSchedule, name), name=name):
+            if np.ndim(t):
+                calls[name, self.d] += 1
+            return method(self, t)
+        monkeypatch.setattr(ContinuousSchedule, name, counted)
+    result = find_continuous(NEWTON_FLOW, b=1.0, c=7.0, params=_params())
+    scales = [d for d in monoreg.schedules._DEFAULT_GRID if d <= result.schedule.d]
+    assert len(scales) == 7
+    assert calls == {(name, d): 1 for name in ("a", "a_dot") for d in scales}
+
+
+def _scan_by_validation(schedule, params):
+    """The lambda scan as it was before the condition table: the full
+    report at each lambda max(m1/y_norm, 2**k) in turn; None if none passes."""
+    floor = params.m1 / params.y_norm if params.y_norm > 0 else 0.0
+    tried = set()
+    for k in range(-20, 61):
+        lam = max(floor, 2.0 ** k)
+        if lam in tried:
+            continue
+        tried.add(lam)
+        report = validate_conditions(schedule, dataclasses.replace(params, lam=lam))
+        if report.passed:
+            return report
+    return None
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+@st.composite
+def _schedules_and_params(draw):
+    kind = draw(st.sampled_from([NEWTON_FLOW, GRADIENT_FLOW, SIMPLE_FLOW,
+                                 NEWTON_ITER, GRADIENT_ITER, SIMPLE_ITER]))
+    b = draw(_floats(0.05, monoreg.schedules._B_MAX[kind]))
+    if kind in monoreg.schedules.CONTINUOUS_KINDS:
+        # built directly, so schedules outside make_continuous's constraints
+        # (a bracket that changes sign) are scanned too
+        schedule = ContinuousSchedule(kind, b, draw(_floats(0.1, 50.0)),
+                                      draw(_floats(0.1, 500.0)))
+        horizon = draw(_floats(1.0, 1e6))
+    else:
+        schedule = DiscreteSchedule(kind, b, draw(_floats(1.0, 30.0)),
+                                    draw(_floats(0.1, 500.0)))
+        horizon = float(draw(st.integers(1, 2000)))
+    # c1 > 0: the newton_iter decrement bound divides by it
+    params = ValidationParams(
+        m1=draw(_floats(0.0, 10.0)), c0=draw(_floats(0.0, 10.0)),
+        c1=draw(_floats(1e-3, 10.0)), y_norm=draw(_floats(0.1, 10.0)),
+        residual0=draw(_floats(0.0, 10.0)), horizon=horizon,
+        alpha_tilde=draw(_floats(1e-4, 1.0)),
+        g0=draw(st.none() | _floats(-1.0, 10.0)),
+    )
+    return schedule, params
+
+
+@given(_schedules_and_params())
+@settings(max_examples=150, deadline=None)
+def test_scan_picks_the_lambda_and_report_of_full_validation(case):
+    schedule, params = case
+    expected = _scan_by_validation(schedule, params)
+    table = monoreg.schedules._conditions(schedule, params)
+    scanned = monoreg.schedules._scan_lambda(schedule.kind, table, params)
+    if expected is None:
+        assert scanned is None
+        floor = max(params.m1 / params.y_norm, 1e-12)
+        expected = validate_conditions(
+            schedule, dataclasses.replace(params, lam=floor))
+    else:
+        assert scanned.lam == expected.lam
+        assert repr(scanned.to_dict()) == repr(expected.to_dict())
+    # repr keeps the bits of every margin, NaN and -0.0 included
+    assert repr(validate_conditions(schedule, params).to_dict()) == repr(
+        expected.to_dict())
 
 
 def test_search_finds_discrete_scales():
