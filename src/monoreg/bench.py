@@ -45,9 +45,9 @@ from .core import (
     OperatorBounds,
     diagonal_view,
 )
-from .errors import GridMismatch, InvalidConfig, MonoregError
+from .errors import GridMismatch, InvalidConfig, MonoregError, check_fields
 from .iterations import IterConfig, iter_newton, operator_norm_estimate
-from .reports import check_fields, check_stop_constants
+from .reports import check_stop_constants
 from .schedules import NEWTON_ITER, make_discrete
 
 TRAPEZOID = "trapezoid"
@@ -336,8 +336,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if not self.delta_rel > 0:
-            raise InvalidConfig(f"delta_rel must be positive, got {self.delta_rel}")
+        check_fields(self, ("delta_rel",))
 
 
 def gen_noise(f: HilbertVector, spec: NoiseSpec) -> tuple[HilbertVector, float]:

@@ -107,8 +107,7 @@ def _read(cfg: dict, where: str, allowed: set[str], build: Callable):
         return build(section)
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}", key=where) from exc
-    except (TypeError, ValueError, OverflowError, InvalidConfig,
-            ConstraintViolated) as exc:
+    except (TypeError, ValueError, OverflowError, ConstraintViolated) as exc:
         raise ConfigError(str(exc), key=where) from exc
 
 
@@ -179,7 +178,7 @@ def _noise_grid(cfg: dict, args) -> tuple[list[float], list[int]]:
         if not delta_rel or not seeds:
             raise ConfigError("noise grid is empty", key="noise")
         levels = [float(x) for x in delta_rel]
-        # every level is checked before the first row is solved
+        # every level is checked before any noise is drawn
         for level in levels:
             if not level > 0:
                 raise ConfigError(f"delta_rel must be positive, got {level}",
@@ -206,28 +205,36 @@ def _write(path: Path, fmt: str, report, header=None) -> None:
     print(f"wrote {path}")
 
 
-def _sweep(cfg: dict, args, stem: str, solve) -> int:
+def _sweep(cfg: dict, args, stem: str, solve, level) -> int:
     """One row per noise level and seed; solve(problem, f_delta, delta,
-    history) returns the run's fields, its solution and the last columns."""
+    history) returns the run's fields, its solution and the last columns.
+    Every row's noise is drawn and its stop level level(delta) checked
+    before the first row is solved."""
     problem = _read(cfg, "problem", _PROBLEM_KEYS, build_problem)
     delta_rels, seeds = _noise_grid(cfg, args)
     path, fmt, history = _output(cfg, args, stem)
+    draws = [(delta_rel, seed, *problem.make_noise(delta_rel, seed))
+             for delta_rel in delta_rels for seed in seeds]
+    for delta_rel, _, _, delta in draws:
+        try:
+            level(delta)
+        except InvalidConfig as exc:
+            raise ConfigError(f"{exc} at delta_rel = {delta_rel:g}",
+                              key="noise.delta_rel") from exc
     u_exact = problem.u_exact
     rows = []
-    for delta_rel in delta_rels:
-        for seed in seeds:
-            f_delta, delta = problem.make_noise(delta_rel, seed)
-            fields, u, extra = solve(problem, f_delta, delta, history)
-            rows.append(
-                {
-                    "delta_rel": delta_rel,
-                    "seed": seed,
-                    "delta": delta,
-                    **fields,
-                    "rel_error": (u - u_exact).norm() / u_exact.norm(),
-                    **extra,
-                }
-            )
+    for delta_rel, seed, f_delta, delta in draws:
+        fields, u, extra = solve(problem, f_delta, delta, history)
+        rows.append(
+            {
+                "delta_rel": delta_rel,
+                "seed": seed,
+                "delta": delta,
+                **fields,
+                "rel_error": (u - u_exact).norm() / u_exact.norm(),
+                **extra,
+            }
+        )
     _write(path, fmt, rows)
     return 0
 
@@ -249,7 +256,7 @@ def _cmd_dp(cfg: dict, args) -> int:
                      "a_over_analytic": result.a_delta / analytic}
         return result.to_dict(), result.V, extra
 
-    return _sweep(cfg, args, "dp", solve)
+    return _sweep(cfg, args, "dp", solve, dp_cfg.target)
 
 
 _SCHEDULE_KEYS = {"form", "kind", "b", "c", "d", "d_or_c", "d0"}
@@ -320,7 +327,7 @@ def _cmd_continuation(command: str, cfg: dict, args) -> int:
         report = runners[method](problem.F, f_delta, delta, run_cfg, u0)
         return report.to_dict(include_history=history), report.u_final, {}
 
-    return _sweep(cfg, args, f"{command}_{method}", solve)
+    return _sweep(cfg, args, f"{command}_{method}", solve, run_cfg.threshold)
 
 
 _TABLE1_HEADER = [

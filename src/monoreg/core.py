@@ -14,7 +14,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import GridMismatch, NoDerivative, NonFinite, SolveFailed
+from .errors import (GridMismatch, InvalidConfig, NoDerivative, NonFinite,
+                     SolveFailed, check_fields)
 
 # Relative-error denominators are floored here to avoid division by zero.
 EPS_FLOOR = 1e-14
@@ -64,7 +65,7 @@ class HilbertVector:
                 "have equal length >= 1"
             )
         if not (weights > 0).all():
-            raise ValueError("all weights must be positive")
+            raise InvalidConfig("all weights must be positive")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
@@ -273,8 +274,7 @@ class OperatorBounds:
     m2: float = 0.0
 
     def __post_init__(self):
-        if not (self.m1 >= 0 and self.m2 >= 0):
-            raise ValueError("bounds must be nonnegative")
+        check_fields(self, nonnegative=("m1", "m2"))
 
 
 @dataclass(frozen=True)
@@ -349,7 +349,7 @@ def check_monotonicity(
     finding about the operator, not an error in the check.
     """
     if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+        raise InvalidConfig("n_pairs must be >= 1")
     worst = np.inf
     worst_index = -1
     for i, (u, v) in enumerate(sampler.pairs(n_pairs)):
@@ -384,7 +384,7 @@ def solve_shifted(
     non-finite shift or right-hand side raises `NonFinite` at once.
     """
     if a <= 0:
-        raise ValueError("shift a must be positive")
+        raise InvalidConfig("shift a must be positive")
     rhs_norm = rhs.norm()
     if not (math.isfinite(a) and math.isfinite(rhs_norm)):
         raise NonFinite(
@@ -534,7 +534,7 @@ def fd_derivative_check(
     truncation error.
     """
     if h <= 0:
-        raise ValueError("h must be positive")
+        raise InvalidConfig("h must be positive")
     A = F.deriv(u)
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0

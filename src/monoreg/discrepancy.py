@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator
-from .errors import InvalidConfig, NonConvergence
+from .errors import InvalidConfig, NonConvergence, check_fields
 from .regularized import _bracket_search, _require_finite, solve_regularized
-from .reports import check_stop_above_noise, check_stop_constants, stop_level
+from .reports import check_stop_constants, stop_level
 
 CONVERGED = "converged"
 ALREADY_COMPATIBLE = "already_compatible"
@@ -27,9 +27,10 @@ class DPConfig:
     """Constants of the residual-matching rule.
 
     C > 1 and gamma in (0, 1] fix the residual target C * delta**gamma,
-    which must exceed delta at use time.  theta scales the inexactness
-    allowed of a candidate's shifted defect; (C1, C2) bound the residual
-    window of the acceptance test (defaults C/2 and 2C).
+    which must exceed delta at use time (`target` checks it).  theta
+    scales the inexactness allowed of a candidate's shifted defect;
+    (C1, C2) bound the residual window of the acceptance test (defaults
+    C/2 and 2C).
     """
 
     C: float = 1.01
@@ -40,9 +41,8 @@ class DPConfig:
     dp_tol: float = 1e-6
 
     def __post_init__(self):
+        check_fields(self, ("theta",))
         check_stop_constants(self, "C", "gamma")
-        if not self.theta > 0:
-            raise InvalidConfig("theta must be positive")
         lo, hi = self.residual_window()
         if not 0 < lo < hi:
             raise InvalidConfig("need 0 < C1 < C2")
@@ -57,11 +57,6 @@ class DPConfig:
 
     def target(self, delta: float) -> float:
         return stop_level(self.C, delta, self.gamma)
-
-    def check_delta(self, delta: float) -> None:
-        if delta <= 0:
-            raise InvalidConfig("delta must be positive")
-        check_stop_above_noise(self.target(delta), delta)
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,6 @@ def solve_dp(
     warm-started along the bisection path and run well below dp_tol so the
     measured residual is trustworthy at the match tolerance.
     """
-    cfg.check_delta(delta)
     target = cfg.target(delta)
     zero = HilbertVector.zeros(f_delta.weights)
     r0 = (F(zero) - f_delta).norm()

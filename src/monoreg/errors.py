@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the range check of the
+config dataclasses."""
+import dataclasses
+import numbers
 
 
 class MonoregError(Exception):
@@ -29,8 +32,45 @@ class BudgetExceeded(MonoregError):
     """A bracketing or search loop ran out of its expansion budget."""
 
 
-class InvalidConfig(MonoregError):
-    """A configuration value is outside its documented range."""
+class InvalidConfig(MonoregError, ValueError):
+    """An argument or configuration value is outside its documented range.
+
+    The library's one argument error; it is also a ValueError, so callers
+    that catch ValueError keep working."""
+
+
+# field annotation -> the numbers a config field of that type accepts
+_NUMBERS = {"float": numbers.Real, "int": numbers.Integral}
+
+
+def check_fields(cfg, positive=(), nonnegative=()) -> None:
+    """Raise InvalidConfig naming the first numeric field of the config
+    dataclass `cfg` that holds something else: a field annotated `float`
+    takes a real number, `int` an integer (a bool is neither), `X | None`
+    also None, and `tuple[X, ...]` a tuple or list of X.  The annotations
+    are read as strings, as postponed evaluation leaves them.  Then the
+    same for the first field named in `positive` (`nonnegative`) that is
+    set but not > 0 (>= 0); NaN is neither.  Each config class declares
+    its ranges in one call from `__post_init__`."""
+    for f in dataclasses.fields(cfg):
+        kind = f.type.removesuffix(" | None")
+        value = getattr(cfg, f.name)
+        if value is None and kind != f.type:
+            continue
+        items = [value]
+        if kind.startswith("tuple[") and kind.endswith(", ...]"):
+            kind = kind[len("tuple["):-len(", ...]")]
+            items = value if isinstance(value, (tuple, list)) else [None]
+        accepted = _NUMBERS.get(kind)
+        if accepted is not None and any(
+            isinstance(x, bool) or not isinstance(x, accepted) for x in items
+        ):
+            raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}")
+    for name in positive + nonnegative:
+        value = getattr(cfg, name)
+        if not (value is None or value > 0 or (value == 0 and name in nonnegative)):
+            kind = "nonnegative" if name in nonnegative else "positive"
+            raise InvalidConfig(f"{name} must be {kind}, got {value}")
 
 
 class ConstraintViolated(MonoregError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator
-from .errors import InvalidConfig, PreconditionFailed
+from .errors import InvalidConfig, PreconditionFailed, check_fields
 from .regularized import solve_regularized
 from .reports import (
     DIRECTIONS,
@@ -36,7 +36,6 @@ from .reports import (
     SolveReport,
     Trajectory,
     a_end,
-    check_fields,
     check_stop_constants,
     data_residual,
     require_kind,
@@ -107,8 +106,6 @@ def init_u0(
     zero=True returns the zero vector instead, after certifying the start
     bound ||V(0)|| <= ||F(0) - f_delta|| / a0 that a zero start satisfies.
     """
-    if a0 <= 0:
-        raise ValueError("a0 must be positive")
     sol = solve_regularized(F, f_delta, a0)
     psi = sol.V.norm()
     if zero:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import HilbertVector, LinearMap, weighted_norm
-from .errors import BoundViolated, InvalidConfig, PreconditionFailed
+from .errors import BoundViolated, InvalidConfig, PreconditionFailed, check_fields
 
 N_CONDITION_SAMPLES = 10_000
 MU_DOT_STEP = 1e-6
@@ -60,10 +60,9 @@ class ContinuousInequality:
     mu_dot: Callable | None = None
 
     def __post_init__(self):
+        check_fields(self, nonnegative=("g0",))
         if not self.p > 1:
             raise InvalidConfig("p must exceed 1")
-        if not self.g0 >= 0:
-            raise InvalidConfig("g0 must be nonnegative")
         if not self.horizon > self.tau0:
             raise InvalidConfig("horizon must exceed tau0")
 
@@ -96,10 +95,9 @@ class DiscreteInequality:
         sizes = {a.size for a in arrays.values()}
         if len(sizes) != 1 or min(sizes) < 2:
             raise InvalidConfig("coefficient arrays must share a length >= 2")
+        check_fields(self, nonnegative=("g0",))
         if not self.p > 1:
             raise InvalidConfig("p must exceed 1")
-        if not self.g0 >= 0:
-            raise InvalidConfig("g0 must be nonnegative")
 
     @property
     def n_last(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HilbertVector, LinearMap, NonlinearOperator
-from .errors import HorizonExceeded
+from .errors import HorizonExceeded, check_fields
 from .reports import (
     DIRECTIONS,
     EXHAUSTED_HORIZON,
@@ -26,7 +26,6 @@ from .reports import (
     SolveReport,
     Trajectory,
     a_end,
-    check_fields,
     check_stop_constants,
     data_residual,
     require_kind,

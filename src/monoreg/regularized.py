@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator, solve_shifted, weighted_norm
-from .errors import BudgetExceeded, NoDerivative, NonConvergence, NonFinite
+from .errors import (BudgetExceeded, InvalidConfig, NoDerivative,
+                     NonConvergence, NonFinite)
 
 MAX_NEWTON = 200
 MAX_RELAX = 10_000
@@ -55,11 +56,11 @@ def solve_regularized(
     makes the result warm-start independent (up to the tolerance).
     """
     if a <= 0:
-        raise ValueError("shift a must be positive")
+        raise InvalidConfig("shift a must be positive")
     if tol is None:
         tol = default_tol(a, f_delta)
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidConfig("tol must be positive")
     V = warm_start if warm_start is not None else HilbertVector.zeros(f_delta.weights)
     V._check_grid(f_delta)
 
@@ -160,10 +161,9 @@ def _bracket_search(F, f_delta, target, a_init, tol):
 
     phi is strictly increasing in a and tends to ||F(0) - f_delta|| from
     below; the caller guarantees a positive target below that ceiling, so
-    the bracket closes after finitely many doublings.
+    the bracket closes after finitely many doublings.  The first solve
+    checks that a_init is positive.
     """
-    if a_init <= 0:
-        raise ValueError("a_init must be positive")
     a = a_init
     warm = None
     evals = 0

@@ -15,9 +15,7 @@ of them stop at the first recorded state whose data residual
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,51 +72,18 @@ def check_stop_constants(cfg, C_name: str, exponent_name: str) -> None:
         raise InvalidConfig(f"{exponent_name} must lie in (0, 1], got {exponent}")
 
 
-# field annotation -> the numbers a config field of that type accepts
-_NUMBERS = {"float": numbers.Real, "int": numbers.Integral}
-
-
-def check_fields(cfg, positive=(), nonnegative=()) -> None:
-    """Raise InvalidConfig naming the first numeric field of the config
-    dataclass `cfg` that holds something else: a field annotated `float`
-    takes a real number, `int` an integer (a bool is neither), `X | None`
-    also None, and `tuple[X, ...]` a tuple or list of X.  The annotations
-    are read as strings, as postponed evaluation leaves them.  Then the
-    same for the first field named in `positive` (`nonnegative`) that is
-    set but not > 0 (>= 0); NaN is neither."""
-    for f in dataclasses.fields(cfg):
-        kind = f.type.removesuffix(" | None")
-        value = getattr(cfg, f.name)
-        if value is None and kind != f.type:
-            continue
-        items = [value]
-        if kind.startswith("tuple[") and kind.endswith(", ...]"):
-            kind = kind[len("tuple["):-len(", ...]")]
-            items = value if isinstance(value, (tuple, list)) else [None]
-        accepted = _NUMBERS.get(kind)
-        if accepted is not None and any(
-            isinstance(x, bool) or not isinstance(x, accepted) for x in items
-        ):
-            raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}")
-    for name in positive + nonnegative:
-        value = getattr(cfg, name)
-        if not (value is None or value > 0 or (value == 0 and name in nonnegative)):
-            kind = "nonnegative" if name in nonnegative else "positive"
-            raise InvalidConfig(f"{name} must be {kind}, got {value}")
-
-
 def stop_level(C: float, delta: float, exponent: float) -> float:
-    """The residual level C * delta**exponent of the a-posteriori rules."""
-    return C * delta ** exponent
-
-
-def check_stop_above_noise(level: float, delta: float) -> None:
-    """Raise InvalidConfig unless the stop level C * delta**e exceeds the
-    noise level delta, as the a-posteriori rules need; NaN fails."""
+    """The residual level C * delta**exponent of the a-posteriori rules.
+    Raises InvalidConfig unless 0 < delta < level, as the rules need: a
+    finite delta (checked before the power is taken), NaN failing."""
+    if not 0 < delta < math.inf:
+        raise InvalidConfig(f"delta must be positive and finite, got {delta}")
+    level = C * delta ** exponent
     if not level > delta:
         raise InvalidConfig(
             f"stop level C * delta**e = {level:g} must exceed delta = {delta:g}"
         )
+    return level
 
 
 def a_end(C1: float, delta: float, y_norm: float) -> float:
@@ -177,15 +142,11 @@ class SolveReport:
 
 class Trajectory:
     """The recorded states of one flow or iteration run and its stopping
-    rule; `cfg` supplies `threshold` and `keep_iterates`."""
+    rule; `cfg` supplies `threshold` (a checked `stop_level`) and
+    `keep_iterates`."""
 
     def __init__(self, cfg, delta: float, notes: tuple[str, ...] = ()):
-        if not math.isfinite(delta):
-            raise InvalidConfig(f"delta must be finite, got {delta}")
-        if delta <= 0:
-            raise InvalidConfig("delta must be positive")
         self.threshold = cfg.threshold(delta)
-        check_stop_above_noise(self.threshold, delta)
         self.history = []
         self.iterates = [] if cfg.keep_iterates else None
         self.notes = tuple(notes)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConstraintViolated, InvalidConfig
+from .errors import BudgetExceeded, ConstraintViolated, InvalidConfig, check_fields
 
 NEWTON_FLOW = "newton_flow"
 GRADIENT_FLOW = "gradient_flow"
@@ -159,11 +159,11 @@ class ValidationParams:
     g0: float | None = None
 
     def __post_init__(self):
-        for name in ("m1", "c0", "c1", "y_norm", "residual0"):
-            if not getattr(self, name) >= 0:
-                raise InvalidConfig(f"{name} must be nonnegative")
-        if not np.isfinite(self.horizon) or self.horizon <= 0:
-            raise InvalidConfig("horizon must be finite and positive")
+        # the conditions divide by y_norm, c1 and lam
+        check_fields(self, ("c1", "y_norm", "horizon", "lam"),
+                     ("m1", "c0", "residual0"))
+        if not math.isfinite(self.horizon):
+            raise InvalidConfig(f"horizon must be finite, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -451,7 +451,7 @@ def _scan_lambda(kind: str, table: list[_Condition],
         return None
     varying = sorted((c for c in table if callable(c.margin)),
                      key=lambda c: isinstance(c.where, np.ndarray))
-    floor = params.m1 / params.y_norm if params.y_norm > 0 else 0.0
+    floor = params.m1 / params.y_norm
     for lam in _lambdas(floor):
         for c in varying:
             if not _holds(c.margin(lam), c.strict):

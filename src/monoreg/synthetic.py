@@ -18,6 +18,7 @@ from .core import (
     NonlinearOperator,
     OperatorBounds,
 )
+from .errors import InvalidConfig
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class RankOneProblem:
 
 def rank_one_problem(dim: int = 2) -> RankOneProblem:
     if dim < 2:
-        raise ValueError("rank-one problem needs dim >= 2")
+        raise InvalidConfig("rank-one problem needs dim >= 2")
     weights = np.ones(dim)
     p_vals = np.zeros(dim)
     p_vals[0] = 1.0

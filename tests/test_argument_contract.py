@@ -1,0 +1,87 @@
+"""The argument contract: every config class declares its ranges once, a
+bad argument raises InvalidConfig (a ValueError) before any solve, and no
+module raises a bare ValueError."""
+import ast
+from math import nan
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from monoreg import (
+    ContinuousInequality,
+    DiscreteInequality,
+    DPConfig,
+    InvalidConfig,
+    NoiseSpec,
+    ValidationParams,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "monoreg"
+
+_const = lambda t: np.ones_like(np.asarray(t, dtype=float))
+_ones = np.ones(4)
+
+# class -> (valid arguments, {numeric field: values out of its range});
+# every field is also given a bool, which no numeric field takes
+_VALID = {
+    NoiseSpec: (dict(delta_rel=0.01, seed=0),
+                {"delta_rel": [nan, 0.0, -0.01], "seed": [nan, 0.5]}),
+    ValidationParams: (
+        dict(m1=2.0, c0=1.0, c1=5.0, y_norm=1.0, residual0=1.3, horizon=1e4),
+        {"m1": [nan, -1.0], "c0": [nan, -1.0], "c1": [nan, 0.0],
+         "y_norm": [nan, 0.0], "residual0": [nan, -1.0],
+         "horizon": [nan, 0.0, np.inf], "lam": [nan, 0.0],
+         # any real number: a negative g0 makes no condition fail
+         "alpha_tilde": [], "g0": []},
+    ),
+    DPConfig: (dict(), {"C": [nan, 1.0], "gamma": [nan, 0.0, 1.5],
+                        "theta": [nan, 0.0], "C1": [nan, 0.0],
+                        "C2": [nan, 0.1], "dp_tol": [nan, 0.0, 1.0]}),
+    ContinuousInequality: (
+        dict(p=2.0, alpha=_const, beta=_const, gamma=_const, mu=_const,
+             g0=0.5, horizon=10.0),
+        {"p": [nan, 1.0], "g0": [nan, -0.1], "horizon": [nan, 0.0],
+         "tau0": [nan, 10.0]},
+    ),
+    DiscreteInequality: (
+        dict(p=2.0, alpha=0 * _ones, beta=0 * _ones, gamma=_ones, mu=_ones,
+             h=0.5 * _ones, g0=0.5),
+        {"p": [nan, 1.0], "g0": [nan, -0.1]},
+    ),
+}
+
+_CASES = [
+    (cls, field, value)
+    for cls, (_, bad) in _VALID.items()
+    for field, values in bad.items()
+    for value in [True, *values]
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, value", _CASES,
+    ids=[f"{cls.__name__}-{field}-{value!r}" for cls, field, value in _CASES],
+)
+def test_bad_argument_raises_invalid_config(cls, field, value):
+    valid, _ = _VALID[cls]
+    cls(**valid)
+    with pytest.raises(InvalidConfig, match=field) as exc:
+        cls(**{**valid, field: value})
+    assert isinstance(exc.value, ValueError)
+
+
+def _bare_value_errors(path: Path) -> list[int]:
+    def is_value_error(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return isinstance(node, ast.Name) and node.id == "ValueError"
+
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and is_value_error(node.exc)]
+
+
+def test_no_module_raises_a_bare_value_error():
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := _bare_value_errors(path))}
+    assert found == {}, "raise InvalidConfig instead"

@@ -215,7 +215,7 @@ _CONST = {"form": "const", "value": 1.0}
                        "c": 7.0, "d": 32.0},
           "params": {"m1": 1.73, "c0": 0.53, "c1": 5.0, "y_norm": math.nan,
                      "residual0": 1.3, "horizon": 1e5}},
-         "params: y_norm must be nonnegative"),
+         "params: y_norm must be positive"),
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
                      "method": "simple",
                      "schedule": {"form": "discrete", "kind": "simple_iter",
@@ -279,6 +279,49 @@ def test_every_noise_level_is_checked_before_the_first_solve(
     assert (f"noise.delta_rel: delta_rel must be positive, got {bad}"
             in capsys.readouterr().err)
     assert drawn == []
+
+
+_NEWTON_ITER_SCHEDULE = {"form": "discrete", "kind": "newton_iter", "b": 1.0,
+                         "d_or_c": 1.0, "d0": 64.0}
+
+
+@pytest.mark.parametrize(
+    "schedule, key",
+    [(None, "y_norm"), (_NEWTON_ITER_SCHEDULE, "c1"), (None, "lam")],
+)
+def test_schedule_check_zero_divisor_exits_3(tmp_path, capsys, schedule, key):
+    # the conditions divide by y_norm, c1 and lam; 0 must not reach them
+    cfg = json.loads((CONFIGS / "schedule_check.json").read_text())
+    if schedule is not None:
+        cfg["schedule"] = schedule
+    cfg["params"][key] = 0.0
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {**cfg, "output": {"dir": str(out)}})
+    assert main(["schedule-check", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert f"params: {key} must be positive, got 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_checks_every_stop_level_before_the_first_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # delta_rel 50 puts the stop level 1.01 * delta**0.99 below delta; the
+    # three 0.01 rows come first, and none of them may run
+    def runner(*args):
+        raise AssertionError("a row was solved")
+
+    monkeypatch.setitem(monoreg.cli._CONTINUATION["iterate"][0], "newton",
+                        runner)
+    out = tmp_path / "out"
+    assert main(["iterate", "--config",
+                 str(CONFIGS / "iterate_newton_hammerstein.json"),
+                 "--delta-rel", "0.01,50", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "noise.delta_rel: stop level C * delta**e" in err
+    assert "at delta_rel = 50" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

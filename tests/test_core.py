@@ -7,6 +7,7 @@ from monoreg import (
     BallSampler,
     GridMismatch,
     HilbertVector,
+    InvalidConfig,
     LinearMap,
     NonFinite,
     NonlinearOperator,
@@ -77,9 +78,11 @@ def test_weights_must_be_positive():
 
 
 @pytest.mark.parametrize("m1, m2", [(-1.0, 0.0), (1.0, -1.0), (np.nan, 0.0),
-                                    (1.0, np.nan)])
+                                    (1.0, np.nan), (True, 0.0), (1.0, True)])
 def test_operator_bounds_must_be_nonnegative(m1, m2):
-    with pytest.raises(ValueError, match="bounds must be nonnegative"):
+    # the field that holds the bad value: a bool is not a float
+    field = "m1" if m2 == 0.0 else "m2"
+    with pytest.raises(InvalidConfig, match=f"{field} must be"):
         OperatorBounds(m1, m2)
 
 

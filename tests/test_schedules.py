@@ -151,10 +151,17 @@ def _params(**overrides):
 
 
 @pytest.mark.parametrize("field", ["m1", "c0", "c1", "y_norm", "residual0"])
-@pytest.mark.parametrize("value", [-1.0, np.nan])
+@pytest.mark.parametrize("value", [-1.0, np.nan, 0.0])
 def test_validation_params_must_be_nonnegative(field, value):
-    with pytest.raises(InvalidConfig, match=f"{field} must be nonnegative"):
-        _params(**{field: value})
+    # the conditions divide by c1 and y_norm, so 0 is out of their range
+    if field in ("c1", "y_norm"):
+        with pytest.raises(InvalidConfig, match=f"{field} must be positive"):
+            _params(**{field: value})
+    elif value == 0.0:
+        assert getattr(_params(**{field: value}), field) == 0.0
+    else:
+        with pytest.raises(InvalidConfig, match=f"{field} must be nonnegative"):
+            _params(**{field: value})
 
 
 def test_equality_ratio_condition_passes_at_zero_margin():
