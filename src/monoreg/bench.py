@@ -330,13 +330,13 @@ def hammerstein_operator(prob: HammersteinProblem) -> NonlinearOperator:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Relative noise level and the 64-bit seed of the draw."""
+    """Relative noise level and the nonnegative 64-bit seed of the draw."""
 
     delta_rel: float
     seed: int
 
     def __post_init__(self):
-        check_fields(self, ("delta_rel",))
+        check_fields(self, ("delta_rel",), ("seed",))
 
 
 def gen_noise(f: HilbertVector, spec: NoiseSpec) -> tuple[HilbertVector, float]:

@@ -163,6 +163,26 @@ def build_problem(section: dict) -> ProblemBundle:
     return ProblemBundle(kind, F, u_exact, make_noise)
 
 
+def _levels_and_seeds(levels, seeds, args, where: str, level_key: str):
+    """The noise levels and seeds of a sweep after the --delta-rel and --seed
+    flags, each checked (level > 0, seed >= 0) before any noise is drawn."""
+    if args.delta_rel is not None:
+        levels = [float(x) for x in args.delta_rel.split(",")]
+    if args.seed is not None:
+        seeds = [args.seed]
+    if not levels or not seeds:
+        raise ConfigError("noise grid is empty", key=where)
+    for level in levels:
+        if not level > 0:
+            raise ConfigError(f"delta_rel must be positive, got {level}",
+                              key=f"{where}.{level_key}")
+    for seed in seeds:
+        if not seed >= 0:
+            raise ConfigError(f"seeds must be nonnegative, got {seed}",
+                              key=f"{where}.seeds")
+    return levels, seeds
+
+
 def _noise_grid(cfg: dict, args) -> tuple[list[float], list[int]]:
     def build(section):
         delta_rel = section.get("delta_rel", [0.01])
@@ -171,18 +191,8 @@ def _noise_grid(cfg: dict, args) -> tuple[list[float], list[int]]:
         seeds = section.get("seeds", [0])
         if isinstance(seeds, int):
             seeds = [seeds]
-        if args.delta_rel is not None:
-            delta_rel = args.delta_rel.split(",")
-        if args.seed is not None:
-            seeds = [args.seed]
-        if not delta_rel or not seeds:
-            raise ConfigError("noise grid is empty", key="noise")
-        levels = [float(x) for x in delta_rel]
-        # every level is checked before any noise is drawn
-        for level in levels:
-            if not level > 0:
-                raise ConfigError(f"delta_rel must be positive, got {level}",
-                                  key="noise.delta_rel")
+        levels, seeds = _levels_and_seeds([float(x) for x in delta_rel], seeds,
+                                          args, "noise", "delta_rel")
         return levels, [int(s) for s in seeds]
 
     return _read(cfg, "noise", {"delta_rel", "seeds"}, build)
@@ -259,29 +269,28 @@ def _cmd_dp(cfg: dict, args) -> int:
     return _sweep(cfg, args, "dp", solve, dp_cfg.target)
 
 
-_SCHEDULE_KEYS = {"form", "kind", "b", "c", "d", "d_or_c", "d0"}
+_SCHEDULE_KEYS = {"kind", "b", "c", "d", "d_or_c", "d0"}
 
 
-def _schedule(section: dict):
-    form = section.get("form")
-    if form == "continuous":
-        return schedules.make_continuous(
-            section["kind"], section["b"], section["c"], section["d"]
-        )
-    if form == "discrete":
-        return schedules.make_discrete(
-            section["kind"], section["b"], section["d_or_c"], section["d0"]
-        )
-    raise ConfigError("form must be 'continuous' or 'discrete'", key="schedule")
+def _schedule(section: dict,
+              kinds=schedules.CONTINUOUS_KINDS + schedules.DISCRETE_KINDS):
+    """The schedule of the section; its kind, one of `kinds`, picks its form."""
+    kind = section.get("kind")
+    if kind not in kinds:
+        raise ConfigError(f"must be one of {sorted(kinds)}, got {kind!r}",
+                          key="schedule.kind")
+    if kind in schedules.CONTINUOUS_KINDS:
+        return schedules.make_continuous(kind, section["b"], section["c"], section["d"])
+    return schedules.make_discrete(kind, section["b"], section["d_or_c"], section["d0"])
 
 
-# subcommand -> (runners by method, config class, allowed `stop` keys,
-# start point from (problem, f_delta, schedule, stop.start)); the key
+# subcommand -> (runners by schedule kind, config class, allowed `stop`
+# keys, start point from (problem, f_delta, schedule, stop.start)); the key
 # "gamma" sets IterConfig's gamma_or_zeta
 _CONTINUATION = {
     "flow": (
-        {"newton": flows.flow_newton, "gradient": flows.flow_gradient,
-         "simple": flows.flow_simple},
+        dict(zip(schedules.CONTINUOUS_KINDS,
+                 (flows.flow_newton, flows.flow_gradient, flows.flow_simple))),
         flows.FlowConfig,
         {"C1", "zeta", "step_init", "step_min", "step_max", "t_max",
          "inner_tol", "start"},
@@ -289,10 +298,10 @@ _CONTINUATION = {
             problem.F, f_delta, float(schedule.a(0.0)), zero=start == "zero"),
     ),
     "iterate": (
-        {"newton": iterations.iter_newton, "gradient": iterations.iter_gradient,
-         "simple": iterations.iter_simple},
+        dict(zip(schedules.DISCRETE_KINDS, (
+            iterations.iter_newton, iterations.iter_gradient, iterations.iter_simple))),
         iterations.IterConfig,
-        {"C1", "gamma", "n_max", "m1", "inner_tol"},
+        {"C1", "gamma", "n_max", "inner_tol"},
         lambda problem, f_delta, schedule, start: HilbertVector.zeros(
             problem.u_exact.weights),
     ),
@@ -301,13 +310,8 @@ _CONTINUATION = {
 
 def _cmd_continuation(command: str, cfg: dict, args) -> int:
     runners, config_class, stop_keys, make_start = _CONTINUATION[command]
-    method = args.method or cfg.get("method")
-    if method not in runners:
-        raise ConfigError(
-            f"method must be one of {sorted(runners)}, got {method!r}",
-            key="method",
-        )
-    schedule = _read(cfg, "schedule", _SCHEDULE_KEYS, _schedule)
+    schedule = _read(cfg, "schedule", _SCHEDULE_KEYS,
+                     functools.partial(_schedule, kinds=tuple(runners)))
 
     def build_stop(section):
         stop = dict(section)
@@ -324,9 +328,11 @@ def _cmd_continuation(command: str, cfg: dict, args) -> int:
 
     def solve(problem, f_delta, delta, history):
         u0 = make_start(problem, f_delta, schedule, start)
-        report = runners[method](problem.F, f_delta, delta, run_cfg, u0)
+        report = runners[schedule.kind](problem.F, f_delta, delta, run_cfg, u0)
         return report.to_dict(include_history=history), report.u_final, {}
 
+    # the default stem names the method: flow_newton, iterate_simple, ...
+    method = schedule.kind.split("_")[0]
     return _sweep(cfg, args, f"{command}_{method}", solve, run_cfg.threshold)
 
 
@@ -342,15 +348,12 @@ _TABLE1_HEADER = [
 
 def _cmd_bench(cfg: dict, args) -> int:
     def build(section):
-        section = dict(section)
-        if args.delta_rel is not None:
-            section["delta_rel_list"] = [float(x) for x in args.delta_rel.split(",")]
-        if args.seed is not None:
-            section["seeds"] = [args.seed]
-        for key in ("delta_rel_list", "seeds"):
-            if key in section:
-                section[key] = tuple(section[key])
-        return bench.Table1Config(**section)
+        levels, seeds = _levels_and_seeds(
+            section.get("delta_rel_list", bench.Table1Config.delta_rel_list),
+            section.get("seeds", bench.Table1Config.seeds),
+            args, "bench", "delta_rel_list")
+        return bench.Table1Config(**{**section, "delta_rel_list": tuple(levels),
+                                     "seeds": tuple(seeds)})
 
     table_cfg = _read(cfg, "bench", _keys(bench.Table1Config), build)
     path, fmt, _ = _output(cfg, args, "table1")
@@ -481,13 +484,12 @@ _FLAGS = {
     "--seed": dict(type=int, help="override noise seeds with a single seed"),
     "--delta-rel": dict(dest="delta_rel",
                         help="comma-separated relative noise levels"),
-    "--method": dict(help="newton | gradient | simple"),
     "--out": dict(help="override output directory"),
     "--format": dict(choices=("csv", "json")),
 }
 _OUTPUT_FLAGS = ("--out", "--format")
 _SWEEP_FLAGS = ("--seed", "--delta-rel", *_OUTPUT_FLAGS)
-_CONTINUATION_SECTIONS = {"problem", "method", "schedule", "stop", "noise", "output"}
+_CONTINUATION_SECTIONS = {"problem", "schedule", "stop", "noise", "output"}
 
 # subcommand -> (allowed top-level sections, runner, the override flags it
 # reads); a flag a subcommand does not read is a usage error
@@ -495,11 +497,11 @@ _COMMANDS = {
     "dp": ({"problem", "dp", "noise", "output"}, _cmd_dp, _SWEEP_FLAGS),
     "flow": (
         _CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "flow"),
-        ("--method", *_SWEEP_FLAGS),
+        _SWEEP_FLAGS,
     ),
     "iterate": (
         _CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "iterate"),
-        ("--method", *_SWEEP_FLAGS),
+        _SWEEP_FLAGS,
     ),
     "bench": ({"bench", "output"}, _cmd_bench, _SWEEP_FLAGS),
     "schedule-check": (

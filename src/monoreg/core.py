@@ -346,7 +346,8 @@ def check_monotonicity(
     """Sample <F(u)-F(v), u-v> over seeded pairs and compare with -tol.
 
     The report carries the worst value rather than raising: a failure is a
-    finding about the operator, not an error in the check.
+    finding about the operator, not an error in the check.  A NaN value is
+    the worst and ends the sampling, so the report fails.
     """
     if n_pairs < 1:
         raise InvalidConfig("n_pairs must be >= 1")
@@ -354,9 +355,10 @@ def check_monotonicity(
     worst_index = -1
     for i, (u, v) in enumerate(sampler.pairs(n_pairs)):
         val = (F(u) - F(v)).inner(u - v)
-        if val < worst:
-            worst = val
-            worst_index = i
+        if not val >= worst:
+            worst, worst_index = val, i
+            if math.isnan(val):
+                break
     return MonotonicityReport(
         min_inner=worst,
         n_pairs=n_pairs,
@@ -533,7 +535,7 @@ def fd_derivative_check(
     (F(u + h w) - F(u - h w)) / (2 h); the central stencil has O(h^2)
     truncation error.
     """
-    if h <= 0:
+    if not h > 0:
         raise InvalidConfig("h must be positive")
     A = F.deriv(u)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -544,5 +546,5 @@ def fd_derivative_check(
         exact = A(w)
         approx = (F(u + h * w) - F(u - h * w)) / (2.0 * h)
         err = (exact - approx).norm() / max(exact.norm(), EPS_FLOOR)
-        worst = max(worst, err)
-    return worst
+        worst = np.maximum(worst, err)  # a NaN error stays NaN
+    return float(worst)

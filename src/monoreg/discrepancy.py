@@ -92,13 +92,12 @@ def solve_dp(
     f_delta: HilbertVector,
     delta: float,
     cfg: DPConfig,
-    a_init: float = 1.0,
 ) -> DPResult:
     """Find a(delta) with ||F(V_a) - f_delta|| = C * delta**gamma.
 
     phi is strictly increasing and tends to r0 = ||F(0) - f_delta|| from
     below, so a root exists iff r0 exceeds the target, and bisection on a
-    geometric bracket grown from a_init finds it.  Inner solves are
+    geometric bracket grown from a = 1 finds it.  Inner solves are
     warm-started along the bisection path and run well below dp_tol so the
     measured residual is trustworthy at the match tolerance.
     """
@@ -125,7 +124,7 @@ def solve_dp(
         sol = solve_regularized(F, f_delta, a, tol=inner_tol, warm_start=warm)
         return (F(sol.V) - f_delta).norm(), sol.V
 
-    lo, hi, evals, warm = _bracket_search(F, f_delta, target, a_init, inner_tol)
+    lo, hi, evals, warm = _bracket_search(F, f_delta, target, 1.0, inner_tol)
     for _ in range(200):
         if hi - lo <= A_RTOL * hi:
             break
@@ -181,11 +180,11 @@ def accept_candidate(
     convergence of accepted candidates as delta -> 0 without needing v to
     come from any particular solver.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise InvalidConfig("alpha must be positive")
     if not 0 < cfg.gamma < 1:
         raise InvalidConfig("the acceptance test needs gamma in (0, 1)")
-    if delta <= 0:
+    if not delta > 0:
         raise InvalidConfig("delta must be positive")
     defect_norm = (F(v) + alpha * v - f_delta).norm()
     residual = (F(v) - f_delta).norm()

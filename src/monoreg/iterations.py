@@ -45,25 +45,23 @@ DEFAULT_N_MAX = 100_000
 class IterConfig:
     """Stopping constants and schedule for one iteration.
 
-    m1 left as None falls back to the operator's declared bounds, else to
-    1.1 times a power-iteration estimate at the start (flagged in the
-    report notes); the gradient and simple variants step at the top of
-    the stability band it fixes.  n_max left as None resolves to ten
-    times the a-priori stopping estimate when y_norm is given, else to
-    100000.
+    The gradient and simple variants step at the top of the stability
+    band fixed by m1, which comes from the operator: its declared bounds,
+    else 1.1 times a power-iteration estimate at the start (flagged in the
+    report notes).  n_max left as None resolves to ten times the a-priori
+    stopping estimate when y_norm is given, else to 100000.
     """
 
     schedule: DiscreteSchedule
     C1: float = 1.5
     gamma_or_zeta: float = 0.9
     n_max: int | None = None
-    m1: float | None = None
     inner_tol: float = 1e-10
     y_norm: float | None = None
     keep_iterates: bool = False
 
     def __post_init__(self):
-        check_fields(self, ("n_max", "inner_tol", "y_norm"), ("m1",))
+        check_fields(self, ("n_max", "inner_tol", "y_norm"))
         check_stop_constants(self, "C1", "gamma_or_zeta")
 
     def threshold(self, delta: float) -> float:
@@ -129,9 +127,7 @@ def iter_simple(
 def _run_damped(F, f_delta, delta, cfg, u0, method, band) -> SolveReport:
     """_run with the step size alpha_n = band(m1, a_n)."""
     notes = ()
-    if cfg.m1 is not None:
-        m1 = cfg.m1
-    elif F.bounds is not None:
+    if F.bounds is not None:
         m1 = F.bounds.m1
     else:
         m1 = 1.1 * operator_norm_estimate(F.deriv(u0))

@@ -59,7 +59,7 @@ def solve_regularized(
         raise InvalidConfig("shift a must be positive")
     if tol is None:
         tol = default_tol(a, f_delta)
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidConfig("tol must be positive")
     V = warm_start if warm_start is not None else HilbertVector.zeros(f_delta.weights)
     V._check_grid(f_delta)

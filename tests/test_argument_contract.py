@@ -15,6 +15,9 @@ from monoreg import (
     InvalidConfig,
     NoiseSpec,
     ValidationParams,
+    accept_candidate,
+    diagonal_problem,
+    solve_regularized,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "monoreg"
@@ -26,7 +29,7 @@ _ones = np.ones(4)
 # every field is also given a bool, which no numeric field takes
 _VALID = {
     NoiseSpec: (dict(delta_rel=0.01, seed=0),
-                {"delta_rel": [nan, 0.0, -0.01], "seed": [nan, 0.5]}),
+                {"delta_rel": [nan, 0.0, -0.01], "seed": [nan, 0.5, -1]}),
     ValidationParams: (
         dict(m1=2.0, c0=1.0, c1=5.0, y_norm=1.0, residual0=1.3, horizon=1e4),
         {"m1": [nan, -1.0], "c0": [nan, -1.0], "c1": [nan, 0.0],
@@ -69,6 +72,26 @@ def test_bad_argument_raises_invalid_config(cls, field, value):
     with pytest.raises(InvalidConfig, match=field) as exc:
         cls(**{**valid, field: value})
     assert isinstance(exc.value, ValueError)
+
+
+_F, _U = diagonal_problem(4)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        # `x <= 0` is False for NaN: a rejecting report with a NaN bound
+        (lambda: accept_candidate(_F, _F(_U), nan, _U, 0.1, DPConfig()), "delta"),
+        (lambda: accept_candidate(_F, _F(_U), 0.01, _U, nan, DPConfig()), "alpha"),
+        # a NaN tolerance ran to NonConvergence
+        (lambda: solve_regularized(_F, _F(_U), 0.1, tol=nan), "tol"),
+    ],
+    ids=["accept_candidate-delta", "accept_candidate-alpha",
+         "solve_regularized-tol"],
+)
+def test_nan_argument_raises_invalid_config(call, name):
+    with pytest.raises(InvalidConfig, match=f"{name} must be positive"):
+        call()
 
 
 def _bare_value_errors(path: Path) -> list[int]:

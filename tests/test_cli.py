@@ -157,15 +157,15 @@ _CONST = {"form": "const", "value": 1.0}
                                "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
                                "gamma": _CONST, "mu": _CONST}}, "instance: "),
         # a misspelt start must not run as the regularized start
-        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
-                  "schedule": {"form": "continuous", "kind": "simple_flow",
-                               "b": 0.5, "c": 9.0, "d": 1.0},
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6},
+                  "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
+                               "d": 1.0},
                   "stop": {"start": "zeroo"}}, "stop.start: "),
         # values of the wrong type that no range check reads
         ("bench", {"bench": {"n_nodes": "20"}}, "bench: n_nodes"),
-        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
-                  "schedule": {"form": "continuous", "kind": "simple_flow",
-                               "b": 0.5, "c": 9.0, "d": 1.0},
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6},
+                  "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
+                               "d": 1.0},
                   "stop": {"t_max": "1e5"}}, "stop: t_max"),
         # a_rtol is a module constant, not a key of the dp section
         ("dp", {"problem": {"kind": "rank_one"},
@@ -179,25 +179,22 @@ _CONST = {"form": "const", "value": 1.0}
                 "dp": {"C": 1.5, "gamma": 1.0, "C2": 99.0}}, "dp: "),
         # an empty budget or horizon runs no step at all
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
-                     "method": "simple",
-                     "schedule": {"form": "discrete", "kind": "simple_iter",
-                                  "b": 0.5, "d_or_c": 1.0, "d0": 1.0},
+                     "schedule": {"kind": "simple_iter", "b": 0.5,
+                                  "d_or_c": 1.0, "d0": 1.0},
                      "stop": {"n_max": 0}}, "stop: n_max must be positive"),
-        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
-                  "schedule": {"form": "continuous", "kind": "simple_flow",
-                               "b": 0.5, "c": 9.0, "d": 1.0},
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6},
+                  "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
+                               "d": 1.0},
                   "stop": {"t_max": -1.0}}, "stop: t_max must be positive"),
         ("bench", {"bench": {"n_max": 0}}, "bench: n_max must be positive"),
-        # a negative m1 and a tolerance no solve can meet ran before
+        # m1 comes from the operator; a tolerance no solve can meet ran before
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
-                     "method": "simple",
-                     "schedule": {"form": "discrete", "kind": "simple_iter",
-                                  "b": 0.5, "d_or_c": 1.0, "d0": 1.0},
-                     "stop": {"m1": -1}}, "stop: m1 must be nonnegative"),
+                     "schedule": {"kind": "simple_iter", "b": 0.5,
+                                  "d_or_c": 1.0, "d0": 1.0},
+                     "stop": {"m1": -1}}, "stop: unknown key 'm1'"),
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
-                     "method": "newton",
-                     "schedule": {"form": "discrete", "kind": "newton_iter",
-                                  "b": 0.5, "d_or_c": 1.0, "d0": 1.0},
+                     "schedule": {"kind": "newton_iter", "b": 0.5,
+                                  "d_or_c": 1.0, "d0": 1.0},
                      "stop": {"inner_tol": 0.0}},
          "stop: inner_tol must be positive"),
         # the bound check is built, with its step count checked, before it runs
@@ -211,27 +208,29 @@ _CONST = {"form": "const", "value": 1.0}
          "instance: n_steps must be >= 1, got -5"),
         # NaN fails every range check, the coefficient descriptors included
         ("schedule-check",
-         {"schedule": {"form": "continuous", "kind": "newton_flow", "b": 1.0,
-                       "c": 7.0, "d": 32.0},
+         {"schedule": {"kind": "newton_flow", "b": 1.0, "c": 7.0,
+                       "d": 32.0},
           "params": {"m1": 1.73, "c0": 0.53, "c1": 5.0, "y_norm": math.nan,
                      "residual0": 1.3, "horizon": 1e5}},
          "params: y_norm must be positive"),
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
-                     "method": "simple",
-                     "schedule": {"form": "discrete", "kind": "simple_iter",
-                                  "b": 0.5, "d_or_c": math.nan, "d0": 1.0}},
+                     "schedule": {"kind": "simple_iter", "b": 0.5,
+                                  "d_or_c": math.nan, "d0": 1.0}},
          "schedule: constraint 'd_or_c >= 1'"),
-        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
-                  "schedule": {"form": "continuous", "kind": "simple_flow",
-                               "b": 0.5, "c": 9.0, "d": 1.0},
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6},
+                  "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
+                               "d": 1.0},
                   "noise": {"delta_rel": [math.nan]}},
          "delta_rel must be positive, got nan"),
         # every noise level is checked before the first row is solved
-        ("flow", {"problem": {"kind": "diagonal", "dim": 6}, "method": "simple",
-                  "schedule": {"form": "continuous", "kind": "simple_flow",
-                               "b": 0.5, "c": 9.0, "d": 1.0},
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6},
+                  "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
+                               "d": 1.0},
                   "noise": {"delta_rel": [0.01, math.nan]}},
          "noise.delta_rel: delta_rel must be positive, got nan"),
+        ("dp", {"problem": {"kind": "rank_one"}, "dp": {"C": 1.5, "gamma": 1.0},
+                "noise": {"seeds": [0, -1]}},
+         "noise.seeds: seeds must be nonnegative, got -1"),
         ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": math.nan,
                                "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
                                "gamma": _CONST, "mu": _CONST}},
@@ -251,7 +250,8 @@ _CONST = {"form": "const", "value": 1.0}
          "string-t-max", "dp-a-rtol", "dp-theta", "dp-c1", "dp-c2",
          "zero-n-max", "negative-t-max", "zero-bench-n-max", "negative-m1",
          "zero-inner-tol", "zero-n-steps", "negative-n-steps", "nan-y-norm",
-         "nan-d-or-c", "nan-delta-rel", "nan-second-delta-rel", "nan-g0",
+         "nan-d-or-c", "nan-delta-rel", "nan-second-delta-rel",
+         "negative-second-seed", "nan-g0",
          "nan-coef", "overflowing-int"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
@@ -281,8 +281,8 @@ def test_every_noise_level_is_checked_before_the_first_solve(
     assert drawn == []
 
 
-_NEWTON_ITER_SCHEDULE = {"form": "discrete", "kind": "newton_iter", "b": 1.0,
-                         "d_or_c": 1.0, "d0": 64.0}
+_NEWTON_ITER_SCHEDULE = {"kind": "newton_iter", "b": 1.0, "d_or_c": 1.0,
+                         "d0": 64.0}
 
 
 @pytest.mark.parametrize(
@@ -312,7 +312,7 @@ def test_sweep_checks_every_stop_level_before_the_first_solve(
     def runner(*args):
         raise AssertionError("a row was solved")
 
-    monkeypatch.setitem(monoreg.cli._CONTINUATION["iterate"][0], "newton",
+    monkeypatch.setitem(monoreg.cli._CONTINUATION["iterate"][0], "newton_iter",
                         runner)
     out = tmp_path / "out"
     assert main(["iterate", "--config",
@@ -333,6 +333,9 @@ def test_sweep_checks_every_stop_level_before_the_first_solve(
         ("schedule-check", "schedule_check.json", ["--seed", "3"]),
         ("dp", "dp_rank_one.json", ["--method", "newton"]),
         ("bench", "table1.json", ["--method", "newton"]),
+        # the schedule kind picks the method
+        ("flow", "flow_newton_hammerstein.json", ["--method", "newton"]),
+        ("iterate", "iterate_newton_hammerstein.json", ["--method", "newton"]),
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_rejected(
@@ -343,6 +346,99 @@ def test_flag_the_subcommand_does_not_read_is_rejected(
     assert main([command, "--config", str(CONFIGS / config), "--out", str(out),
                  *flag]) == 3
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, edit, message",
+    [
+        ("flow", "flow_newton_hammerstein.json",
+         lambda cfg: cfg.update(method="newton"), "<top>: unknown key 'method'"),
+        ("iterate", "iterate_newton_hammerstein.json",
+         lambda cfg: cfg["schedule"].update(form="discrete"),
+         "schedule: unknown key 'form'"),
+        ("schedule-check", "schedule_check.json",
+         lambda cfg: cfg["schedule"].update(form="continuous"),
+         "schedule: unknown key 'form'"),
+    ],
+    ids=["method", "iterate-form", "schedule-check-form"],
+)
+def test_the_kind_is_the_only_statement_of_the_method_and_form(
+    tmp_path, capsys, command, config, edit, message
+):
+    cfg = json.loads((CONFIGS / config).read_text())
+    edit(cfg)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {**cfg, "output": {"dir": str(out)}})
+    assert main([command, "--config", path]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_FLOW_KINDS = "['gradient_flow', 'newton_flow', 'simple_flow']"
+_ITER_KINDS = "['gradient_iter', 'newton_iter', 'simple_iter']"
+
+
+@pytest.mark.parametrize(
+    "command, config, kind, kinds",
+    [
+        ("flow", "flow_newton_hammerstein.json", "newton_iter", _FLOW_KINDS),
+        ("iterate", "iterate_newton_hammerstein.json", "gradient_flow",
+         _ITER_KINDS),
+        ("iterate", "iterate_newton_hammerstein.json", "newton", _ITER_KINDS),
+    ],
+)
+def test_a_schedule_of_the_wrong_form_exits_3_before_the_problem_is_built(
+    tmp_path, capsys, monkeypatch, command, config, kind, kinds
+):
+    def build_problem(section):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr("monoreg.cli.build_problem", build_problem)
+    cfg = json.loads((CONFIGS / config).read_text())
+    # a schedule of that kind, so only its kind can fail
+    cfg["schedule"] = {"kind": kind, "b": 0.5, "c": 9.0, "d": 1.0,
+                       "d_or_c": 1.0, "d0": 1.0}
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {**cfg, "output": {"dir": str(out)}})
+    assert main([command, "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert f"schedule.kind: must be one of {kinds}, got {kind!r}" in err
+    assert not out.exists()
+
+
+def test_schedule_check_names_an_unknown_kind(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "schedule_check.json").read_text())
+    cfg["schedule"]["kind"] = "newton"
+    path = write_config(tmp_path, {**cfg, "output": {"dir": str(tmp_path)}})
+    assert main(["schedule-check", "--config", path]) == 3
+    assert ("schedule.kind: must be one of ['gradient_flow', 'gradient_iter', "
+            "'newton_flow', 'newton_iter', 'simple_flow', 'simple_iter'], got "
+            "'newton'" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("iterate", "iterate_newton_hammerstein.json", "noise.seeds"),
+        # the rank-one problem ignores the seed, and ran with seed -1
+        ("dp", "dp_rank_one.json", "noise.seeds"),
+        ("bench", "table1.json", "bench.seeds"),
+    ],
+)
+def test_negative_seed_exits_3_before_any_noise_is_drawn(
+    tmp_path, capsys, monkeypatch, command, config, key
+):
+    drawn = []
+    monkeypatch.setattr("monoreg.bench.gen_noise",
+                        lambda *args: drawn.append(args))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / config), "--seed", "-1",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{key}: seeds must be nonnegative, got -1" in err
+    assert "Traceback" not in err
+    assert drawn == []
     assert not out.exists()
 
 
@@ -488,9 +584,8 @@ def test_iterate_subcommand_runs(tmp_path):
         {
             "problem": {"kind": "hammerstein", "n_nodes": 20,
                          "norm_mode": "euclidean"},
-            "method": "newton",
-            "schedule": {"form": "discrete", "kind": "newton_iter",
-                          "b": 1.0, "d_or_c": 1.0, "d0": 0.35},
+            "schedule": {"kind": "newton_iter", "b": 1.0, "d_or_c": 1.0,
+                         "d0": 0.35},
             "stop": {"C1": 1.01, "gamma": 0.99, "n_max": 500},
             "noise": {"delta_rel": [0.05], "seeds": [0]},
             "output": {"dir": str(tmp_path / "out")},
@@ -507,9 +602,7 @@ def test_flow_subcommand_runs(tmp_path):
         tmp_path,
         {
             "problem": {"kind": "diagonal", "dim": 6},
-            "method": "simple",
-            "schedule": {"form": "continuous", "kind": "simple_flow",
-                          "b": 0.5, "c": 9.0, "d": 1.0},
+            "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0, "d": 1.0},
             "stop": {"C1": 1.5, "zeta": 0.9, "t_max": 100000.0},
             "noise": {"delta_rel": [0.05], "seeds": [0]},
             "output": {"dir": str(tmp_path / "out")},
@@ -621,9 +714,8 @@ def test_iterate_history_in_json_output(tmp_path):
         {
             "problem": {"kind": "hammerstein", "n_nodes": 20,
                          "norm_mode": "euclidean"},
-            "method": "newton",
-            "schedule": {"form": "discrete", "kind": "newton_iter",
-                          "b": 1.0, "d_or_c": 1.0, "d0": 0.35},
+            "schedule": {"kind": "newton_iter", "b": 1.0, "d_or_c": 1.0,
+                         "d0": 0.35},
             "stop": {"C1": 1.01, "gamma": 0.99, "n_max": 500},
             "noise": {"delta_rel": [0.05], "seeds": [0]},
             "output": {"dir": str(tmp_path / "out"), "format": "json",

@@ -209,6 +209,26 @@ def test_negated_identity_fails_monotonicity():
     assert report.min_inner < 0.0
 
 
+def _nan_outside(radius):
+    """F(u) = u inside the ball of the given radius about 0, NaN outside."""
+    return NonlinearOperator(
+        lambda u: u if u.norm() < radius else u.with_values(np.full(u.size, np.nan)),
+        lambda u: identity_map(u.weights),
+    )
+
+
+def test_nan_sample_fails_monotonicity():
+    # `val < worst` is False for NaN, so the report passed with min_inner inf
+    sampler = BallSampler(HilbertVector.zeros(np.ones(3)), radius=2.0, seed=1)
+    first_nan = next(i for i, (u, v) in enumerate(sampler.pairs(10))
+                     if max(u.norm(), v.norm()) >= 1.98)
+    assert first_nan > 0
+    report = check_monotonicity(_nan_outside(1.98), sampler, n_pairs=10, tol=1e-12)
+    assert not report.passed
+    assert np.isnan(report.min_inner)
+    assert report.worst_index == first_nan
+
+
 def test_hammerstein_is_monotone(ham50):
     prob, F = ham50
     sampler = BallSampler(prob.exact_solution, radius=2.0, seed=3)
@@ -698,6 +718,19 @@ def test_fd_check_hammerstein(ham50):
     prob, F = ham50
     u = const_vector(1.0, prob.weights)
     assert fd_derivative_check(F, u, n_directions=10, h=1e-6) <= 1e-6
+
+
+def test_fd_check_nan_error_is_reported():
+    # Python's max(worst, nan) drops the NaN and returned 0.0
+    F = _nan_outside(1e-3)
+    assert np.isnan(fd_derivative_check(F, vec([0.0, 0.0, 0.0]), 3, 1e-2))
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-6, np.nan])
+def test_fd_check_rejects_non_positive_step(h):
+    F = identity_operator(np.ones(2))
+    with pytest.raises(InvalidConfig, match="h must be positive"):
+        fd_derivative_check(F, vec([1.0, 2.0]), 1, h)
 
 
 def test_fd_check_requires_derivative():

@@ -88,7 +88,7 @@ def test_gradient_scalar_recurrence_matches_direct_evaluation():
     m1 = 1.0
     schedule = make_discrete(GRADIENT_ITER, b=0.25, d_or_c=2.0, d0=1.0)
     cfg = IterConfig(
-        schedule=schedule, C1=1.5, gamma_or_zeta=0.9, n_max=5000, m1=m1,
+        schedule=schedule, C1=1.5, gamma_or_zeta=0.9, n_max=5000,
         keep_iterates=True,
     )
     delta = 0.2
@@ -108,7 +108,7 @@ def test_simple_scalar_recurrence_matches_direct_evaluation():
     m1 = 1.0
     schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
     cfg = IterConfig(
-        schedule=schedule, C1=1.5, gamma_or_zeta=0.9, n_max=500, m1=m1,
+        schedule=schedule, C1=1.5, gamma_or_zeta=0.9, n_max=500,
         keep_iterates=True,
     )
     delta = 0.02
@@ -259,23 +259,15 @@ def test_empty_budget_rejected(n_max):
 @pytest.mark.parametrize("field, value, message", [
     ("y_norm", 0.0, "y_norm must be positive"),
     ("y_norm", -1.0, "y_norm must be positive"),
-    ("m1", -1.0, "m1 must be nonnegative"),
-    ("m1", np.nan, "m1 must be nonnegative"),
     ("inner_tol", 0.0, "inner_tol must be positive"),
     ("inner_tol", np.nan, "inner_tol must be positive"),
 ])
 def test_out_of_range_setting_rejected(field, value, message):
-    # y_norm 0 divided by zero in a_end and -1 resolved n_max to 1000010; m1
-    # -1 made the simple step 2 / (m1 + 2 a) divide by zero; inner_tol 0 made
-    # every newton step fail its shifted solve
+    # y_norm 0 divided by zero in a_end and -1 resolved n_max to 1000010;
+    # inner_tol 0 made every newton step fail its shifted solve
     schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
     with pytest.raises(InvalidConfig, match=message):
         IterConfig(schedule=schedule, **{field: value})
-
-
-def test_zero_m1_is_accepted():
-    schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
-    assert IterConfig(schedule=schedule, m1=0.0).m1 == 0.0
 
 
 def test_m1_estimation_is_flagged():
