@@ -45,7 +45,6 @@ from .discrepancy import (
 from .errors import (
     BoundViolated,
     BudgetExceeded,
-    ConfigError,
     ConstraintViolated,
     GridMismatch,
     HorizonExceeded,

@@ -45,7 +45,7 @@ from .core import (
     OperatorBounds,
     diagonal_view,
 )
-from .errors import GridMismatch, InvalidConfig, MonoregError, check_fields
+from .errors import GridMismatch, InvalidConfig, MonoregError, check_fields, check_number
 from .iterations import IterConfig, iter_newton, operator_norm_estimate
 from .reports import check_stop_constants
 from .schedules import NEWTON_ITER, make_discrete
@@ -104,6 +104,7 @@ class HammersteinProblem:
 
 
 def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> HammersteinProblem:
+    check_number("n_nodes", n_nodes, "int")
     if norm_mode not in (TRAPEZOID, EUCLIDEAN):
         raise InvalidConfig(f"unknown norm_mode {norm_mode!r}")
     x = np.linspace(0.0, 1.0, n_nodes)
@@ -373,7 +374,7 @@ class Table1Config:
     n_max: int = 2000
 
     def __post_init__(self):
-        check_fields(self, ("C0", "n_max"))
+        check_fields(self, ("C0", "n_max", "delta_rel_list"), ("seeds",))
         check_stop_constants(self, "C", "gamma")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")

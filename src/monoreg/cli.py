@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -23,11 +25,11 @@ from . import bench, flows, inequalities, iterations, schedules, synthetic
 from .core import HilbertVector, NonlinearOperator
 from .discrepancy import DPConfig, solve_dp
 from .errors import (
-    ConfigError,
     ConstraintViolated,
     GridMismatch,
     InvalidConfig,
     MonoregError,
+    check_number,
 )
 
 _FLOAT_FMT = "%.17g"
@@ -53,7 +55,8 @@ def _json_default(obj):
 
 
 def emit_report(report, format: str, path, header=None) -> None:
-    """Serialize a report (or list of row dicts) with stable field order.
+    """Serialize a report (or list of row dicts) with stable field order,
+    as JSON when `format` is "json" and as CSV otherwise.
 
     CSV floats carry 17 significant digits so values round-trip exactly;
     the CSV columns are `header` when given, else the scalar fields of the
@@ -65,8 +68,6 @@ def emit_report(report, format: str, path, header=None) -> None:
     if format == "json":
         path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
         return
-    if format != "csv":
-        raise ConfigError(f"unknown format {format!r}", key="output.format")
     rows = [payload] if isinstance(payload, dict) else payload
     if header is None:
         first = rows[0] if rows else {}
@@ -80,44 +81,63 @@ def emit_report(report, format: str, path, header=None) -> None:
 # ------------------------------------------------------------ config loading
 
 
-def _expect_keys(section: dict, allowed: set[str], where: str) -> None:
+def _expect_keys(section: dict, allowed, where: str) -> None:
+    """Raise InvalidConfig naming `where` unless section is an object whose
+    keys are all in `allowed` (any keys when allowed is None)."""
     if not isinstance(section, dict):
-        raise ConfigError(f"section must be an object, got {type(section).__name__}",
-                          key=where)
+        raise InvalidConfig(f"section must be an object, got {type(section).__name__}",
+                            key=where)
     for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", key=where)
+        if allowed is not None and key not in allowed:
+            raise InvalidConfig(f"unknown key {key!r}", key=where)
 
 
-def _keys(config_class) -> set[str]:
-    """The config keys of a section built as config_class(**section)."""
-    return {f.name for f in fields(config_class)}
+def _keys(builder) -> set[str]:
+    """The config keys of a section built as builder(**section): the
+    parameters of a function, the fields of a config class."""
+    return set(inspect.signature(builder).parameters)
 
 
-def _read(cfg: dict, where: str, allowed: set[str], build: Callable):
-    """build(section) for the config section `where` after its key check.
+def _dispatch(section: dict, choices: dict, where: str, tag: str = "kind"):
+    """(section[tag], the section's other keys) once section[tag] is one of
+    `choices` and each other key is one of the keys choices[section[tag]]."""
+    _expect_keys(section, None, where)
+    choice = section.get(tag)
+    if choice not in choices:
+        raise InvalidConfig(f"must be one of {sorted(choices)}, got {choice!r}",
+                            key=f"{where}.{tag}")
+    args = {key: value for key, value in section.items() if key != tag}
+    _expect_keys(args, choices[choice], where)
+    return choice, args
+
+
+def _read(cfg: dict, where: str, allowed, build: Callable):
+    """build(section) for the config section `where` after its key check
+    (`allowed` None: build checks the keys of the kind it reads).
 
     A missing key, a value of the wrong type and a value out of range (an
-    integer too large for a float included) all become one ConfigError
-    that names the section.
+    integer too large for a float included) all become one InvalidConfig
+    that names the section, unless the error already names its key.
     """
     section = cfg.get(where, {})
     _expect_keys(section, allowed, where)
     try:
         return build(section)
     except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", key=where) from exc
+        raise InvalidConfig(f"missing key {exc}", key=where) from exc
     except (TypeError, ValueError, OverflowError, ConstraintViolated) as exc:
-        raise ConfigError(str(exc), key=where) from exc
+        if isinstance(exc, InvalidConfig) and exc.key is not None:
+            raise
+        raise InvalidConfig(str(exc), key=where) from exc
 
 
 def load_config(path):
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise InvalidConfig(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise InvalidConfig(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 @dataclass(frozen=True)
@@ -130,31 +150,28 @@ class ProblemBundle:
     make_noise: Callable[[float, int], tuple[HilbertVector, float]]
 
 
-_PROBLEM_KEYS = {"kind", "n_nodes", "norm_mode", "dim", "seed"}
+# problem kind -> its builder, whose parameters are the section's other keys
+_PROBLEMS = {
+    "rank_one": synthetic.rank_one_problem,
+    "hammerstein": bench.make_hammerstein,
+    "diagonal": synthetic.diagonal_problem,
+    "random_monotone": synthetic.random_monotone_problem,
+}
 
 
 def build_problem(section: dict) -> ProblemBundle:
-    kind = section.get("kind")
+    kind, args = _dispatch(
+        section, {kind: _keys(make) for kind, make in _PROBLEMS.items()}, "problem")
+    prob = _PROBLEMS[kind](**args)
     if kind == "rank_one":
-        prob = synthetic.rank_one_problem(int(section.get("dim", 2)))
         # deterministic perpendicular perturbation; ||f|| = 1
         return ProblemBundle(
             kind, prob.F, prob.p, lambda delta_rel, seed: prob.noisy_data(delta_rel)
         )
     if kind == "hammerstein":
-        prob = bench.make_hammerstein(
-            n_nodes=int(section.get("n_nodes", 50)),
-            norm_mode=section.get("norm_mode", bench.TRAPEZOID),
-        )
         F, u_exact = bench.hammerstein_operator(prob), prob.exact_solution
-    elif kind == "diagonal":
-        F, u_exact = synthetic.diagonal_problem(int(section.get("dim", 8)))
-    elif kind == "random_monotone":
-        F, u_exact = synthetic.random_monotone_problem(
-            int(section.get("dim", 8)), int(section.get("seed", 0))
-        )
     else:
-        raise ConfigError(f"unknown problem kind {kind!r}", key="problem.kind")
+        F, u_exact = prob
     f = F(u_exact)
 
     def make_noise(delta_rel, seed):
@@ -165,49 +182,42 @@ def build_problem(section: dict) -> ProblemBundle:
 
 def _levels_and_seeds(levels, seeds, args, where: str, level_key: str):
     """The noise levels and seeds of a sweep after the --delta-rel and --seed
-    flags, each checked (level > 0, seed >= 0) before any noise is drawn."""
+    flags, each checked before any noise is drawn: nonempty lists of real
+    levels > 0 and of integer seeds >= 0."""
     if args.delta_rel is not None:
         levels = [float(x) for x in args.delta_rel.split(",")]
     if args.seed is not None:
         seeds = [args.seed]
-    if not levels or not seeds:
-        raise ConfigError("noise grid is empty", key=where)
-    for level in levels:
-        if not level > 0:
-            raise ConfigError(f"delta_rel must be positive, got {level}",
-                              key=f"{where}.{level_key}")
-    for seed in seeds:
-        if not seed >= 0:
-            raise ConfigError(f"seeds must be nonnegative, got {seed}",
-                              key=f"{where}.seeds")
+    for name, key, values, kind in (("delta_rel", level_key, levels, "float"),
+                                    ("seeds", "seeds", seeds, "int")):
+        key = f"{where}.{key}"
+        if not isinstance(values, (list, tuple)) or not values:
+            raise InvalidConfig(f"must be a nonempty list, got {values!r}", key)
+        for value in values:
+            check_number(name, value, kind, key)
+            if not (value > 0 or (value == 0 and name == "seeds")):
+                low = "nonnegative" if name == "seeds" else "positive"
+                raise InvalidConfig(f"{name} must be {low}, got {value}", key)
     return levels, seeds
 
 
-def _noise_grid(cfg: dict, args) -> tuple[list[float], list[int]]:
-    def build(section):
-        delta_rel = section.get("delta_rel", [0.01])
-        if isinstance(delta_rel, (int, float)):
-            delta_rel = [delta_rel]
-        seeds = section.get("seeds", [0])
-        if isinstance(seeds, int):
-            seeds = [seeds]
-        levels, seeds = _levels_and_seeds([float(x) for x in delta_rel], seeds,
-                                          args, "noise", "delta_rel")
-        return levels, [int(s) for s in seeds]
-
-    return _read(cfg, "noise", {"delta_rel", "seeds"}, build)
-
-
-def _output(cfg: dict, args, default_stem: str) -> tuple[Path, str, bool]:
+def _output(cfg: dict, args, default_stem: str, history: bool = False):
+    """(path, format, output.history) of the `output` section; it takes the
+    key `history` only when the command reads it (`history`)."""
     def build(section):
         fmt = args.format or section.get("format", "csv")
         if fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {fmt!r}", key="output.format")
+            raise InvalidConfig(f"unknown format {fmt!r}", key="output.format")
         out_dir = Path(args.out or section.get("dir", "out"))
         stem = section.get("stem", default_stem)
-        return out_dir / f"{stem}.{fmt}", fmt, bool(section.get("history", False))
+        keep = section.get("history", False)
+        for key, value, kind in (("stem", stem, str), ("history", keep, bool)):
+            if not isinstance(value, kind):
+                raise InvalidConfig(f"{key} must be {kind.__name__}, got {value!r}")
+        return out_dir / f"{stem}.{fmt}", fmt, keep
 
-    return _read(cfg, "output", {"dir", "format", "stem", "history"}, build)
+    keys = {"dir", "format", "stem", "history"} if history else {"dir", "format", "stem"}
+    return _read(cfg, "output", keys, build)
 
 
 def _write(path: Path, fmt: str, report, header=None) -> None:
@@ -215,36 +225,31 @@ def _write(path: Path, fmt: str, report, header=None) -> None:
     print(f"wrote {path}")
 
 
-def _sweep(cfg: dict, args, stem: str, solve, level) -> int:
+def _sweep(cfg: dict, args, stem: str, solve, level, history: bool = False) -> int:
     """One row per noise level and seed; solve(problem, f_delta, delta,
-    history) returns the run's fields, its solution and the last columns.
-    Every row's noise is drawn and its stop level level(delta) checked
-    before the first row is solved."""
-    problem = _read(cfg, "problem", _PROBLEM_KEYS, build_problem)
-    delta_rels, seeds = _noise_grid(cfg, args)
-    path, fmt, history = _output(cfg, args, stem)
+    history) returns the run's fields, its solution and the last columns,
+    and `history` says whether it reads output.history.  Every row's noise
+    is drawn and its stop level level(delta) checked before the first row
+    is solved."""
+    problem = _read(cfg, "problem", None, build_problem)
+    delta_rels, seeds = _read(cfg, "noise", {"delta_rel", "seeds"}, lambda section: (
+        _levels_and_seeds(section.get("delta_rel", [0.01]), section.get("seeds", [0]),
+                          args, "noise", "delta_rel")))
+    path, fmt, history = _output(cfg, args, stem, history)
     draws = [(delta_rel, seed, *problem.make_noise(delta_rel, seed))
              for delta_rel in delta_rels for seed in seeds]
     for delta_rel, _, _, delta in draws:
         try:
             level(delta)
         except InvalidConfig as exc:
-            raise ConfigError(f"{exc} at delta_rel = {delta_rel:g}",
-                              key="noise.delta_rel") from exc
+            raise InvalidConfig(f"{exc} at delta_rel = {delta_rel:g}",
+                                key="noise.delta_rel") from exc
     u_exact = problem.u_exact
     rows = []
     for delta_rel, seed, f_delta, delta in draws:
         fields, u, extra = solve(problem, f_delta, delta, history)
-        rows.append(
-            {
-                "delta_rel": delta_rel,
-                "seed": seed,
-                "delta": delta,
-                **fields,
-                "rel_error": (u - u_exact).norm() / u_exact.norm(),
-                **extra,
-            }
-        )
+        rows.append({"delta_rel": delta_rel, "seed": seed, "delta": delta, **fields,
+                     "rel_error": (u - u_exact).norm() / u_exact.norm(), **extra})
     _write(path, fmt, rows)
     return 0
 
@@ -269,19 +274,15 @@ def _cmd_dp(cfg: dict, args) -> int:
     return _sweep(cfg, args, "dp", solve, dp_cfg.target)
 
 
-_SCHEDULE_KEYS = {"kind", "b", "c", "d", "d_or_c", "d0"}
-
-
 def _schedule(section: dict,
               kinds=schedules.CONTINUOUS_KINDS + schedules.DISCRETE_KINDS):
-    """The schedule of the section; its kind, one of `kinds`, picks its form."""
-    kind = section.get("kind")
-    if kind not in kinds:
-        raise ConfigError(f"must be one of {sorted(kinds)}, got {kind!r}",
-                          key="schedule.kind")
-    if kind in schedules.CONTINUOUS_KINDS:
-        return schedules.make_continuous(kind, section["b"], section["c"], section["d"])
-    return schedules.make_discrete(kind, section["b"], section["d_or_c"], section["d0"])
+    """The schedule of the section; its kind, one of `kinds`, picks its
+    builder, whose parameters are the section's keys."""
+    builders = {kind: schedules.make_continuous if kind in schedules.CONTINUOUS_KINDS
+                else schedules.make_discrete for kind in kinds}
+    kind, args = _dispatch(
+        section, {kind: _keys(make) for kind, make in builders.items()}, "schedule")
+    return builders[kind](kind, **args)
 
 
 # subcommand -> (runners by schedule kind, config class, allowed `stop`
@@ -310,14 +311,14 @@ _CONTINUATION = {
 
 def _cmd_continuation(command: str, cfg: dict, args) -> int:
     runners, config_class, stop_keys, make_start = _CONTINUATION[command]
-    schedule = _read(cfg, "schedule", _SCHEDULE_KEYS,
+    schedule = _read(cfg, "schedule", None,
                      functools.partial(_schedule, kinds=tuple(runners)))
 
     def build_stop(section):
         stop = dict(section)
         start = stop.pop("start", "regularized")
         if start not in ("regularized", "zero"):
-            raise ConfigError(
+            raise InvalidConfig(
                 f"must be 'regularized' or 'zero', got {start!r}", key="stop.start"
             )
         if "gamma" in stop:
@@ -333,17 +334,12 @@ def _cmd_continuation(command: str, cfg: dict, args) -> int:
 
     # the default stem names the method: flow_newton, iterate_simple, ...
     method = schedule.kind.split("_")[0]
-    return _sweep(cfg, args, f"{command}_{method}", solve, run_cfg.threshold)
+    return _sweep(cfg, args, f"{command}_{method}", solve, run_cfg.threshold,
+                  history=True)
 
 
-_TABLE1_HEADER = [
-    "delta_rel",
-    "n_iterations",
-    "rel_error",
-    "residual_at_stop",
-    "a_at_stop",
-    "seed_count",
-]
+_TABLE1_HEADER = ["delta_rel", "n_iterations", "rel_error", "residual_at_stop",
+                  "a_at_stop", "seed_count"]
 
 
 def _cmd_bench(cfg: dict, args) -> int:
@@ -352,8 +348,8 @@ def _cmd_bench(cfg: dict, args) -> int:
             section.get("delta_rel_list", bench.Table1Config.delta_rel_list),
             section.get("seeds", bench.Table1Config.seeds),
             args, "bench", "delta_rel_list")
-        return bench.Table1Config(**{**section, "delta_rel_list": tuple(levels),
-                                     "seeds": tuple(seeds)})
+        return bench.Table1Config(**{**section, "delta_rel_list": levels,
+                                     "seeds": seeds})
 
     table_cfg = _read(cfg, "bench", _keys(bench.Table1Config), build)
     path, fmt, _ = _output(cfg, args, "table1")
@@ -368,7 +364,7 @@ def _cmd_bench(cfg: dict, args) -> int:
 
 
 def _cmd_schedule_check(cfg: dict, args) -> int:
-    schedule = _read(cfg, "schedule", _SCHEDULE_KEYS, _schedule)
+    schedule = _read(cfg, "schedule", None, _schedule)
     params = _read(
         cfg, "params", _keys(schedules.ValidationParams),
         lambda section: schedules.ValidationParams(**section),
@@ -380,94 +376,80 @@ def _cmd_schedule_check(cfg: dict, args) -> int:
     for name, status, margin, at in report.rows():
         print(f"{name:<20} {status:<8} {margin:<16.6g} {at:g}")
     # the CSV has one row per condition and leaves out `strict`
-    _write(
-        path,
-        fmt,
-        report if fmt == "json" else [c.to_dict() for c in report.checks],
-        ["name", "satisfied", "margin", "worst_at"],
-    )
+    _write(path, fmt, report if fmt == "json" else [c.to_dict() for c in report.checks],
+           ["name", "satisfied", "margin", "worst_at"])
     return 0 if report.passed else 2
 
 
-def _build_fn(section: dict, where: str):
-    """Closed-form evaluator from a descriptor: const, exp, or power."""
-    _expect_keys(section, {"form", "value", "coef", "rate", "offset", "exponent"},
-                 where)
-    for key, value in section.items():
-        if key != "form" and not np.isfinite(float(value)):
-            raise ConfigError(f"{key} must be finite, got {value}", key=where)
-    form = section.get("form")
-    if form == "const":
-        value = float(section["value"])
-        fn = lambda t: value * np.ones_like(np.asarray(t, dtype=float))
-        dfn = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        return fn, dfn
-    if form == "exp":
-        coef = float(section["coef"])
-        rate = float(section.get("rate", 0.0))
-        fn = lambda t: coef * np.exp(rate * np.asarray(t, dtype=float))
-        dfn = lambda t: coef * rate * np.exp(rate * np.asarray(t, dtype=float))
-        return fn, dfn
-    if form == "power":
-        coef = float(section["coef"])
-        offset = float(section.get("offset", 1.0))
-        expo = float(section["exponent"])
-        fn = lambda t: coef * (offset + np.asarray(t, dtype=float)) ** expo
-        dfn = (
-            lambda t: coef
-            * expo
-            * (offset + np.asarray(t, dtype=float)) ** (expo - 1.0)
-        )
-        return fn, dfn
-    raise ConfigError("form must be 'const', 'exp', or 'power'", key=where)
+# The coefficient descriptors: each form's builder returns the closed-form
+# evaluator and its derivative, and its parameters are the form's keys.
+
+
+def _const(value: float):
+    return (lambda t: value * np.ones_like(np.asarray(t, dtype=float)),
+            lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+
+
+def _exp(coef: float, rate: float = 0.0):
+    return (lambda t: coef * np.exp(rate * np.asarray(t, dtype=float)),
+            lambda t: coef * rate * np.exp(rate * np.asarray(t, dtype=float)))
+
+
+def _power(coef: float, exponent: float, offset: float = 1.0):
+    return (lambda t: coef * (offset + np.asarray(t, dtype=float)) ** exponent,
+            lambda t: coef * exponent
+            * (offset + np.asarray(t, dtype=float)) ** (exponent - 1.0))
+
+
+_FORMS = {"const": _const, "exp": _exp, "power": _power}
+
+
+def _descriptor(section: dict, where: str):
+    """(evaluator, derivative) of the descriptor at `where`; its numbers
+    are finite floats."""
+    form, args = _dispatch(
+        section, {form: _keys(make) for form, make in _FORMS.items()}, where, "form")
+    for key, value in args.items():
+        check_number(key, value, "float", where)
+        if not math.isfinite(value):
+            raise InvalidConfig(f"{key} must be finite, got {value}", key=where)
+    return _FORMS[form](**args)
+
+
+# instance kind -> its keys: the fields of its inequality class (mu_dot
+# comes from the mu descriptor) plus the step count of the continuous
+# check and the last index of the discrete coefficients
+_INSTANCES = {
+    "continuous": (_keys(inequalities.ContinuousInequality) - {"mu_dot"}
+                   | _keys(inequalities.check_n_steps)),
+    "discrete": _keys(inequalities.DiscreteInequality) | {"n_last"},
+}
+_COEFFICIENTS = ("alpha", "beta", "gamma", "mu", "h")
 
 
 def _bound_check(section: dict):
     """The bound check of the `instance` section, ready to run."""
-    kind = section.get("kind")
-
-    def fn(key):
-        return _build_fn(section[key], f"instance.{key}")[0]
-
+    kind, args = _dispatch(section, _INSTANCES, "instance")
+    fns = {key: _descriptor(args.pop(key), f"instance.{key}")
+           for key in _COEFFICIENTS if key in args}
     if kind == "continuous":
-        alpha, beta, gamma = fn("alpha"), fn("beta"), fn("gamma")
-        mu, mu_dot = _build_fn(section["mu"], "instance.mu")
+        run = {}
+        if "n_steps" in args:
+            run["n_steps"] = args.pop("n_steps")
+            inequalities.check_n_steps(run["n_steps"])
         inst = inequalities.ContinuousInequality(
-            p=float(section["p"]),
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            mu=mu,
-            mu_dot=mu_dot,
-            g0=float(section["g0"]),
-            tau0=float(section.get("tau0", 0.0)),
-            horizon=float(section["horizon"]),
-        )
-        n_steps = int(section.get("n_steps", 20_000))
-        inequalities.check_n_steps(n_steps)
-        return functools.partial(inequalities.bound_continuous, inst, n_steps=n_steps)
-    if kind == "discrete":
-        n = np.arange(int(section["n_last"]) + 1, dtype=float)
-        inst = inequalities.DiscreteInequality(
-            p=float(section["p"]),
-            alpha=fn("alpha")(n),
-            beta=fn("beta")(n),
-            gamma=fn("gamma")(n),
-            mu=fn("mu")(n),
-            h=fn("h")(n),
-            g0=float(section["g0"]),
-        )
-        return functools.partial(inequalities.bound_discrete, inst)
-    raise ConfigError("kind must be 'continuous' or 'discrete'", key="instance.kind")
+            **args, **{key: fn for key, (fn, _) in fns.items()}, mu_dot=fns["mu"][1])
+        return functools.partial(inequalities.bound_continuous, inst, **run)
+    n_last = args.pop("n_last")
+    check_number("n_last", n_last, "int")
+    n = np.arange(n_last + 1, dtype=float)
+    inst = inequalities.DiscreteInequality(
+        **args, **{key: fn(n) for key, (fn, _) in fns.items()})
+    return functools.partial(inequalities.bound_discrete, inst)
 
 
 def _cmd_ineq(cfg: dict, args) -> int:
-    check = _read(
-        cfg, "instance",
-        {"kind", "p", "g0", "tau0", "horizon", "n_steps", "alpha", "beta",
-         "gamma", "mu", "h", "n_last"},
-        _bound_check,
-    )
+    check = _read(cfg, "instance", None, _bound_check)
     path, fmt, _ = _output(cfg, args, "ineq")
     report = check()
     print(
@@ -542,7 +524,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         _expect_keys(cfg, sections, "<top>")
         return command(cfg, args)
-    except (ConfigError, InvalidConfig, ConstraintViolated, GridMismatch) as exc:
+    except (InvalidConfig, ConstraintViolated, GridMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_EXIT
     except MonoregError as exc:

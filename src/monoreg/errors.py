@@ -33,25 +33,45 @@ class BudgetExceeded(MonoregError):
 
 
 class InvalidConfig(MonoregError, ValueError):
-    """An argument or configuration value is outside its documented range.
+    """An argument or configuration value is outside its documented range,
+    or a config file cannot be read.
 
-    The library's one argument error; it is also a ValueError, so callers
-    that catch ValueError keep working."""
+    The library's one argument error and the CLI's one config error (exit
+    code 3); it is also a ValueError, so callers that catch ValueError keep
+    working.  `key`, when given, is the config key at fault, and the
+    message starts with it."""
+
+    def __init__(self, message: str, key: str | None = None):
+        self.key = key
+        super().__init__(message if key is None else f"{key}: {message}")
 
 
-# field annotation -> the numbers a config field of that type accepts
+# field annotation -> the numbers a value of that type accepts
 _NUMBERS = {"float": numbers.Real, "int": numbers.Integral}
+
+
+def _is_number(value, kind: str) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _NUMBERS[kind])
+
+
+def check_number(name: str, value, kind: str, key: str | None = None) -> None:
+    """Raise InvalidConfig (naming `key`, if given) unless `value` is a
+    number of type `kind`: a `float` takes a real number, an `int` an
+    integer, and a bool is neither.  The rule check_fields applies to each
+    numeric field, for the numbers that are no field of a config class."""
+    if not _is_number(value, kind):
+        raise InvalidConfig(f"{name} must be {kind}, got {value!r}", key)
 
 
 def check_fields(cfg, positive=(), nonnegative=()) -> None:
     """Raise InvalidConfig naming the first numeric field of the config
     dataclass `cfg` that holds something else: a field annotated `float`
-    takes a real number, `int` an integer (a bool is neither), `X | None`
-    also None, and `tuple[X, ...]` a tuple or list of X.  The annotations
-    are read as strings, as postponed evaluation leaves them.  Then the
-    same for the first field named in `positive` (`nonnegative`) that is
-    set but not > 0 (>= 0); NaN is neither.  Each config class declares
-    its ranges in one call from `__post_init__`."""
+    or `int` takes what check_number accepts, `X | None` also None, and
+    `tuple[X, ...]` a tuple or list of X.  The annotations are read as
+    strings, as postponed evaluation leaves them.  Then the same for the
+    first field named in `positive` (`nonnegative`), or item of such a
+    tuple field, that is set but not > 0 (>= 0); NaN is neither.  Each
+    config class declares its ranges in one call from `__post_init__`."""
     for f in dataclasses.fields(cfg):
         kind = f.type.removesuffix(" | None")
         value = getattr(cfg, f.name)
@@ -61,16 +81,14 @@ def check_fields(cfg, positive=(), nonnegative=()) -> None:
         if kind.startswith("tuple[") and kind.endswith(", ...]"):
             kind = kind[len("tuple["):-len(", ...]")]
             items = value if isinstance(value, (tuple, list)) else [None]
-        accepted = _NUMBERS.get(kind)
-        if accepted is not None and any(
-            isinstance(x, bool) or not isinstance(x, accepted) for x in items
-        ):
+        if kind in _NUMBERS and not all(_is_number(x, kind) for x in items):
             raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}")
     for name in positive + nonnegative:
         value = getattr(cfg, name)
-        if not (value is None or value > 0 or (value == 0 and name in nonnegative)):
-            kind = "nonnegative" if name in nonnegative else "positive"
-            raise InvalidConfig(f"{name} must be {kind}, got {value}")
+        for x in value if isinstance(value, (tuple, list)) else [value]:
+            if not (x is None or x > 0 or (x == 0 and name in nonnegative)):
+                kind = "nonnegative" if name in nonnegative else "positive"
+                raise InvalidConfig(f"{name} must be {kind}, got {x}")
 
 
 class ConstraintViolated(MonoregError):
@@ -133,11 +151,3 @@ class BoundViolated(MonoregError):
 class NonFinite(MonoregError):
     """A residual came out NaN or infinite, from non-finite data, a
     non-finite start or a run that overflowed."""
-
-
-class ConfigError(MonoregError):
-    """A CLI config file failed to parse or validate.  Maps to exit code 3."""
-
-    def __init__(self, message: str, key: str | None = None):
-        self.key = key
-        super().__init__(message if key is None else f"{key}: {message}")

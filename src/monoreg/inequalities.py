@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .core import HilbertVector, LinearMap, weighted_norm
-from .errors import BoundViolated, InvalidConfig, PreconditionFailed, check_fields
+from .errors import (BoundViolated, InvalidConfig, PreconditionFailed, check_fields,
+                     check_number)
 
 N_CONDITION_SAMPLES = 10_000
 MU_DOT_STEP = 1e-6
@@ -34,7 +35,8 @@ MAX_DRAWS = 500
 
 
 def check_n_steps(n_steps: int) -> None:
-    """Raise InvalidConfig unless the fixed-step RK4 runs take a step."""
+    """Raise InvalidConfig unless n_steps, the RK4 step count, is an int >= 1."""
+    check_number("n_steps", n_steps, "int")
     if not n_steps >= 1:
         raise InvalidConfig(f"n_steps must be >= 1, got {n_steps}")
 

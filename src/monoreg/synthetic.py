@@ -18,7 +18,7 @@ from .core import (
     NonlinearOperator,
     OperatorBounds,
 )
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_number
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class RankOneProblem:
 
 
 def rank_one_problem(dim: int = 2) -> RankOneProblem:
+    check_number("dim", dim, "int")
     if dim < 2:
         raise InvalidConfig("rank-one problem needs dim >= 2")
     weights = np.ones(dim)
@@ -64,6 +65,7 @@ def rank_one_problem(dim: int = 2) -> RankOneProblem:
 def diagonal_problem(dim: int = 8) -> tuple[NonlinearOperator, HilbertVector]:
     """Linear monotone F = diag(0, ..., 1): mildly ill-posed since the
     smallest diagonal entry is zero.  Returns (F, exact solution of ones)."""
+    check_number("dim", dim, "int")
     weights = np.ones(dim)
     diag = np.linspace(0.0, 1.0, dim)
     A = LinearMap.from_matrix(np.diag(diag), weights)
@@ -76,6 +78,8 @@ def random_monotone_problem(
 ) -> tuple[NonlinearOperator, HilbertVector]:
     """Seeded strongly monotone problem: Gram matrix plus increasing
     pointwise nonlinearity.  Returns (F, exact solution)."""
+    check_number("dim", dim, "int")
+    check_number("seed", seed, "int")
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = np.ones(dim)
     B = rng.standard_normal((dim, dim)) / np.sqrt(dim)

@@ -17,8 +17,10 @@ from monoreg import (
     ValidationParams,
     accept_candidate,
     diagonal_problem,
+    random_monotone_problem,
     solve_regularized,
 )
+from monoreg.inequalities import check_n_steps
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "monoreg"
 
@@ -91,6 +93,22 @@ _F, _U = diagonal_problem(4)
 )
 def test_nan_argument_raises_invalid_config(call, name):
     with pytest.raises(InvalidConfig, match=f"{name} must be positive"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # True ran as a 1-dim problem, 1.5 as seed 1, 2.5 as 2 steps
+        (lambda: diagonal_problem(True), "dim must be int, got True"),
+        (lambda: random_monotone_problem(dim=True), "dim must be int, got True"),
+        (lambda: random_monotone_problem(seed=1.5), "seed must be int, got 1.5"),
+        (lambda: check_n_steps(2.5), "n_steps must be int, got 2.5"),
+    ],
+    ids=["diagonal-dim", "random-dim", "random-seed", "n_steps"],
+)
+def test_integer_argument_of_no_config_class_is_checked(call, message):
+    with pytest.raises(InvalidConfig, match=message):
         call()
 
 

@@ -346,3 +346,20 @@ def test_coarser_grid_accuracy_is_comparable():
 def test_schedule_scale_value():
     assert schedule_scale(4.0, 0.01) == 4.0 * 0.01**0.99
     assert schedule_scale(4.0, 0.01) == pytest.approx(0.0418853, abs=5e-7)
+
+
+@pytest.mark.parametrize(
+    "levels, seeds, message",
+    [((0.05, -0.1), (0, 1, 2), "delta_rel_list must be positive, got -0.1"),
+     ((0.05,), (0, -1), "seeds must be nonnegative, got -1")],
+)
+def test_table1_config_checks_every_level_and_seed_before_any_run(
+    monkeypatch, levels, seeds, message
+):
+    # the 0.05 runs were solved before the bad level raised
+    calls = []
+    monkeypatch.setattr("monoreg.bench.iter_newton",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(InvalidConfig, match=message):
+        run_table1(Table1Config(delta_rel_list=levels, seeds=seeds))
+    assert calls == []

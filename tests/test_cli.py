@@ -754,3 +754,169 @@ def test_csv_floats_round_trip(tmp_path):
 
     for x in (0.1 + 0.2, 1.0 / 3.0, 2.0**-45, 1.792e300):
         assert float(_fmt(x)) == x
+
+
+# ------------------------------------------------- one reading of each section
+
+_DP_BASE = {"dp": {"C": 1.5, "gamma": 0.9}, "noise": {"delta_rel": [0.01]}}
+_SCHEDULES = {
+    "continuous": {"kind": "newton_flow", "b": 1.0, "c": 7.0, "d": 32.0},
+    "discrete": _NEWTON_ITER_SCHEDULE,
+}
+_DISCRETE_INSTANCE = {"kind": "discrete", "p": 2.0, "g0": 0.5, "n_last": 50,
+                      "alpha": _CONST, "beta": _CONST, "gamma": _CONST,
+                      "mu": _CONST, "h": _CONST}
+
+
+def _shipped(name, edit):
+    cfg = json.loads((CONFIGS / name).read_text())
+    edit(cfg)
+    return cfg
+
+
+def _foreign_key_cases():
+    """(id, command, config, section, key) for each key of a section that
+    another kind or command reads, given to one that does not read it."""
+    cases = []
+    foreign = {"rank_one": {"n_nodes": 20, "norm_mode": "euclidean", "seed": 1},
+               "hammerstein": {"dim": 4, "seed": 1},
+               "diagonal": {"n_nodes": 20, "norm_mode": "euclidean", "seed": 1},
+               "random_monotone": {"n_nodes": 20, "norm_mode": "euclidean"}}
+    for kind, keys in foreign.items():
+        for key, value in keys.items():
+            cases.append((f"problem-{kind}-{key}", "dp",
+                          {**_DP_BASE, "problem": {"kind": kind, key: value}},
+                          "problem", key))
+    for form, keys in (("continuous", {"d_or_c": 1.0, "d0": 64.0}),
+                       ("discrete", {"c": 7.0, "d": 32.0})):
+        for key, value in keys.items():
+            cfg = _shipped("schedule_check.json", lambda cfg: cfg.update(
+                schedule={**_SCHEDULES[form], key: value}))
+            cases.append((f"schedule-{form}-{key}", "schedule-check", cfg,
+                          "schedule", key))
+    for kind, keys in (("continuous", {"h": _CONST, "n_last": 50}),
+                       ("discrete", {"tau0": 0.0, "horizon": 10.0,
+                                     "n_steps": 100})):
+        for key, value in keys.items():
+            base = (json.loads((CONFIGS / "ineq_demo.json").read_text())["instance"]
+                    if kind == "continuous" else _DISCRETE_INSTANCE)
+            cases.append((f"instance-{kind}-{key}", "ineq",
+                          {"instance": {**base, key: value}}, "instance", key))
+    descriptors = {"const": {"value": 1.0}, "exp": {"coef": 0.25},
+                   "power": {"coef": 0.25, "exponent": 1.0}}
+    for form, keys in (("const", ("coef", "rate", "offset", "exponent")),
+                       ("exp", ("value", "offset", "exponent")),
+                       ("power", ("value", "rate"))):
+        for key in keys:
+            cfg = _shipped("ineq_demo.json", lambda cfg: cfg["instance"].update(
+                alpha={"form": form, **descriptors[form], key: 0.5}))
+            cases.append((f"descriptor-{form}-{key}", "ineq", cfg,
+                          "instance.alpha", key))
+    # only flow and iterate write histories
+    for command, cfg in (
+        ("dp", {**_DP_BASE, "problem": {"kind": "rank_one"}}),
+        ("bench", {"bench": {"delta_rel_list": [0.05], "n_nodes": 20,
+                             "seeds": [0]}}),
+        ("schedule-check", json.loads((CONFIGS / "schedule_check.json")
+                                      .read_text())),
+        ("ineq", json.loads((CONFIGS / "ineq_demo.json").read_text())),
+    ):
+        cases.append((f"output-history-{command}", command,
+                       {**cfg, "output": {"history": True}}, "output", "history"))
+    return cases
+
+
+_FOREIGN_KEYS = _foreign_key_cases()
+
+
+def test_every_accepted_and_ignored_key_is_listed():
+    # 10 problem, 4 schedule, 5 instance, 9 descriptor and 4 output keys
+    assert len(_FOREIGN_KEYS) == 32
+
+
+def _exits_3_naming(tmp_path, capsys, command, config, message):
+    out = tmp_path / "out"
+    output = {**config.get("output", {}), "dir": str(out)}
+    path = write_config(tmp_path, {**config, "output": output})
+    assert main([command, "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, section, key",
+    [case[1:] for case in _FOREIGN_KEYS], ids=[case[0] for case in _FOREIGN_KEYS],
+)
+def test_a_key_of_another_kind_is_unknown(tmp_path, capsys, command, config,
+                                          section, key):
+    _exits_3_naming(tmp_path, capsys, command, config,
+                    f"{section}: unknown key '{key}'")
+
+
+def _hammerstein_dp(**problem):
+    return {**_DP_BASE, "problem": {"kind": "hammerstein", **problem}}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        # each ran at a size or seed other than the one written
+        ("dp", {**_DP_BASE, "problem": {"kind": "diagonal", "n_nodes": 500}},
+         "problem: unknown key 'n_nodes'"),
+        ("dp", _hammerstein_dp(n_nodes=50.7),
+         "problem: n_nodes must be int, got 50.7"),
+        ("dp", _hammerstein_dp(n_nodes="20"),
+         "problem: n_nodes must be int, got '20'"),
+        ("dp", {**_DP_BASE, "problem": {"kind": "rank_one"},
+                "noise": {"delta_rel": [0.01], "seeds": [1.7]}},
+         "noise.seeds: seeds must be int, got 1.7"),
+        ("dp", {**_DP_BASE, "problem": {"kind": "diagonal", "dim": True}},
+         "problem: dim must be int, got True"),
+        ("ineq", _shipped("ineq_demo.json",
+                          lambda cfg: cfg["instance"].update(n_steps=2.5)),
+         "instance: n_steps must be int, got 2.5"),
+        # strings were converted to numbers
+        ("ineq", _shipped("ineq_demo.json",
+                          lambda cfg: cfg["instance"].update(p="2")),
+         "instance: p must be float, got '2'"),
+        ("ineq", _shipped("ineq_demo.json",
+                          lambda cfg: cfg["instance"]["alpha"].update(coef="0.25")),
+         "instance.alpha: coef must be float, got '0.25'"),
+        ("dp", {**_DP_BASE, "problem": {"kind": "rank_one"},
+                "noise": {"delta_rel": ["0.01"]}},
+         "noise.delta_rel: delta_rel must be float, got '0.01'"),
+        # noise levels and seeds are lists
+        ("dp", {**_DP_BASE, "problem": {"kind": "rank_one"},
+                "noise": {"delta_rel": [0.01], "seeds": 0}},
+         "noise.seeds: must be a nonempty list, got 0"),
+        ("dp", {**_DP_BASE, "problem": {"kind": "rank_one"},
+                "noise": {"delta_rel": 0.01}},
+         "noise.delta_rel: must be a nonempty list, got 0.01"),
+        ("iterate", _shipped("iterate_newton_hammerstein.json",
+                             lambda cfg: cfg["output"].update(history="no")),
+         "output: history must be bool, got 'no'"),
+        ("ineq", _shipped("ineq_demo.json",
+                          lambda cfg: cfg["output"].update(stem=5)),
+         "output: stem must be str, got 5"),
+    ],
+    ids=["diagonal-n-nodes", "fractional-n-nodes", "string-n-nodes",
+         "fractional-seed", "bool-dim", "fractional-n-steps", "string-p",
+         "string-coef", "string-delta-rel", "scalar-seeds", "scalar-delta-rel",
+         "string-history", "numeric-stem"],
+)
+def test_a_value_is_never_converted(tmp_path, capsys, command, config, message):
+    _exits_3_naming(tmp_path, capsys, command, config, message)
+
+
+def test_random_monotone_problem_runs_from_the_cli(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {**_DP_BASE, "problem": {"kind": "random_monotone", "dim": 6, "seed": 3},
+         "output": {"dir": str(tmp_path / "out"), "format": "json"}},
+    )
+    assert main(["dp", "--config", cfg]) == 0
+    [row] = json.loads((tmp_path / "out" / "dp.json").read_text())
+    assert row["status"] == "converged"
+    assert row["delta_rel"] == 0.01 and row["seed"] == 0
