@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import statistics
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .core import (
     OperatorBounds,
     diagonal_view,
 )
-from .errors import GridMismatch, InvalidConfig, MonoregError, check_fields, check_number
+from .errors import InvalidConfig, MonoregError, check_fields, check_number
 from .iterations import IterConfig, iter_newton, operator_norm_estimate
 from .reports import check_stop_constants
 from .schedules import NEWTON_ITER, make_discrete
@@ -122,13 +122,6 @@ def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> Hammerste
         norm_mode=norm_mode,
         exact_solution=HilbertVector(np.ones(n_nodes), weights),
     )
-
-
-def _check_grid(prob: HammersteinProblem, u: HilbertVector) -> None:
-    if u.weights is prob.weights:
-        return
-    if u.size != prob.n_nodes or not np.array_equal(u.weights, prob.weights):
-        raise GridMismatch("vector does not live on the problem grid")
 
 
 def _exp_kernel(ex: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -261,7 +254,7 @@ def _cyclic_reduction(off: float, margin: np.ndarray):
 
 def hammerstein_apply(prob: HammersteinProblem, u: HilbertVector) -> HilbertVector:
     """(K u)_i + arctan(u_i)**3 with the integral by trapezoid rule."""
-    _check_grid(prob, u)
+    prob.exact_solution._check_grid(u)
     return HilbertVector._trusted(
         _kernel_product(prob, u.values) + np.arctan(u.values) ** 3, u.weights
     )
@@ -276,7 +269,7 @@ def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> Linear
     """w -> D(u) w + K w; self-adjoint in trapezoid mode since the kernel
     is symmetric against the quadrature weights and D is diagonal.  A
     matrix-free map with its own shifted solver above `DENSE_KERNEL_LIMIT`."""
-    _check_grid(prob, u)
+    prob.exact_solution._check_grid(u)
     slope = nonlinearity_slope(u.values)
     if prob.kernel is None:
         return _matrix_free_map(prob, slope)
@@ -390,20 +383,10 @@ class Table1Row:
     residual_at_stop: float
     a_at_stop: float
     seed_count: int
-    status: str = "ok"
-    per_seed: tuple[dict, ...] = field(default_factory=tuple)
+    status: str
+    per_seed: tuple[dict, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "delta_rel": self.delta_rel,
-            "n_iterations": self.n_iterations,
-            "rel_error": self.rel_error,
-            "residual_at_stop": self.residual_at_stop,
-            "a_at_stop": self.a_at_stop,
-            "seed_count": self.seed_count,
-            "status": self.status,
-            "per_seed": [dict(d) for d in self.per_seed],
-        }
+    to_dict = asdict
 
 
 def schedule_scale(C0: float, delta: float) -> float:

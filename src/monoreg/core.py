@@ -192,23 +192,17 @@ class LinearMap:
         cheaper than the generic expression, and passes both builders: the
         gradient direction applies only the adjoint."""
         weights = np.asarray(weights, dtype=float)
-        if callable(matrix):
-            build, M = matrix, None
+        # an array is checked at once, a builder's matrix when it is built
+        M = None if callable(matrix) else _square(matrix, weights)
 
-            def forward() -> np.ndarray:
-                nonlocal M
-                if M is None:
-                    M = _square(build(), weights)
-                return M
+        def forward() -> np.ndarray:
+            nonlocal M
+            if M is None:
+                M = _square(matrix(), weights)
+            return M
 
-            def apply_fn(v: HilbertVector) -> HilbertVector:
-                return HilbertVector._trusted(forward() @ v.values, v.weights)
-        else:
-            M = _square(matrix, weights)
-            forward = lambda: M
-
-            def apply_fn(v: HilbertVector) -> HilbertVector:
-                return HilbertVector._trusted(M @ v.values, v.weights)
+        def apply_fn(v: HilbertVector) -> HilbertVector:
+            return HilbertVector._trusted(forward() @ v.values, v.weights)
 
         adj = None
 

@@ -13,13 +13,15 @@ import math
 from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator
-from .errors import InvalidConfig, NonConvergence, check_fields
-from .regularized import _bracket_search, _require_finite, solve_regularized
+from .errors import (BudgetExceeded, InvalidConfig, NonConvergence, check_fields,
+                     require_finite)
+from .regularized import solve_regularized
 from .reports import check_stop_constants, stop_level
 
 CONVERGED = "converged"
 ALREADY_COMPATIBLE = "already_compatible"
 A_RTOL = 1e-12  # relative width of the bisection bracket at which it stops
+MAX_DOUBLINGS = 200  # halvings or doublings of a before the bracket search fails
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,15 @@ def solve_dp(
     phi is strictly increasing and tends to r0 = ||F(0) - f_delta|| from
     below, so a root exists iff r0 exceeds the target, and bisection on a
     geometric bracket grown from a = 1 finds it.  Inner solves are
-    warm-started along the bisection path and run well below dp_tol so the
-    measured residual is trustworthy at the match tolerance.
+    warm-started along the path and run well below dp_tol so the measured
+    residual is trustworthy at the match tolerance; as they cannot run
+    below 5e-15 max(||f_delta||, 1), a dp_tol * target at or below that
+    floor raises InvalidConfig before the first of them.
     """
     target = cfg.target(delta)
     zero = HilbertVector.zeros(f_delta.weights)
     r0 = (F(zero) - f_delta).norm()
-    _require_finite(r0, "||F(0) - f_delta||, the ceiling of phi,")
+    require_finite(r0, "||F(0) - f_delta||, the ceiling of phi,")
     if r0 <= target:
         return DPResult(
             a_delta=math.inf,
@@ -116,26 +120,34 @@ def solve_dp(
         )
 
     # Solve accurately enough that the measured phi resolves the bisection.
-    inner_tol = max(5e-15 * max(f_delta.norm(), 1.0), 1e-5 * cfg.dp_tol * target)
+    floor = 5e-15 * max(f_delta.norm(), 1.0)
+    if not cfg.dp_tol * target > floor:
+        raise InvalidConfig(
+            f"dp_tol * target = {cfg.dp_tol * target:g} is at or below the "
+            f"inner-tolerance floor 5e-15 * max(||f_delta||, 1) = {floor:g}"
+        )
+    inner_tol = max(floor, 1e-5 * cfg.dp_tol * target)
+    evals, warm = 0, None
 
-    def phi_at(a, warm):
-        nonlocal evals
+    def solve(a: float) -> HilbertVector:
+        # V_a, warm-started at the last solution, with the count
+        nonlocal evals, warm
         evals += 1
-        sol = solve_regularized(F, f_delta, a, tol=inner_tol, warm_start=warm)
-        return (F(sol.V) - f_delta).norm(), sol.V
+        warm = solve_regularized(F, f_delta, a, tol=inner_tol, warm_start=warm).V
+        return warm
 
-    lo, hi, evals, warm = _bracket_search(F, f_delta, target, 1.0, inner_tol)
+    lo, hi = _bracket_search(solve, target)
     for _ in range(200):
         if hi - lo <= A_RTOL * hi:
             break
         mid = 0.5 * (lo + hi)
-        p, warm = phi_at(mid, warm)
-        if p < target:
+        if (F(solve(mid)) - f_delta).norm() < target:
             lo = mid
         else:
             hi = mid
     a_final = 0.5 * (lo + hi)
-    achieved, V = phi_at(a_final, warm)
+    V = solve(a_final)
+    achieved = (F(V) - f_delta).norm()
     if abs(achieved - target) > cfg.dp_tol * target:
         raise NonConvergence(
             f"residual match failed: |{achieved:g} - {target:g}| exceeds "
@@ -149,6 +161,30 @@ def solve_dp(
         target=target,
         status=CONVERGED,
     )
+
+
+def _bracket_search(solve, target: float) -> tuple[float, float]:
+    """Geometric bracket (a_lo, a_hi] with phi(a_lo) < target <= phi(a_hi),
+    phi(a) = a ||solve(a)||, grown from a = 1.
+
+    phi is strictly increasing in a and tends to ||F(0) - f_delta|| from
+    below; the caller guarantees a positive target below that ceiling, so
+    the bracket closes after finitely many halvings or doublings.
+    """
+    a = 1.0
+    if a * solve(a).norm() >= target:
+        # contract downward until phi drops below the target
+        for _ in range(MAX_DOUBLINGS):
+            a_hi, a = a, a / 2.0
+            if a * solve(a).norm() < target:
+                return a, a_hi
+        raise BudgetExceeded(
+            f"no lower bracket endpoint after {MAX_DOUBLINGS} halvings")
+    for _ in range(MAX_DOUBLINGS):
+        a_lo, a = a, a * 2.0
+        if a * solve(a).norm() >= target:
+            return a_lo, a
+    raise BudgetExceeded(f"no upper bracket endpoint after {MAX_DOUBLINGS} doublings")
 
 
 @dataclass(frozen=True)

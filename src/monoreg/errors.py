@@ -1,6 +1,7 @@
 """Exception types shared across the library, and the range check of the
 config dataclasses."""
 import dataclasses
+import math
 import numbers
 
 
@@ -61,6 +62,14 @@ def check_number(name: str, value, kind: str, key: str | None = None) -> None:
     numeric field, for the numbers that are no field of a config class."""
     if not _is_number(value, kind):
         raise InvalidConfig(f"{name} must be {kind}, got {value!r}", key)
+
+
+def check_at_least(name: str, value, least: int) -> None:
+    """Raise InvalidConfig unless `value` is an integer (check_number) of
+    at least `least`: the rule of a size, count or seed argument."""
+    check_number(name, value, "int")
+    if not value >= least:
+        raise InvalidConfig(f"{name} must be >= {least}, got {value}")
 
 
 def check_fields(cfg, positive=(), nonnegative=()) -> None:
@@ -151,3 +160,12 @@ class BoundViolated(MonoregError):
 class NonFinite(MonoregError):
     """A residual came out NaN or infinite, from non-finite data, a
     non-finite start or a run that overflowed."""
+
+
+def require_finite(value: float, what: str) -> None:
+    """Raise NonFinite naming `what` unless value is finite."""
+    if not math.isfinite(value):
+        raise NonFinite(
+            f"{what} is {value}; check f_delta, the start and the operator "
+            "for non-finite values"
+        )

@@ -22,11 +22,10 @@ from typing import Callable
 import numpy as np
 
 from .core import HilbertVector, LinearMap, weighted_norm
-from .errors import (BoundViolated, InvalidConfig, PreconditionFailed, check_fields,
-                     check_number)
+from .errors import (BoundViolated, InvalidConfig, PreconditionFailed, check_at_least,
+                     check_fields)
 
 N_CONDITION_SAMPLES = 10_000
-MU_DOT_STEP = 1e-6
 N_GROWTH_SAMPLES = 100  # random states at which the growth condition is checked
 GROWTH_SEED = 0
 P_CHOICES = (1.5, 2.0, 3.0)  # exponents of the random instances
@@ -36,19 +35,16 @@ MAX_DRAWS = 500
 
 def check_n_steps(n_steps: int) -> None:
     """Raise InvalidConfig unless n_steps, the RK4 step count, is an int >= 1."""
-    check_number("n_steps", n_steps, "int")
-    if not n_steps >= 1:
-        raise InvalidConfig(f"n_steps must be >= 1, got {n_steps}")
+    check_at_least("n_steps", n_steps, 1)
 
 
 @dataclass(frozen=True)
 class ContinuousInequality:
     """Coefficients of the continuous inequality on [tau0, horizon].
 
-    alpha, beta, gamma, mu are closed-form evaluators accepting numpy
-    arrays; mu_dot may be given analytically, else a central difference
-    with step 1e-6 is used.  alpha and beta must be nonnegative on the
-    horizon, mu positive, and p > 1.
+    alpha, beta, gamma, mu and mu_dot, the derivative of mu, are
+    closed-form evaluators accepting numpy arrays.  alpha and beta must be
+    nonnegative on the horizon, mu positive, and p > 1.
     """
 
     p: float
@@ -56,10 +52,10 @@ class ContinuousInequality:
     beta: Callable
     gamma: Callable
     mu: Callable
+    mu_dot: Callable
     g0: float
     horizon: float
     tau0: float = 0.0
-    mu_dot: Callable | None = None
 
     def __post_init__(self):
         check_fields(self, nonnegative=("g0",))
@@ -67,12 +63,6 @@ class ContinuousInequality:
             raise InvalidConfig("p must exceed 1")
         if not self.horizon > self.tau0:
             raise InvalidConfig("horizon must exceed tau0")
-
-    def mu_derivative(self, t):
-        if self.mu_dot is not None:
-            return self.mu_dot(t)
-        h = MU_DOT_STEP
-        return (self.mu(t + h) - self.mu(t - h)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -162,7 +152,7 @@ def precondition_margins(
     beta = np.broadcast_to(np.asarray(inst.beta(t), dtype=float), t.shape)
     gamma = np.broadcast_to(np.asarray(inst.gamma(t), dtype=float), t.shape)
     mu = np.broadcast_to(np.asarray(inst.mu(t), dtype=float), t.shape)
-    mud = np.broadcast_to(np.asarray(inst.mu_derivative(t), dtype=float), t.shape)
+    mud = np.broadcast_to(np.asarray(inst.mu_dot(t), dtype=float), t.shape)
     lhs = alpha / mu ** inst.p + beta
     rhs = (gamma - mud / mu) / mu
     feas = rhs - lhs
@@ -353,7 +343,7 @@ def quadratic_case_margins(
     t = np.linspace(inst.tau0, inst.horizon, n_samples)
     mu = np.asarray(inst.mu(t), dtype=float)
     bracket = np.asarray(inst.gamma(t), dtype=float) - np.asarray(
-        inst.mu_derivative(t), dtype=float
+        inst.mu_dot(t), dtype=float
     ) / mu
     alpha_margin = (mu / 2.0) * bracket - np.asarray(inst.alpha(t), dtype=float)
     beta_margin = bracket / (2.0 * mu) - np.asarray(inst.beta(t), dtype=float)
@@ -361,7 +351,7 @@ def quadratic_case_margins(
         "alpha_condition": float(np.min(alpha_margin)),
         "beta_condition": float(np.min(beta_margin)),
         "initial_gap": 1.0 - inst.mu(inst.tau0) * inst.g0,
-        "mu_growing": float(np.min(np.asarray(inst.mu_derivative(t), dtype=float))),
+        "mu_growing": float(np.min(np.asarray(inst.mu_dot(t), dtype=float))),
     }
 
 

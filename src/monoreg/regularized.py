@@ -13,17 +13,14 @@ a one-dimensional root-finding problem.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator, solve_shifted, weighted_norm
-from .errors import (BudgetExceeded, InvalidConfig, NoDerivative,
-                     NonConvergence, NonFinite)
+from .errors import InvalidConfig, NoDerivative, NonConvergence, require_finite
 
 MAX_NEWTON = 200
 MAX_RELAX = 10_000
 LINE_SEARCH_FLOOR = 1e-4
-MAX_DOUBLINGS = 200  # halvings or doublings of a before a bracket search fails
 
 
 @dataclass(frozen=True)
@@ -77,21 +74,13 @@ def _defect(F, fd, a, V):
     return F_V.values + V.values * float(a) - fd
 
 
-def _require_finite(value: float, what: str) -> None:
-    if not math.isfinite(value):
-        raise NonFinite(
-            f"{what} is {value}; check f_delta, the start and the operator "
-            "for non-finite values"
-        )
-
-
 # The two solvers keep the defect as an array on V's grid and wrap only
 # the iterates (for F) and the newton right-hand side (for the solve).
 def _newton(F, fd, a, tol, V) -> RegularizedSolution:
     w = V.weights
     G = _defect(F, fd, a, V)
     ng = weighted_norm(w, G)
-    _require_finite(ng, f"the defect at a = {a:g}")
+    require_finite(ng, f"the defect at a = {a:g}")
     for it in range(MAX_NEWTON):
         if ng <= tol:
             return RegularizedSolution(V, a, ng, it)
@@ -129,7 +118,7 @@ def _relaxation(F, fd, a, tol, V) -> RegularizedSolution:
     for it in range(MAX_RELAX):
         G = _defect(F, fd, a, V)
         ng = weighted_norm(w, G)
-        _require_finite(ng, what)
+        require_finite(ng, what)
         if ng <= tol:
             return RegularizedSolution(V, a, ng, it)
         V = HilbertVector._trusted(V.values - G * float(s), w)
@@ -154,40 +143,3 @@ def phi_psi(
     psi = sol.V.norm()
     return a * psi, psi
 
-
-def _bracket_search(F, f_delta, target, a_init, tol):
-    """Geometric bracket (a_lo, a_hi] with phi(a_lo) < target <= phi(a_hi),
-    with the number of phi evaluations and the last solution.
-
-    phi is strictly increasing in a and tends to ||F(0) - f_delta|| from
-    below; the caller guarantees a positive target below that ceiling, so
-    the bracket closes after finitely many doublings.  The first solve
-    checks that a_init is positive.
-    """
-    a = a_init
-    warm = None
-    evals = 0
-
-    def phi_at(x, warm):
-        nonlocal evals
-        evals += 1
-        sol = solve_regularized(F, f_delta, x, tol=tol, warm_start=warm)
-        return x * sol.V.norm(), sol.V
-
-    p, warm = phi_at(a, warm)
-    if p >= target:
-        # contract downward until phi drops below the target
-        for _ in range(MAX_DOUBLINGS):
-            a_hi, a = a, a / 2.0
-            p, warm = phi_at(a, warm)
-            if p < target:
-                return a, a_hi, evals, warm
-        raise BudgetExceeded(
-            f"no lower bracket endpoint after {MAX_DOUBLINGS} halvings"
-        )
-    for _ in range(MAX_DOUBLINGS):
-        a_lo, a = a, a * 2.0
-        p, warm = phi_at(a, warm)
-        if p >= target:
-            return a_lo, a, evals, warm
-    raise BudgetExceeded(f"no upper bracket endpoint after {MAX_DOUBLINGS} doublings")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -174,16 +174,9 @@ class ConditionCheck:
     satisfied: bool
     margin: float
     worst_at: float
-    strict: bool = False
+    strict: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "satisfied": self.satisfied,
-            "margin": self.margin,
-            "worst_at": self.worst_at,
-            "strict": self.strict,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -266,13 +259,11 @@ def validate_conditions(schedule, params: ValidationParams) -> ConditionReport:
     failure.
     """
     table = _conditions(schedule, params)
-    if params.lam is not None:
-        return _report(schedule.kind, table, params.lam)
     report = _scan_lambda(schedule.kind, table, params)
-    if report is not None:
-        return report
-    # report against the bare lower bound so margins are informative
-    return _report(schedule.kind, table, max(params.m1 / params.y_norm, 1e-12))
+    if report is None:
+        # report against the bare lower bound so margins are informative
+        report = _report(schedule.kind, table, max(params.m1 / params.y_norm, 1e-12))
+    return report
 
 
 def _conditions(schedule, params: ValidationParams) -> list[_Condition]:
@@ -439,13 +430,16 @@ def _lambdas(floor: float) -> tuple[float, ...]:
 
 def _scan_lambda(kind: str, table: list[_Condition],
                  params: ValidationParams) -> ConditionReport | None:
-    """The report at the smallest lambda max(m1/y_norm, 2**k) at which the
-    whole table passes, or None (try a larger scale parameter).
+    """The report at params.lam when it is set; else the report at the
+    smallest lambda max(m1/y_norm, 2**k) at which the whole table passes,
+    or None (try a larger scale parameter).
 
     Conditions pull lambda both ways, so the admissible set is an interval.
     Lambda-free conditions are checked once; at each lambda the scalar
     conditions go first, the first failure rejects it, and a failed
     `ceiling` condition ends the scan."""
+    if params.lam is not None:
+        return _report(kind, table, params.lam)
     if not all(_holds(c.margin, c.strict) for c in table
                if not callable(c.margin)):
         return None
@@ -483,11 +477,7 @@ def _search(build, grid, params: ValidationParams, failure: str) -> ScheduleSear
             schedule = build(value)
         except ConstraintViolated:
             continue
-        table = _conditions(schedule, params)
-        if params.lam is None:
-            report = _scan_lambda(schedule.kind, table, params)
-        else:
-            report = _report(schedule.kind, table, params.lam)
+        report = _scan_lambda(schedule.kind, _conditions(schedule, params), params)
         if report is not None and report.passed:
             return ScheduleSearch(schedule, report.lam, report)
     raise BudgetExceeded(failure)

@@ -8,6 +8,7 @@ which solves the equation but is not the minimal-norm solution p.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .core import (
     NonlinearOperator,
     OperatorBounds,
 )
-from .errors import InvalidConfig, check_number
+from .errors import check_at_least
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,7 @@ class RankOneProblem:
 
 
 def rank_one_problem(dim: int = 2) -> RankOneProblem:
-    check_number("dim", dim, "int")
-    if dim < 2:
-        raise InvalidConfig("rank-one problem needs dim >= 2")
+    check_at_least("dim", dim, 2)
     weights = np.ones(dim)
     p_vals = np.zeros(dim)
     p_vals[0] = 1.0
@@ -65,7 +64,7 @@ def rank_one_problem(dim: int = 2) -> RankOneProblem:
 def diagonal_problem(dim: int = 8) -> tuple[NonlinearOperator, HilbertVector]:
     """Linear monotone F = diag(0, ..., 1): mildly ill-posed since the
     smallest diagonal entry is zero.  Returns (F, exact solution of ones)."""
-    check_number("dim", dim, "int")
+    check_at_least("dim", dim, 1)
     weights = np.ones(dim)
     diag = np.linspace(0.0, 1.0, dim)
     A = LinearMap.from_matrix(np.diag(diag), weights)
@@ -78,8 +77,8 @@ def random_monotone_problem(
 ) -> tuple[NonlinearOperator, HilbertVector]:
     """Seeded strongly monotone problem: Gram matrix plus increasing
     pointwise nonlinearity.  Returns (F, exact solution)."""
-    check_number("dim", dim, "int")
-    check_number("seed", seed, "int")
+    check_at_least("dim", dim, 1)
+    check_at_least("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = np.ones(dim)
     B = rng.standard_normal((dim, dim)) / np.sqrt(dim)
@@ -95,6 +94,7 @@ def random_monotone_problem(
         return LinearMap.from_matrix(G + np.diag(slope), weights)
 
     m1 = float(np.linalg.norm(G, 2)) + 2.0
-    F = NonlinearOperator(apply_fn, deriv_fn, OperatorBounds(m1=m1))
+    m2 = 4.0 / (3.0 * math.sqrt(3.0))  # max |d/du sech^2 u|, at tanh u = 1/sqrt 3
+    F = NonlinearOperator(apply_fn, deriv_fn, OperatorBounds(m1=m1, m2=m2))
     u_star = HilbertVector(rng.uniform(-1.0, 1.0, dim), weights)
     return F, u_star

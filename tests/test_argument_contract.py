@@ -45,7 +45,7 @@ _VALID = {
                         "C2": [nan, 0.1], "dp_tol": [nan, 0.0, 1.0]}),
     ContinuousInequality: (
         dict(p=2.0, alpha=_const, beta=_const, gamma=_const, mu=_const,
-             g0=0.5, horizon=10.0),
+             mu_dot=_const, g0=0.5, horizon=10.0),
         {"p": [nan, 1.0], "g0": [nan, -0.1], "horizon": [nan, 0.0],
          "tau0": [nan, 10.0]},
     ),
@@ -104,8 +104,14 @@ def test_nan_argument_raises_invalid_config(call, name):
         (lambda: random_monotone_problem(dim=True), "dim must be int, got True"),
         (lambda: random_monotone_problem(seed=1.5), "seed must be int, got 1.5"),
         (lambda: check_n_steps(2.5), "n_steps must be int, got 2.5"),
+        # 0 raised GridMismatch, -3 and seed -1 NumPy's bare ValueError
+        (lambda: diagonal_problem(0), "dim must be >= 1, got 0"),
+        (lambda: diagonal_problem(-3), "dim must be >= 1, got -3"),
+        (lambda: random_monotone_problem(dim=0), "dim must be >= 1, got 0"),
+        (lambda: random_monotone_problem(seed=-1), "seed must be >= 0, got -1"),
     ],
-    ids=["diagonal-dim", "random-dim", "random-seed", "n_steps"],
+    ids=["diagonal-dim", "random-dim", "random-seed", "n_steps", "diagonal-dim-0",
+         "diagonal-dim-negative", "random-dim-0", "random-seed-negative"],
 )
 def test_integer_argument_of_no_config_class_is_checked(call, message):
     with pytest.raises(InvalidConfig, match=message):

@@ -360,6 +360,21 @@ def test_bound_discrete_has_the_bits_of_the_indexed_loop():
     assert seen_p == {1.5, 2.0, 3.0}
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_bound_discrete_clamps_as_max_does_under_a_negative_beta(p):
+    # a negative beta drives g below zero from step 1, where g**p alone
+    # would be complex (p = 1.5) or change sign (p = 3)
+    ones = np.ones(8)
+    inst = DiscreteInequality(p=p, alpha=0.1 * ones, beta=-0.5 * ones,
+                              gamma=0.5 * ones, mu=ones, h=ones, g0=0.5)
+    report = bound_discrete(inst)
+    n, traj, bound = reference_discrete_trajectory(inst)
+    assert traj.min() < 0.0
+    assert report.trajectory.tobytes() == traj.tobytes()
+    assert (report.min_margin, report.margin_at) == reference_verdict(
+        n, traj, bound, strict=False)
+
+
 def test_bound_discrete_fails_an_overflow_at_the_same_index():
     # mu**3 is subnormal, so g**3 leaves the floats at step 1 although the
     # hypotheses hold; NumPy scalars give inf there, and so must the loop

@@ -64,6 +64,26 @@ def test_grid_mismatch_rejected(ham50):
         hammerstein_apply(prob, other)
 
 
+@pytest.mark.parametrize("weights", [np.ones(50), np.ones(49)],
+                         ids=["other-weights", "other-size"])
+def test_off_grid_points_take_the_vector_grid_rule(ham50, weights):
+    prob, F = ham50
+    other = HilbertVector(np.ones(weights.size), weights)
+    for call in (hammerstein_apply, hammerstein_derivative):
+        with pytest.raises(GridMismatch, match="vectors live on different grids"):
+            call(prob, other)
+
+
+def test_trapezoid_rule_needs_two_nodes():
+    with pytest.raises(InvalidConfig, match="need at least 2 nodes"):
+        trapezoid_weights(1)
+
+
+def test_unknown_norm_mode_is_rejected():
+    with pytest.raises(InvalidConfig, match="unknown norm_mode 'l1'"):
+        make_hammerstein(20, "l1")
+
+
 def test_derivative_at_zero_is_pure_kernel(ham50):
     prob, F = ham50
     A = hammerstein_derivative(prob, HilbertVector.zeros(prob.weights))
@@ -297,6 +317,11 @@ def test_table_error_decreases_with_noise(small_table):
 def test_table_with_an_empty_budget_rejected(n_max):
     with pytest.raises(InvalidConfig, match="n_max must be positive"):
         Table1Config(n_max=n_max)
+
+
+def test_table_without_a_seed_is_rejected():
+    with pytest.raises(InvalidConfig, match="need at least one seed"):
+        Table1Config(seeds=())
 
 
 def test_table_row_without_a_successful_seed_fails():

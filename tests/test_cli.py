@@ -245,6 +245,14 @@ _CONST = {"form": "const", "value": 1.0}
                                "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
                                "gamma": {"form": "const", "value": 10**400},
                                "mu": _CONST}}, "instance: "),
+        # dim 0 raised GridMismatch, which exited 3 without naming dim
+        ("dp", {"problem": {"kind": "diagonal", "dim": 0},
+                "dp": {"C": 1.5, "gamma": 0.9}}, "problem: dim must be >= 1, got 0"),
+        ("dp", {"problem": {"kind": "rank_one"}, "dp": [1.5]},
+         "dp: section must be an object, got list"),
+        ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
+                               "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
+                               "gamma": _CONST}}, "instance: missing key 'mu'"),
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
          "string-t-max", "dp-a-rtol", "dp-theta", "dp-c1", "dp-c2",
@@ -252,7 +260,7 @@ _CONST = {"form": "const", "value": 1.0}
          "zero-inner-tol", "zero-n-steps", "negative-n-steps", "nan-y-norm",
          "nan-d-or-c", "nan-delta-rel", "nan-second-delta-rel",
          "negative-second-seed", "nan-g0",
-         "nan-coef", "overflowing-int"],
+         "nan-coef", "overflowing-int", "zero-dim", "list-section", "missing-mu"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(
@@ -920,3 +928,29 @@ def test_random_monotone_problem_runs_from_the_cli(tmp_path):
     [row] = json.loads((tmp_path / "out" / "dp.json").read_text())
     assert row["status"] == "converged"
     assert row["delta_rel"] == 0.01 and row["seed"] == 0
+
+
+def test_an_unknown_output_format_exits_3(tmp_path, capsys):
+    _exits_3_naming(tmp_path, capsys, "dp",
+                    {**_DP_BASE, "problem": {"kind": "rank_one"},
+                     "output": {"format": "xml"}},
+                    "output.format: unknown format 'xml'")
+
+
+def test_an_unreadable_config_exits_3(tmp_path, capsys):
+    assert main(["dp", "--config", str(tmp_path / "missing.json")]) == 3
+    assert "config error: cannot read config" in capsys.readouterr().err
+
+
+def test_invalid_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"problem": ')
+    assert main(["dp", "--config", str(path)]) == 3
+    assert "config error: invalid JSON at line 1" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "schedule-check" in capsys.readouterr().out

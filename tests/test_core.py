@@ -17,6 +17,7 @@ from monoreg import (
     fd_derivative_check,
     hammerstein_operator,
     identity_map,
+    random_monotone_problem,
     solve_shifted,
     zero_map,
 )
@@ -70,6 +71,13 @@ def test_grid_mismatch_on_length_and_weights():
         u.inner(vec([1.0, 2.0, 3.0]))
     with pytest.raises(GridMismatch):
         u.inner(vec([1.0, 2.0], [0.5, 0.6]))
+
+
+def test_values_and_weights_must_be_1d():
+    with pytest.raises(GridMismatch, match="1-d arrays"):
+        HilbertVector(np.ones((2, 2)), np.ones(4))
+    with pytest.raises(GridMismatch, match="1-d arrays"):
+        HilbertVector(np.ones(4), np.ones((2, 2)))
 
 
 def test_weights_must_be_positive():
@@ -229,6 +237,13 @@ def test_nan_sample_fails_monotonicity():
     assert report.worst_index == first_nan
 
 
+def test_monotonicity_check_needs_a_pair():
+    sampler = BallSampler(HilbertVector.zeros(np.ones(2)), radius=1.0)
+    with pytest.raises(InvalidConfig, match="n_pairs must be >= 1"):
+        check_monotonicity(identity_operator(np.ones(2)), sampler, n_pairs=0,
+                           tol=1e-12)
+
+
 def test_hammerstein_is_monotone(ham50):
     prob, F = ham50
     sampler = BallSampler(prob.exact_solution, radius=2.0, seed=3)
@@ -243,6 +258,17 @@ def test_shifted_solve_zero_map():
     w = np.ones(1)
     x = solve_shifted(zero_map(w), 2.0, vec([4.0]))
     assert x.values == pytest.approx([2.0])
+
+
+def test_shifted_solve_of_a_zero_right_hand_side_calls_no_solver():
+    def no_solver(a):
+        raise AssertionError("a zero right-hand side needs no solve")
+
+    w = np.array([0.5, 2.0])
+    A = LinearMap(lambda v: v, lambda v: v, w, shifted_solver=no_solver)
+    x = solve_shifted(A, 1.0, vec([0.0, -0.0], w))
+    assert x.values.tolist() == [0.0, 0.0]
+    assert x.same_grid(vec([1.0, 1.0], w))
 
 
 def test_shifted_solve_identity():
@@ -731,6 +757,22 @@ def test_fd_check_rejects_non_positive_step(h):
     F = identity_operator(np.ones(2))
     with pytest.raises(InvalidConfig, match="h must be positive"):
         fd_derivative_check(F, vec([1.0, 2.0]), 1, h)
+
+
+def test_random_monotone_problem_declares_the_rate_of_its_derivative():
+    # F'(u) - F'(v) = diag(sech^2 u - sech^2 v): its norm is at most
+    # m2 ||u - v||, nearly attained by a pair about the peak of |tanh''|
+    F, u_star = random_monotone_problem(dim=6, seed=4)
+    m2 = F.bounds.m2
+    assert m2 == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), rel=1e-15)
+    peak = np.arctanh(1.0 / np.sqrt(3.0))
+    near = u_star.with_values(np.r_[peak - 1e-4, np.zeros(5)])
+    pairs = [(near, near + u_star.with_values(np.r_[2e-4, np.zeros(5)]))]
+    pairs += list(BallSampler(u_star, radius=3.0, seed=5).pairs(50))
+    ratios = [np.linalg.norm(F.deriv(u).to_dense() - F.deriv(v).to_dense(), 2)
+              / (u - v).norm() for u, v in pairs]
+    assert max(ratios) <= m2 * (1.0 + 1e-9)
+    assert ratios[0] >= 0.999 * m2  # so m2 = 0 would fail
 
 
 def test_fd_check_requires_derivative():

@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monoreg.discrepancy
 from monoreg import (
     ALREADY_COMPATIBLE,
     CONVERGED,
@@ -11,12 +14,14 @@ from monoreg import (
     InvalidConfig,
     NonFinite,
     accept_candidate,
+    diagonal_problem,
     gen_noise,
     rank_one_problem,
     solve_dp,
     solve_regularized,
 )
 from monoreg.bench import NoiseSpec
+from monoreg.cli import build_problem
 
 from helpers import const_vector, identity_operator
 
@@ -168,3 +173,64 @@ def test_config_validation():
             1.0,
             DPConfig(C=1.5, gamma=1.0),
         )
+
+
+# ------------------------------------------------------ precision floor
+
+
+def _diagonal_dp_case(delta_rel):
+    """diagonal_problem(8) with noise along the normalized all-ones vector,
+    at delta = delta_rel ||f||."""
+    F, u = diagonal_problem(8)
+    f = F(u)
+    delta = delta_rel * f.norm()
+    return F, f + (delta / u.norm()) * u, delta
+
+
+def _counted_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve_regularized(*args, **kwargs)
+
+    monkeypatch.setattr(monoreg.discrepancy, "solve_regularized", counted)
+    return calls
+
+
+def test_a_match_below_the_inner_tolerance_floor_fails_before_any_solve(
+        monkeypatch):
+    # dp_tol * target = 2.41e-15 lies below the floor
+    # 5e-15 max(||f_delta||, 1) = 8.45e-15; the whole search used to run and
+    # then blame a discontinuous phi
+    F, f_delta, delta = _diagonal_dp_case(1e-10)
+    calls = _counted_solves(monkeypatch)
+    with pytest.raises(InvalidConfig, match=r"dp_tol \* target = 2.4\d*e-15 .*"
+                       r"floor .* = 8.4\d*e-15"):
+        solve_dp(F, f_delta, delta, DPConfig(C=1.5, gamma=0.9))
+    assert calls == []
+
+
+def test_a_match_above_the_inner_tolerance_floor_converges(monkeypatch):
+    # dp_tol * target = 1.91e-14 clears the floor 8.45e-15
+    F, f_delta, delta = _diagonal_dp_case(1e-9)
+    calls = _counted_solves(monkeypatch)
+    cfg = DPConfig(C=1.5, gamma=0.9)
+    result = solve_dp(F, f_delta, delta, cfg)
+    assert result.status == CONVERGED
+    assert abs(result.achieved_residual - result.target) <= cfg.dp_tol * result.target
+    assert result.bracket_evals == len(calls)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", ["dp_hammerstein.json", "dp_rank_one.json"])
+def test_every_shipped_dp_row_is_far_above_the_floor(name):
+    cfg = json.loads((CONFIGS / name).read_text())
+    problem, dp = build_problem(cfg["problem"]), DPConfig(**cfg["dp"])
+    for delta_rel in cfg["noise"]["delta_rel"]:
+        for seed in cfg["noise"]["seeds"]:
+            f_delta, delta = problem.make_noise(delta_rel, seed)
+            floor = 5e-15 * max(f_delta.norm(), 1.0)
+            assert dp.dp_tol * dp.target(delta) > 1e4 * floor

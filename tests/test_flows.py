@@ -9,8 +9,10 @@ from monoreg import (
     HorizonExceeded,
     InvalidConfig,
     IterConfig,
+    LinearMap,
     NonFinite,
     NonlinearOperator,
+    PreconditionFailed,
     ValidationParams,
     find_continuous,
     flow_gradient,
@@ -307,6 +309,28 @@ def test_init_u0_zero_start_certified(unit_pair):
     V0 = solve_regularized(F, f, 1.0, tol=1e-12).V
     assert V0.norm() == pytest.approx(1.0, abs=1e-10)
     assert V0.norm() <= (F(u0) - f).norm() / 1.0
+
+
+def test_init_u0_zero_start_fails_without_monotonicity(unit_pair):
+    # F = -u/2 is not monotone: V(0) = 2 f at a0 = 1 lies beyond the zero
+    # start bound ||F(0) - f|| / a0 = ||f||
+    from helpers import const_vector
+
+    minus_half = LinearMap.from_matrix(-0.5 * np.eye(2), unit_pair)
+    F = NonlinearOperator(minus_half, lambda u: minus_half)
+    with pytest.raises(PreconditionFailed, match="zero_start_bound"):
+        init_u0(F, const_vector(1.0, unit_pair), a0=1.0, zero=True)
+
+
+def test_init_u0_on_data_f_of_zero_returns_zero(unit_pair):
+    # V(0) = 0 solves F(V) + a0 V = F(0): no defect to place
+    from helpers import const_vector
+
+    F = NonlinearOperator(lambda u: u + const_vector(1.0, unit_pair),
+                          lambda u: identity_map(unit_pair))
+    zero = HilbertVector.zeros(unit_pair)
+    u0 = init_u0(F, F(zero), a0=1.0)
+    assert u0.values.tolist() == [0.0, 0.0]
 
 
 # ----------------------------------------------- flow/iteration consistency

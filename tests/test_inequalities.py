@@ -201,6 +201,13 @@ def test_discrete_step_product_validation():
         bound_discrete(inst)  # h * gamma = 2 outside (0, 1)
 
 
+def test_discrete_coefficients_must_share_a_length():
+    ones = np.ones(4)
+    with pytest.raises(InvalidConfig, match="share a length >= 2"):
+        DiscreteInequality(p=2.0, alpha=0.0 * ones, beta=0.0 * ones,
+                           gamma=ones, mu=ones, h=0.5 * np.ones(5), g0=0.5)
+
+
 def test_discrete_sweep_zero_violations():
     for seed in range(50):
         inst = random_discrete_instance(seed)
@@ -248,6 +255,14 @@ def test_split_conditions_imply_feasibility():
         assert m["initial_gap"] > 0
         checked += 1
     assert checked >= 10
+
+
+def test_split_conditions_need_p_equal_two():
+    inst = ContinuousInequality(p=3.0, alpha=const(0.0), beta=const(0.0),
+                                gamma=const(1.0), mu=const(1.0),
+                                mu_dot=const(0.0), g0=0.5, horizon=1.0)
+    with pytest.raises(InvalidConfig, match="specific to p = 2"):
+        quadratic_case_margins(inst)
 
 
 # ----------------------------------------------------- evolution equations

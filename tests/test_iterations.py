@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from monoreg import (
     make_discrete,
     make_hammerstein,
     operator_norm_estimate,
+    zero_map,
 )
 from monoreg.bench import TRAPEZOID, NoiseSpec
 from monoreg.iterations import DEFAULT_N_MAX
@@ -281,6 +284,13 @@ def test_m1_estimation_is_flagged():
     cfg = IterConfig(schedule=schedule, C1=1.5, gamma_or_zeta=0.9, n_max=2000)
     report = iter_simple(F, f, 0.05, cfg, HilbertVector.zeros(w))
     assert any(note.startswith("m1_estimated") for note in report.notes)
+
+
+def test_norm_estimate_of_the_zero_map_is_zero():
+    # the first product is zero: the estimate stops there, dividing by nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert operator_norm_estimate(zero_map(np.array([0.5, 1.0, 2.0]))) == 0.0
 
 
 # ------------------------------------------------------- non-finite values

@@ -1,5 +1,6 @@
 """The public surface: every name `monoreg/__init__.py` exports is listed in
-the README's API index under its module, and the index lists nothing else."""
+the README's API index under its module, and the index lists nothing else;
+and no module of the package imports another's private name."""
 import ast
 import re
 from pathlib import Path
@@ -35,3 +36,18 @@ def test_readme_api_index_lists_exactly_the_exports():
     for module, names in exported.items():
         assert indexed[module] - names == set(), f"{module}: not exported"
         assert names - indexed[module] == set(), f"{module}: not in the README"
+
+
+def private_imports(path: Path) -> list[str]:
+    """`module._name` for each `from .module import _name` of the file."""
+    return [f"{node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {path.name: names
+             for path in sorted((ROOT / "src" / "monoreg").glob("*.py"))
+             if (names := private_imports(path))}
+    assert found == {}, "a rule two modules share belongs to one of them"

@@ -5,6 +5,9 @@ import scipy.optimize
 from monoreg import (
     BallSampler,
     HilbertVector,
+    InvalidConfig,
+    NoDerivative,
+    NonConvergence,
     NonFinite,
     NonlinearOperator,
     OperatorBounds,
@@ -14,7 +17,8 @@ from monoreg import (
     zero_map,
 )
 from monoreg.bench import NoiseSpec
-from monoreg.regularized import _bracket_search
+from monoreg.discrepancy import _bracket_search
+from monoreg.regularized import MAX_RELAX
 
 from helpers import const_vector, identity_operator
 
@@ -87,6 +91,26 @@ def test_relaxation_fallback_without_derivative():
     assert (F(sol.V) + 0.5 * sol.V - f).norm() <= 1e-10
 
 
+def test_a_zero_shift_is_rejected(unit_pair):
+    with pytest.raises(InvalidConfig, match="shift a must be positive"):
+        solve_regularized(identity_operator(unit_pair), const_vector(1.0, unit_pair),
+                          a=0.0)
+
+
+def test_relaxation_needs_declared_bounds(unit_pair):
+    F = NonlinearOperator(lambda u: u)
+    with pytest.raises(NoDerivative, match="declared bounds"):
+        solve_regularized(F, const_vector(1.0, unit_pair), a=0.5)
+
+
+def test_relaxation_past_its_budget_reports_nonconvergence(unit_pair):
+    # a loose m1 makes the step 1 / (m1 + 2a) too short to converge in
+    # MAX_RELAX steps
+    F = NonlinearOperator(lambda u: u, bounds=OperatorBounds(m1=1e6))
+    with pytest.raises(NonConvergence, match=f"{MAX_RELAX} relaxation steps"):
+        solve_regularized(F, const_vector(1.0, unit_pair), a=0.5, tol=1e-12)
+
+
 def test_nan_data_raises_non_finite(ham50, ham_data):
     # one NaN in f_delta used to stall the line search and raise
     # NonConvergence, blaming the monotonicity contract
@@ -139,18 +163,41 @@ def test_phi_increasing_psi_nonincreasing_on_benchmark(ham50, ham_data):
 # ----------------------------------------------------------------- brackets
 
 
+def _solver(F, f_delta, tol=None, shifts=None):
+    """The a -> V_a map the bracket search takes; appends each shift to
+    `shifts` when given."""
+    def solve(a):
+        if shifts is not None:
+            shifts.append(a)
+        return solve_regularized(F, f_delta, a, tol=tol).V
+
+    return solve
+
+
 def test_bracket_geometric_expansion(unit_pair):
     F = identity_operator(unit_pair)
     f = const_vector(2.0, unit_pair)  # phi(a) = 2a / (1 + a)
-    lo, hi, _, _ = _bracket_search(F, f, 1.0, 0.25, None)
+    lo, hi = _bracket_search(_solver(F, f), 1.0)
     assert lo == pytest.approx(0.5)
     assert hi == pytest.approx(1.0)
+
+
+def test_bracket_grows_past_a_equal_one(unit_pair):
+    F = identity_operator(unit_pair)
+    f = const_vector(2.0, unit_pair)  # phi(1) = 1 < 1.5 <= phi(4) = 1.6
+    shifts = []
+    lo, hi = _bracket_search(_solver(F, f, shifts=shifts), 1.5)
+    assert (lo, hi) == (2.0, 4.0)
+    assert shifts == [1.0, 2.0, 4.0]
+    phi_lo, _ = phi_psi(F, f, lo)
+    phi_hi, _ = phi_psi(F, f, hi)
+    assert phi_lo < 1.5 <= phi_hi
 
 
 def test_bracket_contraction_from_above(unit_pair):
     F = identity_operator(unit_pair)
     f = const_vector(2.0, unit_pair)
-    lo, hi, _, _ = _bracket_search(F, f, 0.5, 8.0, None)
+    lo, hi = _bracket_search(_solver(F, f), 0.5)
     phi_lo, _ = phi_psi(F, f, lo)
     phi_hi, _ = phi_psi(F, f, hi)
     assert phi_lo < 0.5 <= phi_hi
@@ -160,7 +207,7 @@ def test_bracket_on_noisy_benchmark(ham50, ham_data):
     prob, F = ham50
     f_delta, delta = gen_noise(ham_data, NoiseSpec(0.02, seed=11))
     target = 1.01 * delta**0.9
-    lo, hi, _, _ = _bracket_search(F, f_delta, target, 1.0, 1e-12)
+    lo, hi = _bracket_search(_solver(F, f_delta, 1e-12), target)
     phi_lo, _ = phi_psi(F, f_delta, lo, tol=1e-12)
     phi_hi, _ = phi_psi(F, f_delta, hi, tol=1e-12)
     assert phi_lo < target <= phi_hi

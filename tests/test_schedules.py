@@ -353,3 +353,36 @@ def test_gradient_flow_conditions_at_example_point():
     )
     decay = {c.name: c for c in report.checks}["decay_rate"]
     assert decay.satisfied
+
+
+@pytest.mark.parametrize("make, kind, family", [
+    (make_continuous, NEWTON_ITER, "continuous"),
+    (make_discrete, NEWTON_FLOW, "discrete"),
+])
+def test_a_builder_rejects_the_other_familys_kind(make, kind, family):
+    with pytest.raises(InvalidConfig,
+                       match=f"unknown {family} schedule kind '{kind}'"):
+        make(kind, 1.0, 7.0, 32.0)
+
+
+def test_validation_of_a_non_schedule_is_rejected():
+    with pytest.raises(InvalidConfig, match="not a schedule"):
+        validate_conditions((NEWTON_FLOW, 1.0, 7.0, 32.0), _params())
+
+
+@pytest.mark.parametrize("kind, b", [(GRADIENT_ITER, 0.25), (SIMPLE_ITER, 0.5)])
+def test_a_damped_iteration_schedule_needs_alpha_tilde(kind, b):
+    with pytest.raises(InvalidConfig, match="alpha_tilde is required"):
+        validate_conditions(make_discrete(kind, b, 1.0, 64.0), _params())
+
+
+def test_search_with_a_given_lambda_reports_at_it():
+    # the free search takes d0 128 at lambda 4; the given, larger lambda
+    # needs a larger scale
+    free = find_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, params=_params())
+    assert (free.schedule.d0, free.lam) == (128.0, 4.0)
+    params = _params(lam=16.0)
+    fixed = find_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, params=params)
+    assert (fixed.schedule.d0, fixed.lam) == (512.0, 16.0)
+    assert repr(fixed.report.to_dict()) == repr(
+        validate_conditions(fixed.schedule, params).to_dict())
