@@ -254,7 +254,7 @@ def _cyclic_reduction(off: float, margin: np.ndarray):
 
 def hammerstein_apply(prob: HammersteinProblem, u: HilbertVector) -> HilbertVector:
     """(K u)_i + arctan(u_i)**3 with the integral by trapezoid rule."""
-    prob.exact_solution._check_grid(u)
+    u.check_grid(prob.exact_solution)  # the exact solution lives on the problem grid
     return HilbertVector._trusted(
         _kernel_product(prob, u.values) + np.arctan(u.values) ** 3, u.weights
     )
@@ -269,7 +269,7 @@ def hammerstein_derivative(prob: HammersteinProblem, u: HilbertVector) -> Linear
     """w -> D(u) w + K w; self-adjoint in trapezoid mode since the kernel
     is symmetric against the quadrature weights and D is diagonal.  A
     matrix-free map with its own shifted solver above `DENSE_KERNEL_LIMIT`."""
-    prob.exact_solution._check_grid(u)
+    u.check_grid(prob.exact_solution)
     slope = nonlinearity_slope(u.values)
     if prob.kernel is None:
         return _matrix_free_map(prob, slope)
@@ -386,7 +386,8 @@ class Table1Row:
     status: str
     per_seed: tuple[dict, ...]
 
-    to_dict = asdict
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def schedule_scale(C0: float, delta: float) -> float:

@@ -229,8 +229,8 @@ def _sweep(cfg: dict, args, stem: str, solve, level, history: bool = False) -> i
     """One row per noise level and seed; solve(problem, f_delta, delta,
     history) returns the run's fields, its solution and the last columns,
     and `history` says whether it reads output.history.  Every row's noise
-    is drawn and its stop level level(delta) checked before the first row
-    is solved."""
+    is drawn and its level(f_delta, delta), the stop level or the dp match
+    tolerance, checked before the first row is solved."""
     problem = _read(cfg, "problem", None, build_problem)
     delta_rels, seeds = _read(cfg, "noise", {"delta_rel", "seeds"}, lambda section: (
         _levels_and_seeds(section.get("delta_rel", [0.01]), section.get("seeds", [0]),
@@ -238,9 +238,9 @@ def _sweep(cfg: dict, args, stem: str, solve, level, history: bool = False) -> i
     path, fmt, history = _output(cfg, args, stem, history)
     draws = [(delta_rel, seed, *problem.make_noise(delta_rel, seed))
              for delta_rel in delta_rels for seed in seeds]
-    for delta_rel, _, _, delta in draws:
+    for delta_rel, _, f_delta, delta in draws:
         try:
-            level(delta)
+            level(f_delta, delta)
         except InvalidConfig as exc:
             raise InvalidConfig(f"{exc} at delta_rel = {delta_rel:g}",
                                 key="noise.delta_rel") from exc
@@ -271,7 +271,7 @@ def _cmd_dp(cfg: dict, args) -> int:
                      "a_over_analytic": result.a_delta / analytic}
         return result.to_dict(), result.V, extra
 
-    return _sweep(cfg, args, "dp", solve, dp_cfg.target)
+    return _sweep(cfg, args, "dp", solve, dp_cfg.inner_tol)
 
 
 def _schedule(section: dict,
@@ -334,8 +334,8 @@ def _cmd_continuation(command: str, cfg: dict, args) -> int:
 
     # the default stem names the method: flow_newton, iterate_simple, ...
     method = schedule.kind.split("_")[0]
-    return _sweep(cfg, args, f"{command}_{method}", solve, run_cfg.threshold,
-                  history=True)
+    return _sweep(cfg, args, f"{command}_{method}", solve,
+                  lambda f_delta, delta: run_cfg.threshold(delta), history=True)
 
 
 _TABLE1_HEADER = ["delta_rel", "n_iterations", "rel_error", "residual_at_stop",

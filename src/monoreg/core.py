@@ -98,14 +98,14 @@ class HilbertVector:
             self.weights, other.weights
         )
 
-    def _check_grid(self, other: "HilbertVector") -> None:
+    def check_grid(self, other: "HilbertVector") -> None:
         if not self.same_grid(other):
             raise GridMismatch("vectors live on different grids")
 
     # ndarray.sum runs the same add.reduce as np.sum without its dispatch, and
     # math.sqrt rounds correctly as np.sqrt does: the bits are np.sum's
     def inner(self, other: "HilbertVector") -> float:
-        self._check_grid(other)
+        self.check_grid(other)
         return float((self.weights * self.values * other.values).sum())
 
     def norm(self) -> float:
@@ -120,11 +120,11 @@ class HilbertVector:
         return HilbertVector(np.zeros_like(weights), weights)
 
     def __add__(self, other: "HilbertVector") -> "HilbertVector":
-        self._check_grid(other)
+        self.check_grid(other)
         return HilbertVector._trusted(self.values + other.values, self.weights)
 
     def __sub__(self, other: "HilbertVector") -> "HilbertVector":
-        self._check_grid(other)
+        self.check_grid(other)
         return HilbertVector._trusted(self.values - other.values, self.weights)
 
     def __mul__(self, scalar: float) -> "HilbertVector":

@@ -22,6 +22,7 @@ CONVERGED = "converged"
 ALREADY_COMPATIBLE = "already_compatible"
 A_RTOL = 1e-12  # relative width of the bisection bracket at which it stops
 MAX_DOUBLINGS = 200  # halvings or doublings of a before the bracket search fails
+INNER_TOL_FLOOR = 5e-15  # inner solves reach no tighter than this * max(||f_delta||, 1)
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,17 @@ class DPConfig:
 
     def target(self, delta: float) -> float:
         return stop_level(self.C, delta, self.gamma)
+
+    def inner_tol(self, f_delta: HilbertVector, delta: float) -> float:
+        """solve_dp's inner tolerance, fine enough that the measured residual
+        resolves the match; InvalidConfig if the floor the solves reach,
+        INNER_TOL_FLOOR * max(||f_delta||, 1), is at or above dp_tol * target."""
+        target, floor = self.target(delta), INNER_TOL_FLOOR * max(f_delta.norm(), 1.0)
+        if not self.dp_tol * target > floor:
+            raise InvalidConfig(f"dp_tol * target = {self.dp_tol * target:g} is at or "
+                                f"below the inner-tolerance floor {INNER_TOL_FLOOR:g} "
+                                f"* max(||f_delta||, 1) = {floor:g}")
+        return max(floor, 1e-5 * self.dp_tol * target)
 
 
 @dataclass(frozen=True)
@@ -100,33 +112,18 @@ def solve_dp(
     phi is strictly increasing and tends to r0 = ||F(0) - f_delta|| from
     below, so a root exists iff r0 exceeds the target, and bisection on a
     geometric bracket grown from a = 1 finds it.  Inner solves are
-    warm-started along the path and run well below dp_tol so the measured
-    residual is trustworthy at the match tolerance; as they cannot run
-    below 5e-15 max(||f_delta||, 1), a dp_tol * target at or below that
-    floor raises InvalidConfig before the first of them.
+    warm-started along the path at `cfg.inner_tol`, which raises
+    InvalidConfig before the first of them if they cannot resolve the match.
     """
     target = cfg.target(delta)
     zero = HilbertVector.zeros(f_delta.weights)
     r0 = (F(zero) - f_delta).norm()
     require_finite(r0, "||F(0) - f_delta||, the ceiling of phi,")
+    inner_tol = cfg.inner_tol(f_delta, delta)
     if r0 <= target:
-        return DPResult(
-            a_delta=math.inf,
-            V=zero,
-            achieved_residual=r0,
-            bracket_evals=1,
-            target=target,
-            status=ALREADY_COMPATIBLE,
-        )
+        return DPResult(a_delta=math.inf, V=zero, achieved_residual=r0, bracket_evals=1,
+                        target=target, status=ALREADY_COMPATIBLE)
 
-    # Solve accurately enough that the measured phi resolves the bisection.
-    floor = 5e-15 * max(f_delta.norm(), 1.0)
-    if not cfg.dp_tol * target > floor:
-        raise InvalidConfig(
-            f"dp_tol * target = {cfg.dp_tol * target:g} is at or below the "
-            f"inner-tolerance floor 5e-15 * max(||f_delta||, 1) = {floor:g}"
-        )
-    inner_tol = max(floor, 1e-5 * cfg.dp_tol * target)
     evals, warm = 0, None
 
     def solve(a: float) -> HilbertVector:
@@ -153,14 +150,8 @@ def solve_dp(
             f"residual match failed: |{achieved:g} - {target:g}| exceeds "
             f"dp_tol * target; phi may be discontinuous for this operator"
         )
-    return DPResult(
-        a_delta=a_final,
-        V=V,
-        achieved_residual=achieved,
-        bracket_evals=evals,
-        target=target,
-        status=CONVERGED,
-    )
+    return DPResult(a_delta=a_final, V=V, achieved_residual=achieved,
+                    bracket_evals=evals, target=target, status=CONVERGED)
 
 
 def _bracket_search(solve, target: float) -> tuple[float, float]:

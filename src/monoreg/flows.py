@@ -199,7 +199,7 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
 
     # the states are kept as arrays on u0's grid and wrapped once for F and
     # the direction; every expression keeps the order of its vector form
-    u0._check_grid(f_delta)
+    u0.check_grid(f_delta)
     w, fd = u0.weights, f_delta.values
 
     def state(x):

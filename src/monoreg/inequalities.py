@@ -447,15 +447,15 @@ def evolution_norm_bound(
 
     def force(t):
         f = forcing(t)
-        u0._check_grid(f)
+        u0.check_grid(f)
         return f.values
 
     def rhs(t, x, f):
         """A u + h(t, u) + f at the state values x, as values."""
         u = HilbertVector._trusted(x, w)
         Au, hu = A(u), h_map(t, u)
-        u._check_grid(Au)
-        u._check_grid(hu)
+        u.check_grid(Au)
+        u.check_grid(hu)
         return Au.values + hu.values + f
 
     x = u0.values

@@ -165,7 +165,7 @@ def _run(F, f_delta, delta, cfg, u0, method, step_size=None,
 
     # the iterates are kept as arrays on u0's grid and wrapped once for F
     # and the direction; every expression keeps the order of its vector form
-    u0._check_grid(f_delta)
+    u0.check_grid(f_delta)
     w, fd = u0.weights, f_delta.values
     F_u, res = data_residual(F, u0, fd)
     if trajectory.record(0.0, u0, res):

@@ -59,7 +59,7 @@ def solve_regularized(
     if not tol > 0:
         raise InvalidConfig("tol must be positive")
     V = warm_start if warm_start is not None else HilbertVector.zeros(f_delta.weights)
-    V._check_grid(f_delta)
+    V.check_grid(f_delta)
 
     if F.has_derivative:
         return _newton(F, f_delta.values, a, tol, V)
@@ -70,7 +70,7 @@ def _defect(F, fd, a, V):
     """The values of F(V) + a V - f_delta, for the values fd of f_delta,
     with F(V) checked to live on V's grid."""
     F_V = F(V)
-    V._check_grid(F_V)
+    V.check_grid(F_V)
     return F_V.values + V.values * float(a) - fd
 
 

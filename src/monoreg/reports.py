@@ -31,7 +31,7 @@ STEP_FLOOR = "step_floor"
 def _gradient(F, u, a, G, tol):
     # (F'(u)* G) + a G in the order of the vector expression, one wrapper
     adj = F.deriv(u).adjoint_apply(G)
-    adj._check_grid(G)
+    adj.check_grid(G)
     return HilbertVector._trusted(adj.values + G.values * float(a), G.weights)
 
 
@@ -48,7 +48,7 @@ def data_residual(F, u: HilbertVector, fd: np.ndarray) -> tuple[np.ndarray, floa
     """The values of F(u), checked to live on u's grid, and the data
     residual ||F(u) - f_delta|| for the values fd of f_delta."""
     F_u = F(u)
-    u._check_grid(F_u)
+    u.check_grid(F_u)
     r = F_u.values - fd
     return F_u.values, weighted_norm(u.weights, r)
 

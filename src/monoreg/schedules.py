@@ -176,7 +176,8 @@ class ConditionCheck:
     worst_at: float
     strict: bool
 
-    to_dict = asdict
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from monoreg import (
     accept_candidate,
     diagonal_problem,
     random_monotone_problem,
+    rank_one_problem,
     solve_regularized,
 )
 from monoreg.inequalities import check_n_steps
@@ -109,9 +110,12 @@ def test_nan_argument_raises_invalid_config(call, name):
         (lambda: diagonal_problem(-3), "dim must be >= 1, got -3"),
         (lambda: random_monotone_problem(dim=0), "dim must be >= 1, got 0"),
         (lambda: random_monotone_problem(seed=-1), "seed must be >= 0, got -1"),
+        # read "rank-one problem needs dim >= 2"
+        (lambda: rank_one_problem(1), "dim must be >= 2, got 1"),
     ],
     ids=["diagonal-dim", "random-dim", "random-seed", "n_steps", "diagonal-dim-0",
-         "diagonal-dim-negative", "random-dim-0", "random-seed-negative"],
+         "diagonal-dim-negative", "random-dim-0", "random-seed-negative",
+         "rank-one-dim-1"],
 )
 def test_integer_argument_of_no_config_class_is_checked(call, message):
     with pytest.raises(InvalidConfig, match=message):

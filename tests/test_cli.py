@@ -332,6 +332,29 @@ def test_sweep_checks_every_stop_level_before_the_first_solve(
     assert not out.exists()
 
 
+def test_dp_sweep_checks_every_match_tolerance_before_the_first_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # at delta_rel 1e-10 dp_tol * target lies below the inner-tolerance
+    # floor; the 0.01 row comes first and used to be solved, then the second
+    # ran its whole search and exited 2 blaming a discontinuous phi
+    def solve(*args, **kwargs):
+        raise AssertionError("a row was solved")
+
+    monkeypatch.setattr("monoreg.discrepancy.solve_regularized", solve)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"problem": {"kind": "diagonal", "dim": 8},
+                                   "dp": {"C": 1.5, "gamma": 0.9},
+                                   "noise": {"delta_rel": [0.01, 1e-10]},
+                                   "output": {"dir": str(out)}})
+    assert main(["dp", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "noise.delta_rel: dp_tol * target = " in err
+    assert "inner-tolerance floor" in err
+    assert "at delta_rel = 1e-10" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, config, flag",
     [

@@ -21,6 +21,7 @@ from monoreg import (
     solve_regularized,
 )
 from monoreg.bench import NoiseSpec
+from monoreg.discrepancy import INNER_TOL_FLOOR
 from monoreg.cli import build_problem
 
 from helpers import const_vector, identity_operator
@@ -232,5 +233,5 @@ def test_every_shipped_dp_row_is_far_above_the_floor(name):
     for delta_rel in cfg["noise"]["delta_rel"]:
         for seed in cfg["noise"]["seeds"]:
             f_delta, delta = problem.make_noise(delta_rel, seed)
-            floor = 5e-15 * max(f_delta.norm(), 1.0)
+            floor = INNER_TOL_FLOOR * max(f_delta.norm(), 1.0)
             assert dp.dp_tol * dp.target(delta) > 1e4 * floor

@@ -50,4 +50,4 @@ def test_no_module_imports_a_private_name_of_another():
     found = {path.name: names
              for path in sorted((ROOT / "src" / "monoreg").glob("*.py"))
              if (names := private_imports(path))}
-    assert found == {}, "a rule two modules share belongs to one of them"
+    assert found == {}, "import no private name; make a shared rule public"
