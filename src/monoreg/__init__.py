@@ -55,6 +55,7 @@ from .errors import (
     NonFinite,
     PreconditionFailed,
     SolveFailed,
+    StepFloor,
 )
 from .flows import FlowConfig, flow_gradient, flow_newton, flow_simple, init_u0
 from .inequalities import (

@@ -47,7 +47,7 @@ from .core import (
 )
 from .errors import InvalidConfig, MonoregError, check_fields, check_number
 from .iterations import IterConfig, iter_newton, operator_norm_estimate
-from .reports import check_stop_constants
+from .reports import check_stop_constants, stop_level
 from .schedules import NEWTON_ITER, make_discrete
 
 TRAPEZOID = "trapezoid"
@@ -352,6 +352,32 @@ def gen_noise(f: HilbertVector, spec: NoiseSpec) -> tuple[HilbertVector, float]:
     return f + kappa * noise, delta
 
 
+def sweep(make_noise, levels, seeds, check, solve, key: str) -> list[tuple]:
+    """One row (delta_rel, seed, delta, result, error) per noise level and
+    seed, levels outermost.  make_noise(delta_rel, seed) draws a row's
+    (f_delta, delta), and check(f_delta, delta), the check of its stop level
+    or match tolerance, runs on every row before the first solve; a failed
+    check raises InvalidConfig naming `key` and the level.  Then each row is
+    solve(f_delta, delta), or the MonoregError that raised (result None);
+    an InvalidConfig is raised."""
+    draws = [(delta_rel, seed, *make_noise(delta_rel, seed))
+             for delta_rel in levels for seed in seeds]
+    for delta_rel, _, f_delta, delta in draws:
+        try:
+            check(f_delta, delta)
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"{exc} at delta_rel = {delta_rel:g}", key) from exc
+    rows = []
+    for delta_rel, seed, f_delta, delta in draws:
+        try:
+            rows.append((delta_rel, seed, delta, solve(f_delta, delta), None))
+        except InvalidConfig:
+            raise
+        except MonoregError as exc:
+            rows.append((delta_rel, seed, delta, None, exc))
+    return rows
+
+
 @dataclass(frozen=True)
 class Table1Config:
     """Benchmark experiment configuration (defaults reproduce the
@@ -396,64 +422,53 @@ def schedule_scale(C0: float, delta: float) -> float:
 
 
 def run_table1(cfg: Table1Config) -> list[Table1Row]:
-    """Run the newton-type iteration over noise levels and seeds.
+    """Run the newton-type iteration over noise levels and seeds (`sweep`).
 
     Exact solution u = 1, data f = F(1), zero start, stopping at residual
-    C * delta**gamma, schedule a_n = C0 * delta**0.99 / (n + 1).  Rows
-    report seed medians (NaN when no seed succeeds); a failing seed is
-    recorded in the row status and skipped rather than aborting the table.
+    C * delta**gamma, schedule a_n = C0 * delta**0.99 / (n + 1).  Every
+    level's stop level is checked before the first run.  Rows report seed
+    medians (NaN when no seed succeeds); a failing seed is recorded in the
+    row status and skipped rather than aborting the table.
     """
     prob = make_hammerstein(cfg.n_nodes, cfg.norm_mode)
     F = hammerstein_operator(prob)
     u_exact = prob.exact_solution
     f = F(u_exact)
+
+    def solve(f_delta, delta):
+        schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0,
+                                 d0=schedule_scale(cfg.C0, delta))
+        iter_cfg = IterConfig(schedule=schedule, C1=cfg.C, gamma_or_zeta=cfg.gamma,
+                              n_max=cfg.n_max)
+        return iter_newton(F, f_delta, delta, iter_cfg, HilbertVector.zeros(prob.weights))
+
+    runs = sweep(lambda delta_rel, seed: gen_noise(f, NoiseSpec(delta_rel, seed)),
+                 cfg.delta_rel_list, cfg.seeds,
+                 lambda f_delta, delta: stop_level(cfg.C, delta, cfg.gamma), solve,
+                 "delta_rel_list")
     rows = []
-    for delta_rel in cfg.delta_rel_list:
-        per_seed = []
-        failures = []
-        for seed in cfg.seeds:
-            f_delta, delta = gen_noise(f, NoiseSpec(delta_rel, seed))
-            schedule = make_discrete(
-                NEWTON_ITER, b=1.0, d_or_c=1.0, d0=schedule_scale(cfg.C0, delta)
-            )
-            iter_cfg = IterConfig(
-                schedule=schedule,
-                C1=cfg.C,
-                gamma_or_zeta=cfg.gamma,
-                n_max=cfg.n_max,
-            )
-            u0 = HilbertVector.zeros(prob.weights)
-            try:
-                report = iter_newton(F, f_delta, delta, iter_cfg, u0)
-            except MonoregError as exc:
-                failures.append(f"seed {seed}: {exc}")
-                continue
-            per_seed.append(
-                {
-                    "seed": seed,
-                    "delta": delta,
-                    "n_iterations": report.steps_taken,
-                    "rel_error": (report.u_final - u_exact).norm() / u_exact.norm(),
-                    "residual_at_stop": report.residual_at_stop,
-                    "a_at_stop": report.a_at_stop,
-                }
-            )
-        med = lambda key: (
-            float(statistics.median(d[key] for d in per_seed)) if per_seed else np.nan
-        )
+    n = len(cfg.seeds)
+    for i, delta_rel in enumerate(cfg.delta_rel_list):
+        level = runs[i * n:(i + 1) * n]
+        per_seed = [
+            {
+                "seed": seed,
+                "delta": delta,
+                "n_iterations": report.steps_taken,
+                "rel_error": (report.u_final - u_exact).norm() / u_exact.norm(),
+                "residual_at_stop": report.residual_at_stop,
+                "a_at_stop": report.a_at_stop,
+            }
+            for _, seed, delta, report, error in level if error is None
+        ]
+        failures = [f"seed {seed}: {error}" for _, seed, _, _, error in level
+                    if error is not None]
         status = "ok"
         if failures:
             status = ("partial: " if per_seed else "failed: ") + "; ".join(failures)
-        rows.append(
-            Table1Row(
-                delta_rel=delta_rel,
-                n_iterations=med("n_iterations"),
-                rel_error=med("rel_error"),
-                residual_at_stop=med("residual_at_stop"),
-                a_at_stop=med("a_at_stop"),
-                seed_count=len(per_seed),
-                status=status,
-                per_seed=tuple(per_seed),
-            )
-        )
+        medians = {key: float(statistics.median(d[key] for d in per_seed))
+                   if per_seed else np.nan
+                   for key in ("n_iterations", "rel_error", "residual_at_stop", "a_at_stop")}
+        rows.append(Table1Row(delta_rel=delta_rel, **medians, seed_count=len(per_seed),
+                              status=status, per_seed=tuple(per_seed)))
     return rows

@@ -4,8 +4,12 @@ Subcommands: `dp` (parameter choice), `flow` and `iterate` (continuation
 runs over noise levels and seeds), `bench` (the reference table),
 `schedule-check` (admissibility report), `ineq` (inequality bound check).
 One JSON config file describes the experiment; selected flags override
-config keys.  Exit codes: 0 success, 2 solver non-convergence or
-non-finite values, 3 config or usage error.
+config keys.  A sweep (`dp`, `flow`, `iterate`, `bench`) is one
+`bench.sweep`: it checks every row's stop level before it solves any, and
+writes a row whose run raised a solver error with that error.  Exit
+codes: 0 success; 2 a solver error (in a sweep, a failed row, with the
+file still written) or a failed schedule condition; 3 config or usage
+error, before any row is solved.
 """
 from __future__ import annotations
 
@@ -46,14 +50,6 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def emit_report(report, format: str, path, header=None) -> None:
     """Serialize a report (or list of row dicts) with stable field order,
     as JSON when `format` is "json" and as CSV otherwise.
@@ -66,7 +62,7 @@ def emit_report(report, format: str, path, header=None) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict() if hasattr(report, "to_dict") else report
     if format == "json":
-        path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
+        path.write_text(json.dumps(payload, indent=2) + "\n")
         return
     rows = [payload] if isinstance(payload, dict) else payload
     if header is None:
@@ -225,53 +221,67 @@ def _write(path: Path, fmt: str, report, header=None) -> None:
     print(f"wrote {path}")
 
 
-def _sweep(cfg: dict, args, stem: str, solve, level, history: bool = False) -> int:
-    """One row per noise level and seed; solve(problem, f_delta, delta,
-    history) returns the run's fields, its solution and the last columns,
-    and `history` says whether it reads output.history.  Every row's noise
-    is drawn and its level(f_delta, delta), the stop level or the dp match
-    tolerance, checked before the first row is solved."""
-    problem = _read(cfg, "problem", None, build_problem)
+# the CSV columns of a dp row and of a flow or iterate row; a failed row
+# leaves those of a result it does not have empty
+_DP_HEADER = ["delta_rel", "seed", "delta", "a_delta", "achieved_residual", "target",
+              "bracket_evals", "status", "solution_norm", "rel_error"]
+_RUN_HEADER = ["delta_rel", "seed", "delta", "status", "t_stop", "n_stop", "steps_taken",
+               "residual_at_stop", "a_at_stop", "threshold", "final_norm", "rel_error"]
+
+
+def _sweep(cfg: dict, args, problem: ProblemBundle, stem: str, solve, columns, level,
+           header, history: bool = False) -> int:
+    """Write one row per noise level and seed of `problem` (`bench.sweep`,
+    which checks every row's level(f_delta, delta), the stop level or the
+    dp match tolerance, before the first solve(f_delta, delta)).
+    columns(result, delta, history) gives a result's fields, its solution
+    and the last columns, for a failed run's partial report too; `history`
+    says whether it reads output.history.  A failed row's status names the
+    error, which is printed, and the exit code is then 2."""
     delta_rels, seeds = _read(cfg, "noise", {"delta_rel", "seeds"}, lambda section: (
         _levels_and_seeds(section.get("delta_rel", [0.01]), section.get("seeds", [0]),
                           args, "noise", "delta_rel")))
     path, fmt, history = _output(cfg, args, stem, history)
-    draws = [(delta_rel, seed, *problem.make_noise(delta_rel, seed))
-             for delta_rel in delta_rels for seed in seeds]
-    for delta_rel, _, f_delta, delta in draws:
-        try:
-            level(f_delta, delta)
-        except InvalidConfig as exc:
-            raise InvalidConfig(f"{exc} at delta_rel = {delta_rel:g}",
-                                key="noise.delta_rel") from exc
+    runs = bench.sweep(problem.make_noise, delta_rels, seeds, level, solve,
+                       "noise.delta_rel")
     u_exact = problem.u_exact
     rows = []
-    for delta_rel, seed, f_delta, delta in draws:
-        fields, u, extra = solve(problem, f_delta, delta, history)
-        rows.append({"delta_rel": delta_rel, "seed": seed, "delta": delta, **fields,
-                     "rel_error": (u - u_exact).norm() / u_exact.norm(), **extra})
-    _write(path, fmt, rows)
-    return 0
+    for delta_rel, seed, delta, result, error in runs:
+        row = {"delta_rel": delta_rel, "seed": seed, "delta": delta}
+        if error is not None:
+            result = error.report
+        if result is not None:
+            fields, u, extra = columns(result, delta, history)
+            row.update(fields, rel_error=(u - u_exact).norm() / u_exact.norm(), **extra)
+        if error is not None:
+            row["status"] = f"{type(error).__name__}: {error}"
+            print(f"solver error at delta_rel = {delta_rel:g}, seed {seed}: "
+                  f"{row['status']}", file=sys.stderr)
+        rows.append(row)
+    _write(path, fmt, rows, header)
+    return _SOLVER_EXIT if any(error is not None for *_, error in runs) else 0
 
 
 # --------------------------------------------------------------- subcommands
 
 
 def _cmd_dp(cfg: dict, args) -> int:
-    # the keys solve_dp reads; theta, C1 and C2 serve accept_candidate only
-    dp_cfg = _read(cfg, "dp", {"C", "gamma", "dp_tol"},
-                   lambda section: DPConfig(**section))
+    dp_cfg = _read(cfg, "dp", _keys(DPConfig), lambda section: DPConfig(**section))
+    problem = _read(cfg, "problem", None, build_problem)
+    # the matched shift of the rank-one problem has a closed form at gamma 1
+    analytic = problem.name == "rank_one" and dp_cfg.gamma == 1.0
 
-    def solve(problem, f_delta, delta, history):
-        result = solve_dp(problem.F, f_delta, delta, dp_cfg)
+    def columns(result, delta, history):
         extra = {}
-        if problem.name == "rank_one" and dp_cfg.gamma == 1.0:
-            analytic = synthetic.RankOneProblem.matched_shift(delta, dp_cfg.C)
-            extra = {"analytic_a": analytic,
-                     "a_over_analytic": result.a_delta / analytic}
+        if analytic:
+            a = synthetic.RankOneProblem.matched_shift(delta, dp_cfg.C)
+            extra = {"analytic_a": a, "a_over_analytic": result.a_delta / a}
         return result.to_dict(), result.V, extra
 
-    return _sweep(cfg, args, "dp", solve, dp_cfg.inner_tol)
+    header = _DP_HEADER + (["analytic_a", "a_over_analytic"] if analytic else [])
+    return _sweep(cfg, args, problem, "dp",
+                  lambda f_delta, delta: solve_dp(problem.F, f_delta, delta, dp_cfg),
+                  columns, dp_cfg.inner_tol, header)
 
 
 def _schedule(section: dict,
@@ -326,16 +336,19 @@ def _cmd_continuation(command: str, cfg: dict, args) -> int:
         return config_class(schedule=schedule, **stop), start
 
     run_cfg, start = _read(cfg, "stop", stop_keys, build_stop)
+    problem = _read(cfg, "problem", None, build_problem)
 
-    def solve(problem, f_delta, delta, history):
+    def solve(f_delta, delta):
         u0 = make_start(problem, f_delta, schedule, start)
-        report = runners[schedule.kind](problem.F, f_delta, delta, run_cfg, u0)
-        return report.to_dict(include_history=history), report.u_final, {}
+        return runners[schedule.kind](problem.F, f_delta, delta, run_cfg, u0)
 
     # the default stem names the method: flow_newton, iterate_simple, ...
     method = schedule.kind.split("_")[0]
-    return _sweep(cfg, args, f"{command}_{method}", solve,
-                  lambda f_delta, delta: run_cfg.threshold(delta), history=True)
+    return _sweep(cfg, args, problem, f"{command}_{method}", solve,
+                  lambda report, delta, history: (
+                      report.to_dict(include_history=history), report.u_final, {}),
+                  lambda f_delta, delta: run_cfg.threshold(delta), _RUN_HEADER,
+                  history=True)
 
 
 _TABLE1_HEADER = ["delta_rel", "n_iterations", "rel_error", "residual_at_stop",
@@ -353,14 +366,17 @@ def _cmd_bench(cfg: dict, args) -> int:
 
     table_cfg = _read(cfg, "bench", _keys(bench.Table1Config), build)
     path, fmt, _ = _output(cfg, args, "table1")
-    rows = bench.run_table1(table_cfg)
+    try:
+        rows = bench.run_table1(table_cfg)
+    except InvalidConfig as exc:
+        raise InvalidConfig(str(exc), key="bench") from exc
     for row in rows:
         print(
             f"delta_rel={row.delta_rel:g} n={row.n_iterations:g} "
             f"rel_error={row.rel_error:.4g} [{row.status}]"
         )
     _write(path, fmt, [r.to_dict() for r in rows], _TABLE1_HEADER)
-    return 0
+    return 0 if all(row.status == "ok" for row in rows) else _SOLVER_EXIT
 
 
 def _cmd_schedule_check(cfg: dict, args) -> int:

@@ -165,8 +165,12 @@ class LinearMap:
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self.weights = np.asarray(weights, dtype=float)
-        build = matrix if matrix is None or callable(matrix) else lambda: matrix
-        # a zero-argument function returning the matrix, or None
+        # a zero-argument function returning the matrix, or None; an array
+        # is shape-checked at once, as in from_matrix
+        build = matrix
+        if not (matrix is None or callable(matrix)):
+            array = _square(matrix, self.weights)
+            build = lambda: array
         self._matrix = build
         if (shifted_solver is None and build is not None
                 and self.dimension <= DENSE_LIMIT):

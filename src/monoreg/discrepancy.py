@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator
 from .errors import (BudgetExceeded, InvalidConfig, NonConvergence, check_fields,
-                     require_finite)
+                     check_number, require_finite)
 from .regularized import solve_regularized
 from .reports import check_stop_constants, stop_level
 
@@ -30,33 +30,19 @@ class DPConfig:
     """Constants of the residual-matching rule.
 
     C > 1 and gamma in (0, 1] fix the residual target C * delta**gamma,
-    which must exceed delta at use time (`target` checks it).  theta
-    scales the inexactness allowed of a candidate's shifted defect;
-    (C1, C2) bound the residual window of the acceptance test (defaults
-    C/2 and 2C).
+    which must exceed delta at use time (`target` checks it); dp_tol is
+    the relative accuracy of the match.
     """
 
     C: float = 1.01
     gamma: float = 0.9
-    theta: float = 1.0
-    C1: float | None = None
-    C2: float | None = None
     dp_tol: float = 1e-6
 
     def __post_init__(self):
-        check_fields(self, ("theta",))
+        check_fields(self)
         check_stop_constants(self, "C", "gamma")
-        lo, hi = self.residual_window()
-        if not 0 < lo < hi:
-            raise InvalidConfig("need 0 < C1 < C2")
         if not 0 < self.dp_tol < 1:
             raise InvalidConfig("dp_tol must lie in (0, 1)")
-
-    def residual_window(self) -> tuple[float, float]:
-        return (
-            self.C / 2 if self.C1 is None else self.C1,
-            2 * self.C if self.C2 is None else self.C2,
-        )
 
     def target(self, delta: float) -> float:
         return stop_level(self.C, delta, self.gamma)
@@ -199,14 +185,27 @@ def accept_candidate(
     v: HilbertVector,
     alpha: float,
     cfg: DPConfig,
+    *,
+    theta: float = 1.0,
+    C1: float | None = None,
+    C2: float | None = None,
 ) -> AcceptanceReport:
-    """Accept v iff its shifted defect is small and its residual sits in
-    the window [C1 * delta**gamma, C2 * delta**gamma].
+    """Accept v iff its shifted defect is at most theta * delta and its
+    residual sits in the window [C1 * delta**gamma, C2 * delta**gamma]
+    (C1 and C2 default to C/2 and 2C of cfg).
 
     A pure predicate with diagnostics; together the two conditions certify
     convergence of accepted candidates as delta -> 0 without needing v to
     come from any particular solver.
     """
+    c1 = cfg.C / 2 if C1 is None else C1
+    c2 = 2 * cfg.C if C2 is None else C2
+    for name, value in (("theta", theta), ("C1", c1), ("C2", c2)):
+        check_number(name, value, "float")
+    if not theta > 0:
+        raise InvalidConfig(f"theta must be positive, got {theta}")
+    if not 0 < c1 < c2:
+        raise InvalidConfig("need 0 < C1 < C2")
     if not alpha > 0:
         raise InvalidConfig("alpha must be positive")
     if not 0 < cfg.gamma < 1:
@@ -215,8 +214,7 @@ def accept_candidate(
         raise InvalidConfig("delta must be positive")
     defect_norm = (F(v) + alpha * v - f_delta).norm()
     residual = (F(v) - f_delta).norm()
-    defect_bound = cfg.theta * delta
-    c1, c2 = cfg.residual_window()
+    defect_bound = theta * delta
     lo = c1 * delta ** cfg.gamma
     hi = c2 * delta ** cfg.gamma
     defect_ok = defect_norm <= defect_bound

@@ -6,7 +6,12 @@ import numbers
 
 
 class MonoregError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  `report` is the partial report
+    of a run that did not stop by the discrepancy principle, else None."""
+
+    def __init__(self, *args, report=None):
+        super().__init__(*args)
+        self.report = report
 
 
 class GridMismatch(MonoregError):
@@ -122,13 +127,20 @@ class ConstraintViolated(MonoregError):
 
 
 class HorizonExceeded(MonoregError):
-    """An iteration reached its index budget without crossing the stopping
-    threshold.  Carries the partial report for diagnostics."""
+    """A run used up its horizon without crossing the stopping threshold:
+    an iteration its step budget n_max, a flow its time t_max (the other
+    is None).  Carries the partial report."""
 
-    def __init__(self, n_max: int, report=None):
+    def __init__(self, report, n_max: int | None, t_max: float | None):
         self.n_max = n_max
-        self.report = report
-        super().__init__(f"stopping threshold not reached within {n_max} steps")
+        horizon = (f"within {n_max} steps" if t_max is None
+                   else f"by the time horizon t_max = {t_max:g}")
+        super().__init__(f"stopping threshold not reached {horizon}", report=report)
+
+
+class StepFloor(MonoregError):
+    """A flow's step fell below step_min before it crossed the stopping
+    threshold.  Carries the partial report."""
 
 
 class PreconditionFailed(MonoregError):

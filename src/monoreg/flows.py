@@ -10,7 +10,8 @@ G(u, t) = F(u) + a(t) u - f_delta:
 
 The trajectory tracks the regularized path V(t) while a(t) decays, and
 integration stops at the first time the data residual ||F(u) - f_delta||
-falls to C1 * delta**zeta.  The integrator is adaptive explicit Euler
+falls to C1 * delta**zeta; reaching t_max first raises HorizonExceeded,
+a step below step_min StepFloor.  The integrator is adaptive explicit Euler
 controlled by residual decrease: a step is accepted iff the data
 residual does not increase (beyond 1e-12 relative), halved otherwise,
 and doubled after five straight acceptances up to step_max.  Along the
@@ -26,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator
-from .errors import InvalidConfig, PreconditionFailed, check_fields
+from .errors import (HorizonExceeded, InvalidConfig, PreconditionFailed, StepFloor,
+                     check_fields)
 from .regularized import solve_regularized
 from .reports import (
     DIRECTIONS,
@@ -230,7 +232,9 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
                 h = h_step * 0.5
                 streak = 0
                 if h < cfg.step_min:
-                    return trajectory.report(u, STEP_FLOOR, a, t_stop=t)
+                    raise StepFloor(f"no step of at least step_min = {cfg.step_min:g} "
+                                    f"keeps the data residual from rising at t = {t:g}",
+                                    report=trajectory.report(u, STEP_FLOOR, a, t_stop=t))
         if res_try <= thresh:
             t_stop, u_stop, res_stop = _refine_crossing(
                 state, thresh, u.values, d, t, h_step)
@@ -243,7 +247,8 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
         if streak >= DOUBLE_AFTER:
             h = min(2.0 * h, step_max)
             streak = 0
-    return trajectory.report(u, EXHAUSTED_HORIZON, sched.a(t), t_stop=t)
+    raise HorizonExceeded(trajectory.report(u, EXHAUSTED_HORIZON, sched.a(t), t_stop=t),
+                          n_max=None, t_max=t_max)
 
 
 def _refine_crossing(state, thresh, u_prev, d, t_prev, h):

@@ -184,4 +184,4 @@ def _run(F, f_delta, delta, cfg, u0, method, step_size=None,
             return trajectory.report(u, STOPPED_BY_DISCREPANCY, a_n, n_stop=n)
     partial = trajectory.report(u, EXHAUSTED_HORIZON, sched.a(n_max - 1),
                                 n_stop=n_max - 1)
-    raise HorizonExceeded(n_max, report=partial)
+    raise HorizonExceeded(partial, n_max=n_max, t_max=None)

@@ -11,7 +11,9 @@ G = F(u) + a u - f_delta:
 A flow integrates du/dt = -d by Euler steps u - h d; the iteration of the
 same name is the Euler step u - alpha_n d (alpha_n = 1 for newton).  All
 of them stop at the first recorded state whose data residual
-||F(u) - f_delta|| is at or below C1 * delta**e (ties accepted).
+||F(u) - f_delta|| is at or below C1 * delta**e (ties accepted).  A run
+that does not stop there raises (HorizonExceeded, StepFloor) with its
+partial report, whose status (EXHAUSTED_HORIZON, STEP_FLOOR) names why.
 """
 from __future__ import annotations
 
@@ -95,7 +97,9 @@ def a_end(C1: float, delta: float, y_norm: float) -> float:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """What a continuation run produced and why it stopped.
+    """What a continuation run produced and why it stopped: a returned
+    report has status STOPPED_BY_DISCREPANCY, the partial report of a
+    failed run one of the other two.
 
     Exactly one of t_stop / n_stop is set.  For iterations, n_stop is the
     schedule index of the step that produced the accepted iterate (0 with

@@ -27,9 +27,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "monoreg"
 
 _const = lambda t: np.ones_like(np.asarray(t, dtype=float))
 _ones = np.ones(4)
+_F, _U = diagonal_problem(4)
 
-# class -> (valid arguments, {numeric field: values out of its range});
-# every field is also given a bool, which no numeric field takes
+
+def accept_candidate_keywords(**constants):
+    """accept_candidate on valid arguments with the acceptance constants
+    theta, C1 and C2 given as keywords."""
+    return accept_candidate(_F, _F(_U), 0.01, _U, 0.1, DPConfig(), **constants)
+
+
+# class (or call) -> (valid arguments, {numeric field or keyword: values
+# out of its range}); every one is also given a bool, which none takes
 _VALID = {
     NoiseSpec: (dict(delta_rel=0.01, seed=0),
                 {"delta_rel": [nan, 0.0, -0.01], "seed": [nan, 0.5, -1]}),
@@ -42,8 +50,9 @@ _VALID = {
          "alpha_tilde": [], "g0": []},
     ),
     DPConfig: (dict(), {"C": [nan, 1.0], "gamma": [nan, 0.0, 1.5],
-                        "theta": [nan, 0.0], "C1": [nan, 0.0],
-                        "C2": [nan, 0.1], "dp_tol": [nan, 0.0, 1.0]}),
+                        "dp_tol": [nan, 0.0, 1.0]}),
+    accept_candidate_keywords: (dict(), {"theta": [nan, 0.0], "C1": [nan, 0.0],
+                                         "C2": [nan, 0.1]}),
     ContinuousInequality: (
         dict(p=2.0, alpha=_const, beta=_const, gamma=_const, mu=_const,
              mu_dot=_const, g0=0.5, horizon=10.0),
@@ -75,9 +84,6 @@ def test_bad_argument_raises_invalid_config(cls, field, value):
     with pytest.raises(InvalidConfig, match=field) as exc:
         cls(**{**valid, field: value})
     assert isinstance(exc.value, ValueError)
-
-
-_F, _U = diagonal_problem(4)
 
 
 @pytest.mark.parametrize(

@@ -126,7 +126,9 @@ def test_flow_simple_has_the_bits_of_vector_arithmetic(noisy):
     t_max = 12.0
     cfg = FlowConfig(schedule=make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0),
                      step_init=0.1, t_max=t_max)
-    report = flow_simple(F, f_delta, 1e-12, cfg, u0)
+    with pytest.raises(HorizonExceeded) as info:
+        flow_simple(F, f_delta, 1e-12, cfg, u0)
+    report = info.value.report
     history, u = reference_flow_simple(F, f_delta, cfg, u0, t_max)
     assert report.status == EXHAUSTED_HORIZON
     assert report.steps_taken >= 24

@@ -10,6 +10,7 @@ from monoreg import (
     IterConfig,
     LinearMap,
     NoiseSpec,
+    NonFinite,
     Table1Config,
     fd_derivative_check,
     gen_noise,
@@ -29,6 +30,7 @@ from monoreg.bench import (
     TRAPEZOID,
     nonlinearity_slope,
     schedule_scale,
+    sweep,
 )
 from monoreg.schedules import NEWTON_ITER
 
@@ -376,7 +378,11 @@ def test_schedule_scale_value():
 @pytest.mark.parametrize(
     "levels, seeds, message",
     [((0.05, -0.1), (0, 1, 2), "delta_rel_list must be positive, got -0.1"),
-     ((0.05,), (0, -1), "seeds must be nonnegative, got -1")],
+     ((0.05,), (0, -1), "seeds must be nonnegative, got -1"),
+     # a stop level below delta was recorded as a failed row after the
+     # 0.05 runs: "failed: seed 0: stop level ..."
+     ((0.05, 0.5), (0, 1), r"delta_rel_list: stop level C \* delta\*\*e = 4.29007 "
+      r"must exceed delta = 4.31011 at delta_rel = 0.5")],
 )
 def test_table1_config_checks_every_level_and_seed_before_any_run(
     monkeypatch, levels, seeds, message
@@ -388,3 +394,23 @@ def test_table1_config_checks_every_level_and_seed_before_any_run(
     with pytest.raises(InvalidConfig, match=message):
         run_table1(Table1Config(delta_rel_list=levels, seeds=seeds))
     assert calls == []
+
+
+def test_sweep_keeps_a_solver_error_in_its_row_and_raises_a_config_error():
+    # a row's solver error is its outcome; an InvalidConfig stays a config
+    # error and ends the sweep
+    errors = {2.0: NonFinite("data residual is nan"), 3.0: InvalidConfig("bad")}
+
+    def solve(f_delta, delta):
+        if delta in errors:
+            raise errors[delta]
+        return 10 * delta
+
+    def run(levels):
+        return sweep(lambda delta_rel, seed: (None, delta_rel + seed), levels, (0,),
+                     lambda f_delta, delta: None, solve, "levels")
+
+    assert run((1.0, 2.0)) == [(1.0, 0, 1.0, 10.0, None),
+                               (2.0, 0, 2.0, None, errors[2.0])]
+    with pytest.raises(InvalidConfig, match="^bad$"):
+        run((1.0, 3.0))

@@ -187,6 +187,10 @@ _CONST = {"form": "const", "value": 1.0}
                                "d": 1.0},
                   "stop": {"t_max": -1.0}}, "stop: t_max must be positive"),
         ("bench", {"bench": {"n_max": 0}}, "bench: n_max must be positive"),
+        # wrote a NaN row, "failed: seed 0: stop level ...", and exited 0
+        ("bench", {"bench": {"delta_rel_list": [0.5], "seeds": [0, 1]}},
+         "bench: delta_rel_list: stop level C * delta**e = 4.29007 must exceed "
+         "delta = 4.31011 at delta_rel = 0.5"),
         # m1 comes from the operator; a tolerance no solve can meet ran before
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
                      "schedule": {"kind": "simple_iter", "b": 0.5,
@@ -256,7 +260,8 @@ _CONST = {"form": "const", "value": 1.0}
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
          "string-t-max", "dp-a-rtol", "dp-theta", "dp-c1", "dp-c2",
-         "zero-n-max", "negative-t-max", "zero-bench-n-max", "negative-m1",
+         "zero-n-max", "negative-t-max", "zero-bench-n-max", "bench-stop-level",
+         "negative-m1",
          "zero-inner-tol", "zero-n-steps", "negative-n-steps", "nan-y-norm",
          "nan-d-or-c", "nan-delta-rel", "nan-second-delta-rel",
          "negative-second-seed", "nan-g0",
@@ -330,6 +335,91 @@ def test_sweep_checks_every_stop_level_before_the_first_solve(
     assert "noise.delta_rel: stop level C * delta**e" in err
     assert "at delta_rel = 50" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, section, key, value, status",
+    [
+        # returned an exhausted_horizon row and exited 0
+        ("flow", "flow_newton_hammerstein.json", "stop", "t_max", 0.5,
+         "HorizonExceeded: stopping threshold not reached by the time horizon "
+         "t_max = 0.5"),
+        # exited 2 and wrote no file
+        ("iterate", "iterate_newton_hammerstein.json", "stop", "n_max", 3,
+         "HorizonExceeded: stopping threshold not reached within 3 steps"),
+        # exited 0 with its failed seeds in the printed row status (the CSV
+        # columns of a Table 1 row have none)
+        ("bench", "table1.json", "bench", "n_max", 1,
+         "[failed: seed 0: stopping threshold not reached within 1 steps; seed 1"),
+    ],
+    ids=["flow-t-max", "iterate-n-max", "bench-n-max"],
+)
+def test_a_run_that_misses_the_stop_is_written_and_exits_2(
+    tmp_path, capsys, command, name, section, key, value, status
+):
+    cfg = json.loads((CONFIGS / name).read_text())
+    cfg[section][key] = value
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {**cfg, "output": {"dir": str(out)}})
+    assert main([command, "--config", path]) == 2
+    rows = (out / f"{cfg['output']['stem']}.csv").read_text().splitlines()[1:]
+    printed = capsys.readouterr()
+    if command == "bench":
+        assert len(rows) == 6 and printed.out.count(status) == 6
+        return
+    assert rows and all(f",{status}," in row for row in rows)
+    # one line per failed row, naming its level and seed
+    assert printed.err.splitlines() == [
+        f"solver error at delta_rel = 0.01, seed {seed}: {status}"
+        for seed in cfg["noise"]["seeds"]]
+
+
+def test_a_failed_row_leaves_the_other_rows_and_the_columns_as_they_are(tmp_path):
+    # delta_rel 0.001 diverges from the zero start; the whole sweep used to
+    # write nothing
+    cfg = json.loads((CONFIGS / "iterate_newton_hammerstein.json").read_text())
+    cfg["stop"]["n_max"] = 60
+
+    def run(levels, out):
+        path = write_config(tmp_path, {**cfg, "noise": {"delta_rel": levels,
+                                                        "seeds": [0]},
+                                       "output": {"dir": str(out)}})
+        code = main(["iterate", "--config", path])
+        return code, (out / "iterate_newton.csv").read_text().splitlines()
+
+    code, (header, *rows) = run([0.01, 0.001, 0.05], tmp_path / "three")
+    assert code == 2 and len(rows) == 3
+    assert ",HorizonExceeded: stopping threshold not reached within 60 steps," in rows[1]
+    # the failed row carries its partial report: 60 steps, n_stop 59
+    assert rows[1].split(",")[5:7] == ["59", "60"]
+    for level, row in ((0.01, rows[0]), (0.05, rows[2])):
+        assert run([level], tmp_path / str(level)) == (0, [header, row])
+
+
+def test_a_failed_first_row_without_a_partial_report_keeps_the_columns(
+    tmp_path, monkeypatch
+):
+    # a dp solve has no partial report, so the row keeps only its noise
+    # columns; the header must not come from it
+    from monoreg import NonConvergence, cli
+
+    solve_dp = cli.solve_dp
+
+    def fail_first(F, f_delta, delta, cfg):
+        if delta > 0.05:
+            raise NonConvergence("residual match failed")
+        return solve_dp(F, f_delta, delta, cfg)
+
+    monkeypatch.setattr(cli, "solve_dp", fail_first)
+    out = tmp_path / "out"
+    assert main(["dp", "--config", str(CONFIGS / "dp_hammerstein.json"),
+                 "--out", str(out)]) == 2
+    header, first, *rest = (out / "dp_hammerstein.csv").read_text().splitlines()
+    assert header == ("delta_rel,seed,delta,a_delta,achieved_residual,target,"
+                      "bracket_evals,status,solution_norm,rel_error")
+    assert first.split(",")[3:] == ["", "", "", "",
+                                    "NonConvergence: residual match failed", "", ""]
+    assert rest and all(",converged," in row for row in rest)
 
 
 def test_dp_sweep_checks_every_match_tolerance_before_the_first_solve(

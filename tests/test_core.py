@@ -711,6 +711,15 @@ def test_a_matrix_builder_of_the_wrong_shape_fails_on_first_use():
         A.to_dense()
 
 
+def test_a_map_given_an_array_of_the_wrong_shape_fails_at_once():
+    # LinearMap took the array unchecked: the solve raised NumPy's bare
+    # ValueError and to_dense returned the 3 x 3 matrix
+    weights = np.ones(2)
+    with pytest.raises(GridMismatch, match="matrix shape does not match the grid"):
+        solve_shifted(LinearMap(lambda v: v, lambda v: v, weights, matrix=np.eye(3)),
+                      1.0, HilbertVector(np.array([1.0, 2.0]), weights))
+
+
 def test_to_dense_matches_callable_application():
     rng = np.random.Generator(np.random.PCG64(8))
     n = 5

@@ -117,14 +117,15 @@ def test_reject_perturbed_candidate(ham50, ham_data):
     # defect above theta delta because the defect dominates alpha ||v - V||
     prob, F = ham50
     f_delta, delta = gen_noise(ham_data, NoiseSpec(0.01, seed=6))
-    cfg = DPConfig(C=1.01, gamma=0.9, theta=1.0)
+    cfg, theta = DPConfig(C=1.01, gamma=0.9), 1.0
     dp = solve_dp(F, f_delta, delta, cfg)
     rng = np.random.Generator(np.random.PCG64(13))
     bump = dp.V.with_values(rng.standard_normal(dp.V.size))
-    bump = bump * (10.0 * cfg.theta * delta / dp.a_delta / bump.norm())
-    report = accept_candidate(F, f_delta, delta, dp.V + bump, dp.a_delta, cfg)
+    bump = bump * (10.0 * theta * delta / dp.a_delta / bump.norm())
+    report = accept_candidate(F, f_delta, delta, dp.V + bump, dp.a_delta, cfg,
+                              theta=theta)
     assert not report.defect_ok
-    assert report.defect_norm >= 10.0 * cfg.theta * delta * (1 - 1e-9)
+    assert report.defect_norm >= 10.0 * theta * delta * (1 - 1e-9)
 
 
 def test_reject_zero_candidate_with_large_residual(ham50, ham_data):
@@ -142,10 +143,10 @@ def test_accept_candidate_consistency_with_inner_solver(ham50, ham_data):
     # tolerance theta * delta must be accepted
     prob, F = ham50
     f_delta, delta = gen_noise(ham_data, NoiseSpec(0.02, seed=8))
-    cfg = DPConfig(C=1.01, gamma=0.9, theta=1.0)
+    cfg, theta = DPConfig(C=1.01, gamma=0.9), 1.0
     dp = solve_dp(F, f_delta, delta, cfg)
-    sol = solve_regularized(F, f_delta, dp.a_delta, tol=cfg.theta * delta)
-    report = accept_candidate(F, f_delta, delta, sol.V, dp.a_delta, cfg)
+    sol = solve_regularized(F, f_delta, dp.a_delta, tol=theta * delta)
+    report = accept_candidate(F, f_delta, delta, sol.V, dp.a_delta, cfg, theta=theta)
     assert report.accepted
 
 
@@ -163,17 +164,12 @@ def test_config_validation():
         DPConfig(C=0.5)
     with pytest.raises(InvalidConfig):
         DPConfig(gamma=0.0)
+    one = HilbertVector(np.ones(1), np.ones(1))
+    F = identity_operator(np.ones(1))
+    with pytest.raises(InvalidConfig, match="need 0 < C1 < C2"):
+        accept_candidate(F, one, 0.1, one, 1.0, DPConfig(), C1=2.0, C2=1.0)
     with pytest.raises(InvalidConfig):
-        DPConfig(C1=2.0, C2=1.0)
-    with pytest.raises(InvalidConfig):
-        accept_candidate(
-            identity_operator(np.ones(1)),
-            HilbertVector(np.ones(1), np.ones(1)),
-            0.1,
-            HilbertVector(np.ones(1), np.ones(1)),
-            1.0,
-            DPConfig(C=1.5, gamma=1.0),
-        )
+        accept_candidate(F, one, 0.1, one, 1.0, DPConfig(C=1.5, gamma=1.0))
 
 
 # ------------------------------------------------------ precision floor

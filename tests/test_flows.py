@@ -13,6 +13,7 @@ from monoreg import (
     NonFinite,
     NonlinearOperator,
     PreconditionFailed,
+    StepFloor,
     ValidationParams,
     find_continuous,
     flow_gradient,
@@ -140,8 +141,9 @@ def test_scalar_simple_flow_against_integrating_factor_oracle():
 
     cfg = FlowConfig(schedule=schedule, C1=1.5, zeta=0.9, step_init=h,
                      step_min=h, step_max=h, t_max=T)
-    report = flow_simple(F, f, delta=1e-6, cfg=cfg,
-                         u0=HilbertVector.zeros(np.ones(1)))
+    with pytest.raises(HorizonExceeded, match="by the time horizon t_max = 0.05") as info:
+        flow_simple(F, f, delta=1e-6, cfg=cfg, u0=HilbertVector.zeros(np.ones(1)))
+    report = info.value.report
     assert report.status == EXHAUSTED_HORIZON
     assert report.t_stop == pytest.approx(T, rel=1e-12)
     assert abs(report.u_final.values[0] - u_exact) <= 1e-6
@@ -159,9 +161,9 @@ def test_simple_flow_first_order_convergence():
     for h in (1e-3, 5e-4):
         cfg = FlowConfig(schedule=schedule, C1=1.5, zeta=0.9, step_init=h,
                          step_min=h, step_max=h, t_max=T)
-        report = flow_simple(F, f, delta=1e-6, cfg=cfg,
-                             u0=HilbertVector.zeros(np.ones(1)))
-        errors.append(abs(report.u_final.values[0] - u_exact))
+        with pytest.raises(HorizonExceeded) as info:
+            flow_simple(F, f, delta=1e-6, cfg=cfg, u0=HilbertVector.zeros(np.ones(1)))
+        errors.append(abs(info.value.report.u_final.values[0] - u_exact))
     assert 1.6 <= errors[0] / errors[1] <= 2.4
 
 
@@ -196,7 +198,9 @@ def test_step_floor_when_residual_cannot_decrease():
     V0 = 0.5  # = 1 / (1 + a0)
     u0 = f.with_values(np.array([V0 + 0.3]))  # residual 0.2, path level 0.5
     cfg = FlowConfig(schedule=schedule, C1=1.5, zeta=0.9, t_max=100.0)
-    report = flow_newton(F, f, delta=0.01, cfg=cfg, u0=u0)
+    with pytest.raises(StepFloor, match="step_min = 1e-08 .* at t = 0") as info:
+        flow_newton(F, f, delta=0.01, cfg=cfg, u0=u0)
+    report = info.value.report
     assert report.status == STEP_FLOOR
     assert report.t_stop == 0.0
 
@@ -389,7 +393,9 @@ def test_flow_run_with_unit_step_reproduces_iteration(ham50, ham_data):
     schedule = make_continuous(NEWTON_FLOW, b=1.0, c=7.0, d=7.0 * 0.1)
     cfg = FlowConfig(schedule=schedule, C1=1.5, zeta=0.9, step_init=1.0,
                      step_min=1.0, step_max=1.0, t_max=1.0)
-    report = flow_newton(F, f_delta, delta, cfg, u0)
+    with pytest.raises(HorizonExceeded) as info:
+        flow_newton(F, f_delta, delta, cfg, u0)
+    report = info.value.report
     assert report.status == EXHAUSTED_HORIZON
     assert report.steps_taken == 1
 
