@@ -72,11 +72,15 @@ _CASES = [
     for field, values in bad.items()
     for value in [True, *values]
 ]
+# theta, C1 and C2 are DP settings that accept_candidate takes beside a
+# DPConfig, so their cases are named with DPConfig's
+_LABEL = {accept_candidate_keywords: "DPConfig"}
 
 
 @pytest.mark.parametrize(
     "cls, field, value", _CASES,
-    ids=[f"{cls.__name__}-{field}-{value!r}" for cls, field, value in _CASES],
+    ids=[f"{_LABEL.get(cls, cls.__name__)}-{field}-{value!r}"
+         for cls, field, value in _CASES],
 )
 def test_bad_argument_raises_invalid_config(cls, field, value):
     valid, _ = _VALID[cls]
