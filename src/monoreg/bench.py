@@ -32,6 +32,7 @@ inside the operator is trapezoid in both modes.
 from __future__ import annotations
 
 import functools
+import itertools
 import statistics
 import warnings
 from dataclasses import asdict, dataclass
@@ -45,7 +46,8 @@ from .core import (
     OperatorBounds,
     diagonal_view,
 )
-from .errors import InvalidConfig, MonoregError, check_fields, check_number
+from .errors import (InvalidConfig, MonoregError, check_at_least, check_fields,
+                     check_number)
 from .iterations import IterConfig, iter_newton, operator_norm_estimate
 from .reports import check_stop_constants, stop_level
 from .schedules import NEWTON_ITER, make_discrete
@@ -352,30 +354,30 @@ def gen_noise(f: HilbertVector, spec: NoiseSpec) -> tuple[HilbertVector, float]:
     return f + kappa * noise, delta
 
 
-def sweep(make_noise, levels, seeds, check, solve, key: str) -> list[tuple]:
-    """One row (delta_rel, seed, delta, result, error) per noise level and
-    seed, levels outermost.  make_noise(delta_rel, seed) draws a row's
-    (f_delta, delta), and check(f_delta, delta), the check of its stop level
-    or match tolerance, runs on every row before the first solve; a failed
-    check raises InvalidConfig naming `key` and the level.  Then each row is
-    solve(f_delta, delta), or the MonoregError that raised (result None);
-    an InvalidConfig is raised."""
-    draws = [(delta_rel, seed, *make_noise(delta_rel, seed))
-             for delta_rel in levels for seed in seeds]
-    for delta_rel, _, f_delta, delta in draws:
+def sweep(make_noise, levels, seeds, check, solve, key: str):
+    """Yield one row (delta_rel, seed, delta, result, error) per noise level
+    and seed, levels outermost.  make_noise(delta_rel, seed) draws a row's
+    (f_delta, delta), the same at every call, and check(f_delta, delta), the
+    check of its stop level or match tolerance, runs on every row before the
+    first solve; a failed check raises InvalidConfig naming `key` and the
+    level.  Then each row's noise is drawn again, so that no data outlive
+    their solve, and the row holds solve(f_delta, delta), or the
+    MonoregError that raised (result None); an InvalidConfig is raised."""
+    grid = [(delta_rel, seed) for delta_rel in levels for seed in seeds]
+    for delta_rel, seed in grid:
         try:
-            check(f_delta, delta)
+            check(*make_noise(delta_rel, seed))
         except InvalidConfig as exc:
             raise InvalidConfig(f"{exc} at delta_rel = {delta_rel:g}", key) from exc
-    rows = []
-    for delta_rel, seed, f_delta, delta in draws:
+    for delta_rel, seed in grid:
+        f_delta, delta = make_noise(delta_rel, seed)
         try:
-            rows.append((delta_rel, seed, delta, solve(f_delta, delta), None))
+            result, error = solve(f_delta, delta), None
         except InvalidConfig:
             raise
         except MonoregError as exc:
-            rows.append((delta_rel, seed, delta, None, exc))
-    return rows
+            result, error = None, exc
+        yield delta_rel, seed, delta, result, error
 
 
 @dataclass(frozen=True)
@@ -394,6 +396,7 @@ class Table1Config:
 
     def __post_init__(self):
         check_fields(self, ("C0", "n_max", "delta_rel_list"), ("seeds",))
+        check_at_least("n_nodes", self.n_nodes, 2)
         check_stop_constants(self, "C", "gamma")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
@@ -445,30 +448,28 @@ def run_table1(cfg: Table1Config) -> list[Table1Row]:
     runs = sweep(lambda delta_rel, seed: gen_noise(f, NoiseSpec(delta_rel, seed)),
                  cfg.delta_rel_list, cfg.seeds,
                  lambda f_delta, delta: stop_level(cfg.C, delta, cfg.gamma), solve,
-                 "delta_rel_list")
+                 "bench.delta_rel_list")
     rows = []
-    n = len(cfg.seeds)
-    for i, delta_rel in enumerate(cfg.delta_rel_list):
-        level = runs[i * n:(i + 1) * n]
-        per_seed = [
-            {
+    for delta_rel in cfg.delta_rel_list:
+        per_seed, failures = [], []
+        for _, seed, delta, report, error in itertools.islice(runs, len(cfg.seeds)):
+            if error is not None:
+                failures.append(f"seed {seed}: {error}")
+                continue
+            per_seed.append({
                 "seed": seed,
                 "delta": delta,
                 "n_iterations": report.steps_taken,
                 "rel_error": (report.u_final - u_exact).norm() / u_exact.norm(),
                 "residual_at_stop": report.residual_at_stop,
                 "a_at_stop": report.a_at_stop,
-            }
-            for _, seed, delta, report, error in level if error is None
-        ]
-        failures = [f"seed {seed}: {error}" for _, seed, _, _, error in level
-                    if error is not None]
+            })
         status = "ok"
         if failures:
             status = ("partial: " if per_seed else "failed: ") + "; ".join(failures)
         medians = {key: float(statistics.median(d[key] for d in per_seed))
-                   if per_seed else np.nan
-                   for key in ("n_iterations", "rel_error", "residual_at_stop", "a_at_stop")}
+                   if per_seed else np.nan for key in
+                   ("n_iterations", "rel_error", "residual_at_stop", "a_at_stop")}
         rows.append(Table1Row(delta_rel=delta_rel, **medians, seed_count=len(per_seed),
                               status=status, per_seed=tuple(per_seed)))
     return rows

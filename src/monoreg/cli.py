@@ -14,6 +14,7 @@ error, before any row is solved.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import inspect
 import json
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import bench, flows, inequalities, iterations, schedules, synthetic
 from .core import HilbertVector, NonlinearOperator
-from .discrepancy import DPConfig, solve_dp
+from .discrepancy import DP_SCALARS, DPConfig, solve_dp
 from .errors import (
     ConstraintViolated,
     GridMismatch,
@@ -35,6 +36,7 @@ from .errors import (
     MonoregError,
     check_number,
 )
+from .reports import REPORT_SCALARS
 
 _FLOAT_FMT = "%.17g"
 
@@ -54,9 +56,10 @@ def emit_report(report, format: str, path, header=None) -> None:
     """Serialize a report (or list of row dicts) with stable field order,
     as JSON when `format` is "json" and as CSV otherwise.
 
-    CSV floats carry 17 significant digits so values round-trip exactly;
-    the CSV columns are `header` when given, else the scalar fields of the
-    first row.  The JSON mirror nests histories and per-seed detail.
+    CSV floats carry 17 significant digits so values round-trip exactly,
+    and a cell holding a comma or quote is quoted; the CSV columns are
+    `header` when given, else the scalar fields of the first row.  The
+    JSON mirror nests histories and per-seed detail.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -68,10 +71,10 @@ def emit_report(report, format: str, path, header=None) -> None:
     if header is None:
         first = rows[0] if rows else {}
         header = [k for k, v in first.items() if not isinstance(v, (list, dict))]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in header))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(row.get(col)) for col in header] for row in rows)
 
 
 # ------------------------------------------------------------ config loading
@@ -221,14 +224,6 @@ def _write(path: Path, fmt: str, report, header=None) -> None:
     print(f"wrote {path}")
 
 
-# the CSV columns of a dp row and of a flow or iterate row; a failed row
-# leaves those of a result it does not have empty
-_DP_HEADER = ["delta_rel", "seed", "delta", "a_delta", "achieved_residual", "target",
-              "bracket_evals", "status", "solution_norm", "rel_error"]
-_RUN_HEADER = ["delta_rel", "seed", "delta", "status", "t_stop", "n_stop", "steps_taken",
-               "residual_at_stop", "a_at_stop", "threshold", "final_norm", "rel_error"]
-
-
 def _sweep(cfg: dict, args, problem: ProblemBundle, stem: str, solve, columns, level,
            header, history: bool = False) -> int:
     """Write one row per noise level and seed of `problem` (`bench.sweep`,
@@ -236,30 +231,30 @@ def _sweep(cfg: dict, args, problem: ProblemBundle, stem: str, solve, columns, l
     dp match tolerance, before the first solve(f_delta, delta)).
     columns(result, delta, history) gives a result's fields, its solution
     and the last columns, for a failed run's partial report too; `history`
-    says whether it reads output.history.  A failed row's status names the
-    error, which is printed, and the exit code is then 2."""
+    says whether it reads output.history.  The CSV columns are the noise
+    columns and then `header`, whichever rows fail; a failed row's status
+    names the error, which is printed, and the exit code is then 2."""
     delta_rels, seeds = _read(cfg, "noise", {"delta_rel", "seeds"}, lambda section: (
         _levels_and_seeds(section.get("delta_rel", [0.01]), section.get("seeds", [0]),
                           args, "noise", "delta_rel")))
     path, fmt, history = _output(cfg, args, stem, history)
-    runs = bench.sweep(problem.make_noise, delta_rels, seeds, level, solve,
-                       "noise.delta_rel")
     u_exact = problem.u_exact
-    rows = []
-    for delta_rel, seed, delta, result, error in runs:
+    rows, failed = [], False
+    for delta_rel, seed, delta, result, error in bench.sweep(
+            problem.make_noise, delta_rels, seeds, level, solve, "noise.delta_rel"):
         row = {"delta_rel": delta_rel, "seed": seed, "delta": delta}
-        if error is not None:
-            result = error.report
-        if result is not None:
-            fields, u, extra = columns(result, delta, history)
+        report = result if error is None else error.report
+        if report is not None:
+            fields, u, extra = columns(report, delta, history)
             row.update(fields, rel_error=(u - u_exact).norm() / u_exact.norm(), **extra)
         if error is not None:
+            failed = True
             row["status"] = f"{type(error).__name__}: {error}"
             print(f"solver error at delta_rel = {delta_rel:g}, seed {seed}: "
                   f"{row['status']}", file=sys.stderr)
         rows.append(row)
-    _write(path, fmt, rows, header)
-    return _SOLVER_EXIT if any(error is not None for *_, error in runs) else 0
+    _write(path, fmt, rows, ["delta_rel", "seed", "delta", *header])
+    return _SOLVER_EXIT if failed else 0
 
 
 # --------------------------------------------------------------- subcommands
@@ -270,15 +265,16 @@ def _cmd_dp(cfg: dict, args) -> int:
     problem = _read(cfg, "problem", None, build_problem)
     # the matched shift of the rank-one problem has a closed form at gamma 1
     analytic = problem.name == "rank_one" and dp_cfg.gamma == 1.0
+    header = [*DP_SCALARS, "rel_error"] + (["analytic_a", "a_over_analytic"]
+                                           if analytic else [])
 
     def columns(result, delta, history):
-        extra = {}
-        if analytic:
-            a = synthetic.RankOneProblem.matched_shift(delta, dp_cfg.C)
-            extra = {"analytic_a": a, "a_over_analytic": result.a_delta / a}
-        return result.to_dict(), result.V, extra
+        if not analytic:
+            return result.to_dict(), result.V, {}
+        a = synthetic.RankOneProblem.matched_shift(delta, dp_cfg.C)
+        return (result.to_dict(), result.V,
+                {"analytic_a": a, "a_over_analytic": result.a_delta / a})
 
-    header = _DP_HEADER + (["analytic_a", "a_over_analytic"] if analytic else [])
     return _sweep(cfg, args, problem, "dp",
                   lambda f_delta, delta: solve_dp(problem.F, f_delta, delta, dp_cfg),
                   columns, dp_cfg.inner_tol, header)
@@ -347,8 +343,8 @@ def _cmd_continuation(command: str, cfg: dict, args) -> int:
     return _sweep(cfg, args, problem, f"{command}_{method}", solve,
                   lambda report, delta, history: (
                       report.to_dict(include_history=history), report.u_final, {}),
-                  lambda f_delta, delta: run_cfg.threshold(delta), _RUN_HEADER,
-                  history=True)
+                  lambda f_delta, delta: run_cfg.threshold(delta),
+                  [*REPORT_SCALARS, "rel_error"], history=True)
 
 
 _TABLE1_HEADER = ["delta_rel", "n_iterations", "rel_error", "residual_at_stop",
@@ -366,10 +362,7 @@ def _cmd_bench(cfg: dict, args) -> int:
 
     table_cfg = _read(cfg, "bench", _keys(bench.Table1Config), build)
     path, fmt, _ = _output(cfg, args, "table1")
-    try:
-        rows = bench.run_table1(table_cfg)
-    except InvalidConfig as exc:
-        raise InvalidConfig(str(exc), key="bench") from exc
+    rows = bench.run_table1(table_cfg)
     for row in rows:
         print(
             f"delta_rel={row.delta_rel:g} n={row.n_iterations:g} "

@@ -76,15 +76,10 @@ class HilbertVector:
 
     @classmethod
     def _trusted(cls, values: np.ndarray, weights: np.ndarray) -> "HilbertVector":
-        # For the library's own arithmetic and linear maps only (the operators
-        # below, from_matrix, to_dense, zero_map, _gmres, the refinement pass of
-        # every direct solve in solve_shifted, bench.hammerstein_apply,
-        # bench._matrix_free_map, synthetic.random_monotone_problem, the
-        # gradient direction of reports.DIRECTIONS) and for the states and
-        # defects that the array loops of flows._integrate, iterations._run,
-        # regularized._newton and _relaxation and
-        # inequalities.evolution_norm_bound hand to callbacks: `values` is a
-        # fresh float array and `weights` a validated one, shared by identity.
+        # For the library's own arithmetic, linear maps and array loops only:
+        # `values` is a fresh float array that no one else writes, and
+        # `weights` the validated weights of a vector on the same grid,
+        # shared by identity.
         values.setflags(write=False)
         vec = object.__new__(cls)
         object.__setattr__(vec, "values", values)

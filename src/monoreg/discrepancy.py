@@ -59,6 +59,11 @@ class DPConfig:
         return max(floor, 1e-5 * self.dp_tol * target)
 
 
+# the entries of DPResult.to_dict, in order: a dp row's CSV columns
+DP_SCALARS = ("a_delta", "achieved_residual", "target", "bracket_evals", "status",
+              "solution_norm")
+
+
 @dataclass(frozen=True)
 class DPResult:
     """Chosen shift and the matching regularized solution.
@@ -76,15 +81,12 @@ class DPResult:
     target: float
     status: str
 
+    @property
+    def solution_norm(self) -> float:
+        return self.V.norm()
+
     def to_dict(self) -> dict:
-        return {
-            "a_delta": self.a_delta,
-            "achieved_residual": self.achieved_residual,
-            "target": self.target,
-            "bracket_evals": self.bracket_evals,
-            "status": self.status,
-            "solution_norm": self.V.norm(),
-        }
+        return {key: getattr(self, key) for key in DP_SCALARS}
 
 
 def solve_dp(

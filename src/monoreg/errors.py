@@ -127,14 +127,12 @@ class ConstraintViolated(MonoregError):
 
 
 class HorizonExceeded(MonoregError):
-    """A run used up its horizon without crossing the stopping threshold:
-    an iteration its step budget n_max, a flow its time t_max (the other
-    is None).  Carries the partial report."""
+    """A run used up its horizon, which the message names, without crossing
+    the stopping threshold; n_max is an iteration's step budget, None for a
+    flow.  Carries the partial report."""
 
-    def __init__(self, report, n_max: int | None, t_max: float | None):
+    def __init__(self, horizon: str, report, n_max: int | None = None):
         self.n_max = n_max
-        horizon = (f"within {n_max} steps" if t_max is None
-                   else f"by the time horizon t_max = {t_max:g}")
         super().__init__(f"stopping threshold not reached {horizon}", report=report)
 
 

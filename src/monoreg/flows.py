@@ -30,19 +30,9 @@ from .core import HilbertVector, NonlinearOperator
 from .errors import (HorizonExceeded, InvalidConfig, PreconditionFailed, StepFloor,
                      check_fields)
 from .regularized import solve_regularized
-from .reports import (
-    DIRECTIONS,
-    EXHAUSTED_HORIZON,
-    STEP_FLOOR,
-    STOPPED_BY_DISCREPANCY,
-    SolveReport,
-    Trajectory,
-    a_end,
-    check_stop_constants,
-    data_residual,
-    require_kind,
-    stop_level,
-)
+from .reports import (DIRECTIONS, EXHAUSTED_HORIZON, STEP_FLOOR, STOPPED_BY_DISCREPANCY,
+                      SolveReport, Trajectory, a_end, check_stop_constants,
+                      data_residual, require_kind, stop_level)
 from .schedules import GRADIENT_FLOW, NEWTON_FLOW, SIMPLE_FLOW, ContinuousSchedule
 
 RESIDUAL_SLACK = 1e-12  # relative residual increase tolerated before halving
@@ -247,8 +237,8 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
         if streak >= DOUBLE_AFTER:
             h = min(2.0 * h, step_max)
             streak = 0
-    raise HorizonExceeded(trajectory.report(u, EXHAUSTED_HORIZON, sched.a(t), t_stop=t),
-                          n_max=None, t_max=t_max)
+    raise HorizonExceeded(f"by the time horizon t_max = {t_max:g}",
+                          trajectory.report(u, EXHAUSTED_HORIZON, sched.a(t), t_stop=t))
 
 
 def _refine_crossing(state, thresh, u_prev, d, t_prev, h):

@@ -79,12 +79,11 @@ class DiscreteInequality:
     g0: float
 
     def __post_init__(self):
-        arrays = {}
+        sizes = set()
         for name in ("alpha", "beta", "gamma", "mu", "h"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            arrays[name] = arr
             object.__setattr__(self, name, arr)
-        sizes = {a.size for a in arrays.values()}
+            sizes.add(arr.size)
         if len(sizes) != 1 or min(sizes) < 2:
             raise InvalidConfig("coefficient arrays must share a length >= 2")
         check_fields(self, nonnegative=("g0",))
@@ -142,17 +141,20 @@ def _verdict(grid, values, bound, strict: bool) -> tuple[float, float]:
     return float(gaps[i]), float(grid[i])
 
 
+def _sample(fns, t: np.ndarray) -> list[np.ndarray]:
+    """Each closed-form evaluator of fns at the times t, as float arrays of
+    t's shape (an evaluator may return a scalar)."""
+    return [np.broadcast_to(np.asarray(f(t), dtype=float), t.shape) for f in fns]
+
+
 def precondition_margins(
     inst: ContinuousInequality, n_samples: int = N_CONDITION_SAMPLES
 ) -> dict:
     """Sampled worst margins of the feasibility inequality, the initial
     smallness condition, and sign requirements on the horizon."""
     t = np.linspace(inst.tau0, inst.horizon, n_samples)
-    alpha = np.broadcast_to(np.asarray(inst.alpha(t), dtype=float), t.shape)
-    beta = np.broadcast_to(np.asarray(inst.beta(t), dtype=float), t.shape)
-    gamma = np.broadcast_to(np.asarray(inst.gamma(t), dtype=float), t.shape)
-    mu = np.broadcast_to(np.asarray(inst.mu(t), dtype=float), t.shape)
-    mud = np.broadcast_to(np.asarray(inst.mu_dot(t), dtype=float), t.shape)
+    alpha, beta, gamma, mu, mud = _sample(
+        (inst.alpha, inst.beta, inst.gamma, inst.mu, inst.mu_dot), t)
     lhs = alpha / mu ** inst.p + beta
     rhs = (gamma - mud / mu) / mu
     feas = rhs - lhs
@@ -207,10 +209,7 @@ def bound_continuous(
     # beta) as flat float lists at t_k, t_k + dt/2 and t_k + dt (not
     # t_{k+1}, which can differ from t_k + dt in the last bit).
     def coefficients(t):
-        return tuple(
-            np.broadcast_to(np.asarray(f(t), dtype=float), t.shape).tolist()
-            for f in (inst.gamma, inst.alpha, inst.beta)
-        )
+        return [c.tolist() for c in _sample((inst.gamma, inst.alpha, inst.beta), t)]
 
     t_left = ts[:-1]
     nodes = zip(*coefficients(t_left), *coefficients(t_left + 0.5 * dt),
@@ -341,17 +340,14 @@ def quadratic_case_margins(
     if inst.p != 2:
         raise InvalidConfig("the split conditions are specific to p = 2")
     t = np.linspace(inst.tau0, inst.horizon, n_samples)
-    mu = np.asarray(inst.mu(t), dtype=float)
-    bracket = np.asarray(inst.gamma(t), dtype=float) - np.asarray(
-        inst.mu_dot(t), dtype=float
-    ) / mu
-    alpha_margin = (mu / 2.0) * bracket - np.asarray(inst.alpha(t), dtype=float)
-    beta_margin = bracket / (2.0 * mu) - np.asarray(inst.beta(t), dtype=float)
+    alpha, beta, gamma, mu, mud = _sample(
+        (inst.alpha, inst.beta, inst.gamma, inst.mu, inst.mu_dot), t)
+    bracket = gamma - mud / mu
     return {
-        "alpha_condition": float(np.min(alpha_margin)),
-        "beta_condition": float(np.min(beta_margin)),
+        "alpha_condition": float(np.min((mu / 2.0) * bracket - alpha)),
+        "beta_condition": float(np.min(bracket / (2.0 * mu) - beta)),
         "initial_gap": 1.0 - inst.mu(inst.tau0) * inst.g0,
-        "mu_growing": float(np.min(np.asarray(inst.mu_dot(t), dtype=float))),
+        "mu_growing": float(np.min(mud)),
     }
 
 

@@ -19,24 +19,10 @@ import numpy as np
 
 from .core import HilbertVector, LinearMap, NonlinearOperator
 from .errors import HorizonExceeded, check_fields
-from .reports import (
-    DIRECTIONS,
-    EXHAUSTED_HORIZON,
-    STOPPED_BY_DISCREPANCY,
-    SolveReport,
-    Trajectory,
-    a_end,
-    check_stop_constants,
-    data_residual,
-    require_kind,
-    stop_level,
-)
-from .schedules import (
-    GRADIENT_ITER,
-    NEWTON_ITER,
-    SIMPLE_ITER,
-    DiscreteSchedule,
-)
+from .reports import (DIRECTIONS, EXHAUSTED_HORIZON, STOPPED_BY_DISCREPANCY, SolveReport,
+                      Trajectory, a_end, check_stop_constants, data_residual,
+                      require_kind, stop_level)
+from .schedules import GRADIENT_ITER, NEWTON_ITER, SIMPLE_ITER, DiscreteSchedule
 
 DEFAULT_N_MAX = 100_000
 
@@ -184,4 +170,4 @@ def _run(F, f_delta, delta, cfg, u0, method, step_size=None,
             return trajectory.report(u, STOPPED_BY_DISCREPANCY, a_n, n_stop=n)
     partial = trajectory.report(u, EXHAUSTED_HORIZON, sched.a(n_max - 1),
                                 n_stop=n_max - 1)
-    raise HorizonExceeded(partial, n_max=n_max, t_max=None)
+    raise HorizonExceeded(f"within {n_max} steps", partial, n_max)

@@ -33,11 +33,6 @@ class RegularizedSolution:
     inner_iterations: int
 
 
-def default_tol(a: float, f_delta: HilbertVector) -> float:
-    """Inner tolerance tied to the natural residual scale a * ||V||."""
-    return max(1e-12, 1e-4 * a * f_delta.norm())
-
-
 def solve_regularized(
     F: NonlinearOperator,
     f_delta: HilbertVector,
@@ -50,12 +45,13 @@ def solve_regularized(
     Damped Newton with a backtracking line search on the defect norm when
     a derivative is available; otherwise fixed-point relaxation with step
     1 / (M1 + 2 a) from the declared bounds.  Uniqueness of the solution
-    makes the result warm-start independent (up to the tolerance).
+    makes the result warm-start independent (up to the tolerance).  tol
+    left as None is tied to the residual scale: max(1e-12, 1e-4 a ||f_delta||).
     """
     if a <= 0:
         raise InvalidConfig("shift a must be positive")
     if tol is None:
-        tol = default_tol(a, f_delta)
+        tol = max(1e-12, 1e-4 * a * f_delta.norm())
     if not tol > 0:
         raise InvalidConfig("tol must be positive")
     V = warm_start if warm_start is not None else HilbertVector.zeros(f_delta.weights)

@@ -95,6 +95,11 @@ def a_end(C1: float, delta: float, y_norm: float) -> float:
     return delta * (C - 1.0) / y_norm
 
 
+# the scalar entries of SolveReport.to_dict, in order: a run's CSV columns
+REPORT_SCALARS = ("status", "t_stop", "n_stop", "steps_taken", "residual_at_stop",
+                  "a_at_stop", "threshold", "final_norm")
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """What a continuation run produced and why it stopped: a returned
@@ -127,18 +132,13 @@ class SolveReport:
     def steps_taken(self) -> int:
         return max(len(self.residual_history) - 1, 0)
 
+    @property
+    def final_norm(self) -> float:
+        return self.u_final.norm()
+
     def to_dict(self, include_history: bool = False) -> dict:
-        out = {
-            "status": self.status,
-            "t_stop": self.t_stop,
-            "n_stop": self.n_stop,
-            "steps_taken": self.steps_taken,
-            "residual_at_stop": self.residual_at_stop,
-            "a_at_stop": self.a_at_stop,
-            "threshold": self.threshold,
-            "final_norm": self.u_final.norm(),
-            "notes": list(self.notes),
-        }
+        out = {key: getattr(self, key) for key in REPORT_SCALARS}
+        out["notes"] = list(self.notes)
         if include_history:
             out["residual_history"] = [list(p) for p in self.residual_history]
         return out

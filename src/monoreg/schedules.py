@@ -29,16 +29,9 @@ SIMPLE_ITER = "simple_iter"
 CONTINUOUS_KINDS = (NEWTON_FLOW, GRADIENT_FLOW, SIMPLE_FLOW)
 DISCRETE_KINDS = (NEWTON_ITER, GRADIENT_ITER, SIMPLE_ITER)
 
-# Exponent ceiling per kind; the gradient and simple variants need slower
-# decay for their weaker contraction.
-_B_MAX = {
-    NEWTON_FLOW: 1.0,
-    NEWTON_ITER: 1.0,
-    GRADIENT_FLOW: 0.25,
-    GRADIENT_ITER: 0.25,
-    SIMPLE_FLOW: 0.5,
-    SIMPLE_ITER: 0.5,
-}
+# Exponent ceiling per kind, the same for a flow and its iteration; the
+# gradient and simple variants need slower decay for their weaker contraction.
+_B_MAX = dict(zip(CONTINUOUS_KINDS + DISCRETE_KINDS, (1.0, 0.25, 0.5) * 2))
 
 
 @dataclass(frozen=True)
@@ -98,12 +91,8 @@ def make_continuous(kind: str, b: float, c: float, d: float) -> ContinuousSchedu
     if kind == NEWTON_FLOW:
         margin = c - 6.0 * b
         if margin <= 0:
-            note = (
-                "boundary case c == 6*b: accepted by the weak-inequality "
-                "variant of the decay condition, rejected here"
-                if margin == 0
-                else ""
-            )
+            note = ("boundary case c == 6*b: accepted by the weak-inequality "
+                    "variant of the decay condition, rejected here") if margin == 0 else ""
             raise ConstraintViolated("c > 6*b", margin, note)
     elif kind == GRADIENT_FLOW:
         margin = d * d * c ** (1.0 - 2.0 * b) - 6.0 * b
@@ -411,16 +400,10 @@ def _simple_iter_checks(s: DiscreteSchedule, p: ValidationParams):
     ]
 
 
-_CONTINUOUS_CHECKS = {
-    NEWTON_FLOW: _newton_flow_checks,
-    GRADIENT_FLOW: _gradient_flow_checks,
-    SIMPLE_FLOW: _simple_flow_checks,
-}
-_DISCRETE_CHECKS = {
-    NEWTON_ITER: _newton_iter_checks,
-    GRADIENT_ITER: _gradient_iter_checks,
-    SIMPLE_ITER: _simple_iter_checks,
-}
+_CONTINUOUS_CHECKS = dict(zip(CONTINUOUS_KINDS, (
+    _newton_flow_checks, _gradient_flow_checks, _simple_flow_checks)))
+_DISCRETE_CHECKS = dict(zip(DISCRETE_KINDS, (
+    _newton_iter_checks, _gradient_iter_checks, _simple_iter_checks)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    HilbertVector,
-    LinearMap,
-    NonlinearOperator,
-    OperatorBounds,
-)
+from .core import HilbertVector, LinearMap, NonlinearOperator, OperatorBounds
 from .errors import check_at_least
 
 
@@ -46,19 +41,11 @@ class RankOneProblem:
 def rank_one_problem(dim: int = 2) -> RankOneProblem:
     check_at_least("dim", dim, 2)
     weights = np.ones(dim)
-    p_vals = np.zeros(dim)
-    p_vals[0] = 1.0
-    q_vals = np.zeros(dim)
-    q_vals[1] = 1.0
-    matrix = np.outer(p_vals, p_vals)
-    A = LinearMap.from_matrix(matrix, weights)
+    p_vals, q_vals = np.eye(dim)[:2]  # the first two basis vectors
+    A = LinearMap.from_matrix(np.outer(p_vals, p_vals), weights)
     F = NonlinearOperator(A, lambda u: A, OperatorBounds(m1=1.0))
-    return RankOneProblem(
-        dim=dim,
-        F=F,
-        p=HilbertVector(p_vals, weights),
-        q=HilbertVector(q_vals, weights),
-    )
+    return RankOneProblem(dim=dim, F=F, p=HilbertVector(p_vals, weights),
+                          q=HilbertVector(q_vals, weights))
 
 
 def diagonal_problem(dim: int = 8) -> tuple[NonlinearOperator, HilbertVector]:

@@ -407,8 +407,8 @@ def test_sweep_keeps_a_solver_error_in_its_row_and_raises_a_config_error():
         return 10 * delta
 
     def run(levels):
-        return sweep(lambda delta_rel, seed: (None, delta_rel + seed), levels, (0,),
-                     lambda f_delta, delta: None, solve, "levels")
+        return list(sweep(lambda delta_rel, seed: (None, delta_rel + seed), levels,
+                          (0,), lambda f_delta, delta: None, solve, "levels"))
 
     assert run((1.0, 2.0)) == [(1.0, 0, 1.0, 10.0, None),
                                (2.0, 0, 2.0, None, errors[2.0])]

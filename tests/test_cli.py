@@ -1,5 +1,7 @@
 import copy
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -189,8 +191,10 @@ _CONST = {"form": "const", "value": 1.0}
         ("bench", {"bench": {"n_max": 0}}, "bench: n_max must be positive"),
         # wrote a NaN row, "failed: seed 0: stop level ...", and exited 0
         ("bench", {"bench": {"delta_rel_list": [0.5], "seeds": [0, 1]}},
-         "bench: delta_rel_list: stop level C * delta**e = 4.29007 must exceed "
+         "bench.delta_rel_list: stop level C * delta**e = 4.29007 must exceed "
          "delta = 4.31011 at delta_rel = 0.5"),
+        # read "need at least 2 nodes", naming no section
+        ("bench", {"bench": {"n_nodes": 1}}, "bench: n_nodes must be >= 2, got 1"),
         # m1 comes from the operator; a tolerance no solve can meet ran before
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
                      "schedule": {"kind": "simple_iter", "b": 0.5,
@@ -261,7 +265,7 @@ _CONST = {"form": "const", "value": 1.0}
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
          "string-t-max", "dp-a-rtol", "dp-theta", "dp-c1", "dp-c2",
          "zero-n-max", "negative-t-max", "zero-bench-n-max", "bench-stop-level",
-         "negative-m1",
+         "bench-one-node", "negative-m1",
          "zero-inner-tol", "zero-n-steps", "negative-n-steps", "nan-y-norm",
          "nan-d-or-c", "nan-delta-rel", "nan-second-delta-rel",
          "negative-second-seed", "nan-g0",
@@ -420,6 +424,40 @@ def test_a_failed_first_row_without_a_partial_report_keeps_the_columns(
     assert first.split(",")[3:] == ["", "", "", "",
                                     "NonConvergence: residual match failed", "", ""]
     assert rest and all(",converged," in row for row in rest)
+
+
+def test_a_failed_row_whose_message_has_commas_keeps_its_columns(
+    tmp_path, monkeypatch
+):
+    # the status cells were joined with bare commas, so this message split
+    # into four cells and pushed the rest of its row to the right
+    from monoreg import cli
+    from monoreg.errors import require_finite
+
+    solve_dp, calls = cli.solve_dp, []
+
+    def fail_second(F, f_delta, delta, cfg):
+        calls.append(delta)
+        if len(calls) % 4 == 2:
+            require_finite(math.nan, "||F(0) - f_delta||, the ceiling of phi,")
+        return solve_dp(F, f_delta, delta, cfg)
+
+    monkeypatch.setattr(cli, "solve_dp", fail_second)
+    status = ("NonFinite: ||F(0) - f_delta||, the ceiling of phi, is nan; check "
+              "f_delta, the start and the operator for non-finite values")
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main(["dp", "--config", str(CONFIGS / "dp_hammerstein.json"),
+                     "--out", str(out), "--format", fmt]) == 2
+        text = (out / f"dp_hammerstein.{fmt}").read_text()
+        if fmt == "json":
+            rows = json.loads(text)
+            assert rows[1]["status"] == status and len(rows) == 4
+            continue
+        header, *rows = csv.reader(io.StringIO(text))
+        assert len(rows) == 4 and all(len(row) == len(header) for row in rows)
+        assert rows[1][header.index("status")] == status
+        assert f'"{status}"' in text
 
 
 def test_dp_sweep_checks_every_match_tolerance_before_the_first_solve(
