@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import statistics
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -340,15 +339,11 @@ def gen_noise(f: HilbertVector, spec: NoiseSpec) -> tuple[HilbertVector, float]:
 
     Draws raw deviates from PCG64(seed) (ziggurat normals; bit-stable per
     seed), scales them so that delta = delta_rel * ||f|| holds exactly by
-    construction, and returns (f + kappa * raw, delta).  A zero draw is
-    redrawn with an incremented seed (measure-zero event, reported).
+    construction, and returns (f + kappa * raw, delta).
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     raw = rng.standard_normal(f.size)
     noise = f.with_values(raw)
-    if noise.norm() == 0.0:
-        warnings.warn("degenerate zero noise draw; redrawing with seed+1")
-        return gen_noise(f, NoiseSpec(spec.delta_rel, spec.seed + 1))
     delta = spec.delta_rel * f.norm()
     kappa = delta / noise.norm()
     return f + kappa * noise, delta

@@ -310,9 +310,6 @@ class BallSampler:
         for _ in range(n):
             direction = self.center.with_values(rng.standard_normal(dim))
             nrm = direction.norm()
-            if nrm == 0.0:
-                direction = self.center.with_values(np.ones(dim))
-                nrm = direction.norm()
             r = self.radius * rng.uniform() ** (1.0 / dim)
             yield self.center + direction * (r / nrm)
 

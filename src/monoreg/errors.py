@@ -35,7 +35,7 @@ class NonConvergence(MonoregError):
 
 
 class BudgetExceeded(MonoregError):
-    """A bracketing or search loop ran out of its expansion budget."""
+    """A bracketing, search or sampling loop ran out of its budget."""
 
 
 class InvalidConfig(MonoregError, ValueError):

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import HilbertVector, NonlinearOperator
 from .errors import (HorizonExceeded, InvalidConfig, PreconditionFailed, StepFloor,
                      check_fields)
 from .regularized import solve_regularized
 from .reports import (DIRECTIONS, EXHAUSTED_HORIZON, STEP_FLOOR, STOPPED_BY_DISCREPANCY,
-                      SolveReport, Trajectory, a_end, check_stop_constants,
+                      SolveReport, Trajectory, check_stop_constants,
                       data_residual, require_kind, stop_level)
 from .schedules import GRADIENT_FLOW, NEWTON_FLOW, SIMPLE_FLOW, ContinuousSchedule
 
@@ -45,9 +47,8 @@ DEFECT_FRACTION = 0.2  # init_u0's target defect, in units of a0 * ||V(0)||
 class FlowConfig:
     """Stopping constants, schedule, and integrator controls for one flow.
 
-    t_max left as None resolves to the time at which delta / a(t) reaches
-    y_norm / (C - 1) with C = (C1 + 1) / 2 when y_norm is given (stopping
-    is guaranteed before that), else to 1e6.
+    The time horizon t_max is 1e6 unless set; a run that has not stopped by
+    the discrepancy principle by then raises HorizonExceeded.
     """
 
     schedule: ContinuousSchedule
@@ -56,29 +57,18 @@ class FlowConfig:
     step_init: float = 0.1
     step_min: float = 1e-8
     step_max: float = 1.0
-    t_max: float | None = None
+    t_max: float = 1e6
     inner_tol: float = 1e-10
-    y_norm: float | None = None
     keep_iterates: bool = False
 
     def __post_init__(self):
-        check_fields(self, ("t_max", "inner_tol", "y_norm"))
+        check_fields(self, ("t_max", "inner_tol"))
         check_stop_constants(self, "C1", "zeta")
         if not 0 < self.step_min <= self.step_init <= self.step_max:
             raise InvalidConfig("need 0 < step_min <= step_init <= step_max")
 
     def threshold(self, delta: float) -> float:
         return stop_level(self.C1, delta, self.zeta)
-
-    def resolve_t_max(self, delta: float) -> float:
-        if self.t_max is not None:
-            return self.t_max
-        if self.y_norm is not None:
-            t_end = self.schedule.time_for_level(
-                a_end(self.C1, delta, self.y_norm))
-            if t_end > 0:
-                return t_end
-        return 1e6
 
 
 def init_u0(
@@ -119,14 +109,16 @@ def init_u0(
     e = -1.0 * (sol.V / psi)
     probe = 1e-6 * max(psi, 1.0)
     slope = ((F(sol.V + probe * e) - F(sol.V)) / probe + a0 * e).norm()
-    r = target / max(slope, 1e-30)
-    for _ in range(60):
+    # halve a nudge of at most psi (a NaN slope takes psi) until its defect
+    # is admissible; within 60 halvings the nudge no longer moves V, whose
+    # defect sol.residual is below the bound
+    r = target / slope if slope > target / psi else psi
+    while True:
         u0 = sol.V + r * e
-        defect = (F(u0) + a0 * u0 - f_delta).norm()
-        if defect <= bound:
+        if (np.array_equal(u0.values, sol.V.values)
+                or (F(u0) + a0 * u0 - f_delta).norm() <= bound):
             return u0
         r *= 0.5
-    return sol.V
 
 
 def flow_newton(
@@ -182,7 +174,7 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
     direction = DIRECTIONS[method]
     sched = cfg.schedule
     thresh = trajectory.threshold
-    t_max = cfg.resolve_t_max(delta)
+    t_max = cfg.t_max
     step_max = cfg.step_max
     if cap_power is not None and F.bounds is not None:
         # the stability limit 2 / (M1 + a)**cap_power, with margin

@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .core import HilbertVector, LinearMap, weighted_norm
-from .errors import (BoundViolated, InvalidConfig, PreconditionFailed, check_at_least,
-                     check_fields)
+from .errors import (BoundViolated, BudgetExceeded, InvalidConfig, PreconditionFailed,
+                     check_at_least, check_fields)
 
 N_CONDITION_SAMPLES = 10_000
 N_GROWTH_SAMPLES = 100  # random states at which the growth condition is checked
@@ -410,10 +410,7 @@ def evolution_norm_bound(
     for _ in range(N_GROWTH_SAMPLES):
         t = rng.uniform(inst.tau0, T)
         v = u0.with_values(rng.standard_normal(u0.size))
-        nv = v.norm()
-        if nv == 0.0:
-            continue
-        v = v * (rng.uniform() * radius / nv)
+        v = v * (rng.uniform() * radius / v.norm())
         lhs = h_map(t, v).inner(v)
         rhs = float(inst.alpha(t)) * v.norm() ** (1.0 + inst.p)
         # np.minimum keeps a NaN sample, where Python's min drops it
@@ -486,7 +483,7 @@ def random_continuous_instance(seed: int) -> ContinuousInequality:
 
     Coefficients are drawn from exponential families and redrawn until the
     sampled feasibility margin is at least MIN_MARGIN, so the certified
-    bound must hold on the instance.
+    bound must hold on the instance; BudgetExceeded after MAX_DRAWS draws.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(MAX_DRAWS):
@@ -513,11 +510,11 @@ def random_continuous_instance(seed: int) -> ContinuousInequality:
         m = precondition_margins(inst, n_samples=2000)
         if m["feasibility"] >= MIN_MARGIN and m["initial_gap"] >= MIN_MARGIN:
             return inst
-    raise InvalidConfig(f"no feasible instance within {MAX_DRAWS} draws (seed {seed})")
+    raise BudgetExceeded(f"no feasible instance within {MAX_DRAWS} draws (seed {seed})")
 
 
 def random_discrete_instance(seed: int) -> DiscreteInequality:
-    """Rejection-sample a strictly feasible discrete instance."""
+    """Rejection-sample a strictly feasible discrete instance, as above."""
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(MAX_DRAWS):
         p = float(rng.choice(P_CHOICES))
@@ -550,4 +547,4 @@ def random_discrete_instance(seed: int) -> DiscreteInequality:
             and m["step_product_high"] > 0
         ):
             return inst
-    raise InvalidConfig(f"no feasible instance within {MAX_DRAWS} draws (seed {seed})")
+    raise BudgetExceeded(f"no feasible instance within {MAX_DRAWS} draws (seed {seed})")

@@ -20,8 +20,8 @@ import numpy as np
 from .core import HilbertVector, LinearMap, NonlinearOperator
 from .errors import HorizonExceeded, check_fields
 from .reports import (DIRECTIONS, EXHAUSTED_HORIZON, STOPPED_BY_DISCREPANCY, SolveReport,
-                      Trajectory, a_end, check_stop_constants, data_residual,
-                      require_kind, stop_level)
+                      Trajectory, check_stop_constants, data_residual, require_kind,
+                      stop_level)
 from .schedules import GRADIENT_ITER, NEWTON_ITER, SIMPLE_ITER, DiscreteSchedule
 
 DEFAULT_N_MAX = 100_000
@@ -34,37 +34,24 @@ class IterConfig:
     The gradient and simple variants step at the top of the stability
     band fixed by m1, which comes from the operator: its declared bounds,
     else 1.1 times a power-iteration estimate at the start (flagged in the
-    report notes).  n_max left as None resolves to ten times the a-priori
-    stopping estimate when y_norm is given, else to 100000.
+    report notes).  The step budget n_max is DEFAULT_N_MAX = 100000 unless
+    set; a run that has not stopped by the discrepancy principle within it
+    raises HorizonExceeded.
     """
 
     schedule: DiscreteSchedule
     C1: float = 1.5
     gamma_or_zeta: float = 0.9
-    n_max: int | None = None
+    n_max: int = DEFAULT_N_MAX
     inner_tol: float = 1e-10
-    y_norm: float | None = None
     keep_iterates: bool = False
 
     def __post_init__(self):
-        check_fields(self, ("n_max", "inner_tol", "y_norm"))
+        check_fields(self, ("n_max", "inner_tol"))
         check_stop_constants(self, "C1", "gamma_or_zeta")
 
     def threshold(self, delta: float) -> float:
         return stop_level(self.C1, delta, self.gamma_or_zeta)
-
-    def resolve_n_max(self, delta: float) -> int:
-        if self.n_max is not None:
-            return self.n_max
-        if self.y_norm is None:
-            return DEFAULT_N_MAX
-        # first index whose schedule value is at or below a_end, capped
-        level = a_end(self.C1, delta, self.y_norm)
-        if self.schedule.a(DEFAULT_N_MAX) > level:
-            n = DEFAULT_N_MAX
-        else:
-            n = self.schedule.index_for_level(level)
-        return 10 * (n + 1)
 
 
 def iter_newton(
@@ -145,7 +132,7 @@ def _run(F, f_delta, delta, cfg, u0, method, step_size=None,
     """Steps u - alpha_n d from the direction table; alpha_n = 1 (and no
     multiplication) when step_size is None."""
     trajectory = Trajectory(cfg, delta, notes)
-    n_max = cfg.resolve_n_max(delta)
+    n_max = cfg.n_max
     sched = cfg.schedule
     direction = DIRECTIONS[method]
 

@@ -88,13 +88,6 @@ def stop_level(C: float, delta: float, exponent: float) -> float:
     return level
 
 
-def a_end(C1: float, delta: float, y_norm: float) -> float:
-    """Shift at which delta / a reaches y_norm / (C - 1), C = (C1 + 1) / 2;
-    the residual rule has stopped by then."""
-    C = (C1 + 1.0) / 2.0
-    return delta * (C - 1.0) / y_norm
-
-
 # the scalar entries of SolveReport.to_dict, in order: a run's CSV columns
 REPORT_SCALARS = ("status", "t_stop", "n_stop", "steps_taken", "residual_at_stop",
                   "a_at_stop", "threshold", "final_norm")

@@ -50,10 +50,6 @@ class ContinuousSchedule:
         # exact closed form of da/dt
         return -self.b * self.d / (self.c + t) ** (self.b + 1.0)
 
-    def time_for_level(self, a_target: float) -> float:
-        """First t with a(t) = a_target (may be negative if a(0) < target)."""
-        return (self.d / a_target) ** (1.0 / self.b) - self.c
-
 
 @dataclass(frozen=True)
 class DiscreteSchedule:
@@ -66,18 +62,6 @@ class DiscreteSchedule:
 
     def a(self, n):
         return self.d0 / (self.d_or_c + np.asarray(n, dtype=float)) ** self.b
-
-    def index_for_level(self, a_target: float) -> int:
-        """First n >= 0 with a_n <= a_target (a_target > 0)."""
-        n = max(math.ceil((self.d0 / a_target) ** (1.0 / self.b)
-                          - self.d_or_c), 0)
-        # the closed form can land one index off in floating point; settle
-        # it on the values `a` returns
-        while n > 0 and self.a(n - 1) <= a_target:
-            n -= 1
-        while self.a(n) > a_target:
-            n += 1
-        return n
 
 
 def make_continuous(kind: str, b: float, c: float, d: float) -> ContinuousSchedule:

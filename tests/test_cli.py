@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,15 @@ _CONST = {"form": "const", "value": 1.0}
         ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
                                "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
                                "gamma": _CONST}}, "instance: missing key 'mu'"),
+        # the horizon and the budget have fixed defaults; null is no number
+        ("flow", {"problem": {"kind": "diagonal", "dim": 6},
+                  "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
+                               "d": 1.0},
+                  "stop": {"t_max": None}}, "stop: t_max must be float, got None"),
+        ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
+                     "schedule": {"kind": "simple_iter", "b": 0.5,
+                                  "d_or_c": 1.0, "d0": 1.0},
+                     "stop": {"n_max": None}}, "stop: n_max must be int, got None"),
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
          "string-t-max", "dp-a-rtol", "dp-theta", "dp-c1", "dp-c2",
@@ -269,7 +279,8 @@ _CONST = {"form": "const", "value": 1.0}
          "zero-inner-tol", "zero-n-steps", "negative-n-steps", "nan-y-norm",
          "nan-d-or-c", "nan-delta-rel", "nan-second-delta-rel",
          "negative-second-seed", "nan-g0",
-         "nan-coef", "overflowing-int", "zero-dim", "list-section", "missing-mu"],
+         "nan-coef", "overflowing-int", "zero-dim", "list-section", "missing-mu",
+         "null-t-max", "null-n-max"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(
@@ -784,6 +795,20 @@ def test_schedule_check_prints_table(tmp_path, capsys):
     lines = (tmp_path / "out" / "schedule_check.csv").read_text().splitlines()
     assert lines[0] == "name,satisfied,margin,worst_at"
     assert len(lines) == 1 + 4
+
+
+def test_python_m_entry_runs_a_subcommand(tmp_path, monkeypatch):
+    # README's "Without installing": python -m monoreg.cli, run in-process on
+    # a fresh copy of the module, as python -m runs it
+    monkeypatch.delitem(sys.modules, "monoreg.cli")
+    monkeypatch.setattr(sys, "argv", [
+        "monoreg", "schedule-check", "--config", str(CONFIGS / "schedule_check.json"),
+        "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("monoreg.cli", run_name="__main__")
+    assert info.value.code == 0
+    lines = (tmp_path / "schedule_check.csv").read_text().splitlines()
+    assert lines[0] == "name,satisfied,margin,worst_at" and len(lines) == 1 + 4
 
 
 def test_ineq_subcommand(tmp_path):

@@ -790,3 +790,13 @@ def test_fd_check_requires_derivative():
     F = NonlinearOperator(lambda u: u)
     with pytest.raises(NoDerivative):
         fd_derivative_check(F, vec([1.0]), 1, 1e-6)
+
+
+def test_gmres_ends_at_a_cycle_that_does_not_lower_the_residual():
+    # A + aI is the cyclic shift, which breaks the contract: from e_1 the
+    # Krylov space is e_1, ..., e_30, whose images are all orthogonal to e_1,
+    # so the whole first cycle of 30 steps leaves the residual at 1
+    shift = lambda v: v.with_values(np.roll(v.values, 1) - 0.5 * v.values)
+    A = LinearMap(shift, shift, np.ones(40))
+    with pytest.raises(SolveFailed, match="residual 1 exceeds .* after 31 products"):
+        solve_shifted(A, 0.5, vec(np.eye(40)[0]))

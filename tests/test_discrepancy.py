@@ -8,20 +8,25 @@ import pytest
 import monoreg.discrepancy
 from monoreg import (
     ALREADY_COMPATIBLE,
+    BudgetExceeded,
     CONVERGED,
     DPConfig,
     HilbertVector,
     InvalidConfig,
+    NonConvergence,
     NonFinite,
+    NonlinearOperator,
     accept_candidate,
     diagonal_problem,
     gen_noise,
+    identity_map,
     rank_one_problem,
     solve_dp,
     solve_regularized,
+    zero_map,
 )
 from monoreg.bench import NoiseSpec
-from monoreg.discrepancy import INNER_TOL_FLOOR
+from monoreg.discrepancy import INNER_TOL_FLOOR, MAX_DOUBLINGS
 from monoreg.cli import build_problem
 
 from helpers import const_vector, identity_operator
@@ -157,6 +162,58 @@ def test_nan_data_raises_non_finite(ham50, ham_data):
     values[7] = np.nan
     with pytest.raises(NonFinite, match="ceiling of phi"):
         solve_dp(F, f_delta.with_values(values), delta, DPConfig())
+
+
+# ------------------------------------------- operators that break the contract
+# with a zero derivative, the damped Newton solve of F(V) + a V = f_delta is
+# the fixed-point step V <- (f_delta - F(V)) / a
+
+
+def test_a_constant_operator_has_no_lower_bracket_endpoint():
+    # F(u) = c: V_a = (f - c) / a, so phi(a) = ||c - f|| for every a
+    w = np.ones(1)
+    c = HilbertVector(np.array([3.0]), w)
+    F = NonlinearOperator(lambda u: c, lambda u: zero_map(w))
+    with pytest.raises(BudgetExceeded,
+                       match=f"no lower bracket endpoint after {MAX_DOUBLINGS} halvings"):
+        solve_dp(F, const_vector(1.0, w), 0.01, DPConfig(C=1.5, gamma=0.9))
+
+
+def test_an_operator_that_drops_off_zero_has_no_upper_bracket_endpoint():
+    # F(0) = f - 2e and F(u) = f - 0.5e elsewhere: the ceiling of phi is 2,
+    # but phi(a) = a ||V_a|| = 0.5 for every a, below the target 0.8
+    w = np.ones(1)
+    f = const_vector(1.0, w)
+    F = NonlinearOperator(lambda u: f - (0.5 if u.values.any() else 2.0) * f,
+                          lambda u: zero_map(w))
+    cfg = DPConfig(C=1.6, gamma=1.0)
+    assert cfg.target(0.5) == pytest.approx(0.8)
+    with pytest.raises(BudgetExceeded,
+                       match=f"no upper bracket endpoint after {MAX_DOUBLINGS} doublings"):
+        solve_dp(F, f, 0.5, cfg)
+
+
+def test_an_operator_that_moves_after_the_bisection_fails_the_match():
+    # the match is checked on its own evaluation of F, the solve's last:
+    # F(u) = u converges, then the same solve with F(u) = 2u on that last
+    # call raises
+    w = np.ones(1)
+    f = const_vector(1.0, w)
+    calls = []
+
+    def solve(moved_call=None):
+        calls.clear()
+
+        def apply(u):
+            calls.append(u)
+            return 2.0 * u if len(calls) == moved_call else u
+
+        F = NonlinearOperator(apply, lambda u: identity_map(w))
+        return solve_dp(F, f, 0.01, DPConfig(C=1.5, gamma=0.9))
+
+    assert solve().status == CONVERGED
+    with pytest.raises(NonConvergence, match="residual match failed"):
+        solve(moved_call=len(calls))
 
 
 def test_config_validation():

@@ -12,6 +12,7 @@ from monoreg import (
     LinearMap,
     NonFinite,
     NonlinearOperator,
+    OperatorBounds,
     PreconditionFailed,
     StepFloor,
     ValidationParams,
@@ -222,7 +223,6 @@ def test_empty_horizon_rejected(t_max):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("y_norm", 0.0), ("y_norm", -1.0), ("y_norm", np.nan),
     ("inner_tol", 0.0), ("inner_tol", -1e-10), ("inner_tol", np.nan),
 ])
 def test_out_of_range_setting_rejected(field, value):
@@ -337,6 +337,49 @@ def test_init_u0_on_data_f_of_zero_returns_zero(unit_pair):
     assert u0.values.tolist() == [0.0, 0.0]
 
 
+def _defect(F, f, a0, u):
+    return (F(u) + a0 * u - f).norm()
+
+
+def test_init_u0_tightens_a_solve_above_the_quarter_level():
+    # derivative-free F(u) = 1e4 u declaring m1 = 1e6: the relaxation stops
+    # just inside its default tolerance 1e-4 a0 ||f||, above the quarter
+    # level 0.25 a0 ||V(0)|| = 2.5e-5, so a second, tighter solve follows
+    w = np.ones(1)
+    F = NonlinearOperator(lambda u: 1e4 * u, bounds=OperatorBounds(m1=1e6))
+    f = HilbertVector(np.array([1.0]), w)
+    V = solve_regularized(F, f, 1.0).V
+    assert _defect(F, f, 1.0, V) > 0.25 * V.norm()
+    assert _defect(F, f, 1.0, init_u0(F, f, a0=1.0)) <= 0.25 * V.norm()
+
+
+def test_init_u0_halves_a_nudge_that_overshoots():
+    # F(u) = 750 u with m1 = 7.5e4: the first nudge, sized from the secant
+    # slope, overshoots the quarter level once, and its half lands
+    w = np.ones(1)
+    F = NonlinearOperator(lambda u: 750.0 * u, bounds=OperatorBounds(m1=7.5e4))
+    f = HilbertVector(np.array([1.0]), w)
+    V = solve_regularized(F, f, 1.0).V
+    u0 = init_u0(F, f, a0=1.0)
+    assert 0.0 < u0.values[0] < V.values[0]
+    assert _defect(F, f, 1.0, u0) <= 0.25 * V.norm()
+
+
+def test_init_u0_returns_v_when_every_nudge_fails():
+    # F(u) = u jumps by 1 just below V(0) = 0.5, breaking monotonicity: each
+    # nudge lands in the jump until it no longer moves V(0), which is returned
+    w = np.ones(1)
+    f = HilbertVector(np.array([1.0]), w)
+    V = solve_regularized(identity_operator(w), f, 1.0).V
+
+    def jumping(u):
+        return u.with_values(u.values + 1.0) if 0.0 < u.values[0] < V.values[0] else u
+
+    F = NonlinearOperator(jumping, lambda u: identity_map(w))
+    u0 = init_u0(F, f, a0=1.0)
+    assert u0.values.tolist() == V.values.tolist() == [0.5]
+
+
 # ----------------------------------------------- flow/iteration consistency
 
 
@@ -430,8 +473,7 @@ def newton_flow_setup(ham50):
 def test_newton_flow_tracks_regularized_path(ham50, newton_flow_setup):
     prob, F, one, f, search = newton_flow_setup
     f_delta, delta = gen_noise(f, NoiseSpec(0.01, seed=0))
-    cfg = FlowConfig(schedule=search.schedule, C1=1.5, zeta=0.9,
-                     step_init=0.25, y_norm=one.norm())
+    cfg = FlowConfig(schedule=search.schedule, C1=1.5, zeta=0.9, step_init=0.25)
     u0 = init_u0(F, f_delta, float(search.schedule.a(0.0)))
     report = flow_newton(F, f_delta, delta, cfg, u0)
     assert report.status == STOPPED_BY_DISCREPANCY
@@ -453,8 +495,7 @@ def test_newton_flow_error_decreases_with_noise(ham50, newton_flow_setup):
     errors = []
     for delta_rel in (3e-2, 1e-2, 3e-3, 1e-3):
         f_delta, delta = gen_noise(f, NoiseSpec(delta_rel, seed=3))
-        cfg = FlowConfig(schedule=search.schedule, C1=1.5, zeta=0.9,
-                         step_init=0.25, y_norm=one.norm())
+        cfg = FlowConfig(schedule=search.schedule, C1=1.5, zeta=0.9, step_init=0.25)
         u0 = init_u0(F, f_delta, float(search.schedule.a(0.0)))
         report = flow_newton(F, f_delta, delta, cfg, u0)
         assert report.status == STOPPED_BY_DISCREPANCY

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from monoreg import inequalities
 from monoreg import (
     BoundViolated,
+    BudgetExceeded,
     ContinuousInequality,
     DiscreteInequality,
     HilbertVector,
@@ -213,6 +214,16 @@ def test_discrete_sweep_zero_violations():
         inst = random_discrete_instance(seed)
         report = bound_discrete(inst)
         assert report.passed
+
+
+@pytest.mark.parametrize("sample", [random_continuous_instance,
+                                    random_discrete_instance])
+def test_a_sampler_out_of_draws_exceeds_its_budget(monkeypatch, sample):
+    # no seed is a bad argument: running out of draws is a spent budget, not
+    # InvalidConfig (no seed tried needs more than a dozen of the 500)
+    monkeypatch.setattr(inequalities, "MAX_DRAWS", 0)
+    with pytest.raises(BudgetExceeded, match="no feasible instance within 0 draws"):
+        sample(7)
 
 
 @given(st.integers(min_value=0, max_value=10_000),

@@ -23,7 +23,6 @@ from monoreg import (
     zero_map,
 )
 from monoreg.bench import TRAPEZOID, NoiseSpec
-from monoreg.iterations import DEFAULT_N_MAX
 from monoreg.reports import STOPPED_BY_DISCREPANCY
 from monoreg.schedules import GRADIENT_ITER, NEWTON_ITER, SIMPLE_ITER
 
@@ -260,13 +259,10 @@ def test_empty_budget_rejected(n_max):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("y_norm", 0.0, "y_norm must be positive"),
-    ("y_norm", -1.0, "y_norm must be positive"),
     ("inner_tol", 0.0, "inner_tol must be positive"),
     ("inner_tol", np.nan, "inner_tol must be positive"),
 ])
 def test_out_of_range_setting_rejected(field, value, message):
-    # y_norm 0 divided by zero in a_end and -1 resolved n_max to 1000010;
     # inner_tol 0 made every newton step fail its shifted solve
     schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=1.0, d0=1.0)
     with pytest.raises(InvalidConfig, match=message):
@@ -433,61 +429,3 @@ def test_stop_level_below_the_noise_rejected():
     with pytest.raises(InvalidConfig,
                        match=r"stop level C \* delta\*\*e = 3.98.* must exceed delta = 4"):
         iter_newton(F, f, 4.0, cfg, HilbertVector.zeros(np.ones(1)))
-
-
-# ------------------------------------------------------------ step budget
-
-
-def n_max_by_search(cfg, delta):
-    """The budget as resolve_n_max computed it before the closed form: a
-    linear search for the first index at or below a_end."""
-    C = (cfg.C1 + 1.0) / 2.0
-    a_end = delta * (C - 1.0) / cfg.y_norm
-    n = 0
-    while cfg.schedule.a(n) > a_end and n < DEFAULT_N_MAX:
-        n += 1
-    return max(10 * (n + 1), 10)
-
-
-@pytest.mark.parametrize(
-    "kind, b, d_or_c, d0, y_norm, delta",
-    [
-        (NEWTON_ITER, 1.0, 1.0, 1.0, 1.0, 1e-3),
-        (NEWTON_ITER, 0.7, 3.0, 0.35, 7.0, 0.05),
-        (GRADIENT_ITER, 0.25, 1.0, 1.0, 0.5, 0.3),
-        (GRADIENT_ITER, 0.2, 2.5, 0.1, 1.0, 0.05),
-        (SIMPLE_ITER, 0.5, 1.0, 1.0, 1.0, 0.02),
-        (SIMPLE_ITER, 0.5, 4.0, 3.0, 2.0, 0.1),
-        # capped: the search stops at DEFAULT_N_MAX, giving 1000010
-        (SIMPLE_ITER, 0.5, 1.0, 1.0, 1.0, 1e-3),
-        # a_end = 0.5 * 0.25 / 0.125 = 1 = a_1 = 2 / (1 + 1) exactly
-        (NEWTON_ITER, 1.0, 1.0, 2.0, 0.125, 0.5),
-    ],
-)
-def test_resolve_n_max_matches_linear_search(kind, b, d_or_c, d0, y_norm,
-                                             delta):
-    schedule = make_discrete(kind, b=b, d_or_c=d_or_c, d0=d0)
-    cfg = IterConfig(schedule=schedule, y_norm=y_norm)
-    assert cfg.resolve_n_max(delta) == n_max_by_search(cfg, delta)
-
-
-def test_index_for_level_at_exact_schedule_values():
-    # a_3 = 1/4 for a_n = 1/(1+n) and a_3 = 1/2 for a_n = 1/sqrt(1+n); the
-    # first index at or below a level equal to a_3 is 3
-    for b, level in ((1.0, 0.25), (0.5, 0.5)):
-        schedule = make_discrete(NEWTON_ITER, b=b, d_or_c=1.0, d0=1.0)
-        assert schedule.a(3) == level
-        assert schedule.index_for_level(level) == 3
-        assert schedule.index_for_level(level * (1 + 1e-12)) == 3
-        assert schedule.index_for_level(level * (1 - 1e-12)) == 4
-        assert schedule.index_for_level(2.0) == 0
-    # at a level equal to a_n, or one ulp below it, the rounded closed form
-    # alone lands one index too high, or too low, on hundreds of n here
-    for kind, b, d_or_c, d0 in ((NEWTON_ITER, 0.3, 1.0, 1.0),
-                                (GRADIENT_ITER, 0.25, 1.0, 1.0),
-                                (NEWTON_ITER, 0.7, 3.0, 0.35)):
-        schedule = make_discrete(kind, b=b, d_or_c=d_or_c, d0=d0)
-        for n in range(3000):
-            a_n = float(schedule.a(n))
-            assert schedule.index_for_level(a_n) == n
-            assert schedule.index_for_level(np.nextafter(a_n, 0.0)) == n + 1

@@ -6,6 +6,7 @@ from monoreg import (
     BallSampler,
     HilbertVector,
     InvalidConfig,
+    LinearMap,
     NoDerivative,
     NonConvergence,
     NonFinite,
@@ -18,7 +19,7 @@ from monoreg import (
 )
 from monoreg.bench import NoiseSpec
 from monoreg.discrepancy import _bracket_search
-from monoreg.regularized import MAX_RELAX
+from monoreg.regularized import MAX_NEWTON, MAX_RELAX
 
 from helpers import const_vector, identity_operator
 
@@ -109,6 +110,16 @@ def test_relaxation_past_its_budget_reports_nonconvergence(unit_pair):
     F = NonlinearOperator(lambda u: u, bounds=OperatorBounds(m1=1e6))
     with pytest.raises(NonConvergence, match=f"{MAX_RELAX} relaxation steps"):
         solve_regularized(F, const_vector(1.0, unit_pair), a=0.5, tol=1e-12)
+
+
+def test_newton_past_its_budget_reports_nonconvergence():
+    # F(u) = u declaring the derivative 1000 I: each full step removes 2/1001
+    # of the defect, so MAX_NEWTON steps leave two thirds of it
+    w = np.ones(1)
+    wrong = LinearMap.from_matrix(1000.0 * np.eye(1), w)
+    F = NonlinearOperator(lambda u: u, lambda u: wrong)
+    with pytest.raises(NonConvergence, match=f"no convergence in {MAX_NEWTON} damped Newton"):
+        solve_regularized(F, const_vector(1.0, w), a=1.0)
 
 
 def test_nan_data_raises_non_finite(ham50, ham_data):
