@@ -45,8 +45,7 @@ from .core import (
     OperatorBounds,
     diagonal_view,
 )
-from .errors import (InvalidConfig, MonoregError, check_at_least, check_fields,
-                     check_number)
+from .errors import InvalidConfig, MonoregError, check_at_least, check_fields
 from .iterations import IterConfig, iter_newton, operator_norm_estimate
 from .reports import check_stop_constants, stop_level
 from .schedules import NEWTON_ITER, make_discrete
@@ -105,7 +104,7 @@ class HammersteinProblem:
 
 
 def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> HammersteinProblem:
-    check_number("n_nodes", n_nodes, "int")
+    check_at_least("n_nodes", n_nodes, 2)
     if norm_mode not in (TRAPEZOID, EUCLIDEAN):
         raise InvalidConfig(f"unknown norm_mode {norm_mode!r}")
     x = np.linspace(0.0, 1.0, n_nodes)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import HilbertVector, NonlinearOperator
 from .errors import (BudgetExceeded, InvalidConfig, NonConvergence, check_fields,
-                     check_number, require_finite)
+                     require_finite)
 from .regularized import solve_regularized
 from .reports import check_stop_constants, stop_level
 
@@ -187,46 +187,34 @@ def accept_candidate(
     v: HilbertVector,
     alpha: float,
     cfg: DPConfig,
-    *,
-    theta: float = 1.0,
-    C1: float | None = None,
-    C2: float | None = None,
 ) -> AcceptanceReport:
-    """Accept v iff its shifted defect is at most theta * delta and its
-    residual sits in the window [C1 * delta**gamma, C2 * delta**gamma]
-    (C1 and C2 default to C/2 and 2C of cfg).
+    """Accept v iff its shifted defect is at most delta and its residual
+    sits in the window [C/2 * delta**gamma, 2C * delta**gamma], with C and
+    gamma of cfg; F(v) is evaluated once and serves both sides.
 
     A pure predicate with diagnostics; together the two conditions certify
     convergence of accepted candidates as delta -> 0 without needing v to
     come from any particular solver.
     """
-    c1 = cfg.C / 2 if C1 is None else C1
-    c2 = 2 * cfg.C if C2 is None else C2
-    for name, value in (("theta", theta), ("C1", c1), ("C2", c2)):
-        check_number(name, value, "float")
-    if not theta > 0:
-        raise InvalidConfig(f"theta must be positive, got {theta}")
-    if not 0 < c1 < c2:
-        raise InvalidConfig("need 0 < C1 < C2")
     if not alpha > 0:
         raise InvalidConfig("alpha must be positive")
     if not 0 < cfg.gamma < 1:
         raise InvalidConfig("the acceptance test needs gamma in (0, 1)")
     if not delta > 0:
         raise InvalidConfig("delta must be positive")
-    defect_norm = (F(v) + alpha * v - f_delta).norm()
-    residual = (F(v) - f_delta).norm()
-    defect_bound = theta * delta
-    lo = c1 * delta ** cfg.gamma
-    hi = c2 * delta ** cfg.gamma
-    defect_ok = defect_norm <= defect_bound
+    F_v = F(v)
+    defect_norm = (F_v + alpha * v - f_delta).norm()
+    residual = (F_v - f_delta).norm()
+    lo = cfg.C / 2 * delta ** cfg.gamma
+    hi = 2 * cfg.C * delta ** cfg.gamma
+    defect_ok = defect_norm <= delta
     residual_ok = lo <= residual <= hi
     return AcceptanceReport(
         accepted=defect_ok and residual_ok,
         defect_ok=defect_ok,
         residual_ok=residual_ok,
         defect_norm=defect_norm,
-        defect_bound=defect_bound,
+        defect_bound=delta,
         residual=residual,
         residual_lo=lo,
         residual_hi=hi,

@@ -127,12 +127,11 @@ class ConstraintViolated(MonoregError):
 
 
 class HorizonExceeded(MonoregError):
-    """A run used up its horizon, which the message names, without crossing
-    the stopping threshold; n_max is an iteration's step budget, None for a
-    flow.  Carries the partial report."""
+    """A run used up its horizon, which the message names (an iteration's
+    step budget, a flow's t_max), without crossing the stopping threshold.
+    Carries the partial report."""
 
-    def __init__(self, horizon: str, report, n_max: int | None = None):
-        self.n_max = n_max
+    def __init__(self, horizon: str, report):
         super().__init__(f"stopping threshold not reached {horizon}", report=report)
 
 
@@ -144,14 +143,12 @@ class StepFloor(MonoregError):
 class PreconditionFailed(MonoregError):
     """A verifiable hypothesis of a bound check fails at some sample point."""
 
-    def __init__(self, condition: str, location, margin: float | None = None):
+    def __init__(self, condition: str, location, margin: float):
         self.condition = condition
         self.location = location
         self.margin = margin
-        msg = f"precondition {condition!r} fails at {location}"
-        if margin is not None:
-            msg += f" (margin {margin:g})"
-        super().__init__(msg)
+        super().__init__(f"precondition {condition!r} fails at {location} "
+                         f"(margin {margin:g})")
 
 
 class BoundViolated(MonoregError):

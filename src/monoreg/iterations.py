@@ -25,6 +25,7 @@ from .reports import (DIRECTIONS, EXHAUSTED_HORIZON, STOPPED_BY_DISCREPANCY, Sol
 from .schedules import GRADIENT_ITER, NEWTON_ITER, SIMPLE_ITER, DiscreteSchedule
 
 DEFAULT_N_MAX = 100_000
+NORM_ESTIMATE_STEPS = 50  # power-iteration steps of operator_norm_estimate
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,15 @@ def _run_damped(F, f_delta, delta, cfg, u0, method, band) -> SolveReport:
                 lambda a: band(m1, a), notes)
 
 
-def operator_norm_estimate(A: LinearMap, n_iter: int = 50) -> float:
-    """Power-iteration estimate of the weighted operator norm of A: n_iter
-    steps with A* A from a standard-normal start drawn from PCG64(0), so
-    the estimate is a fixed function of A."""
+def operator_norm_estimate(A: LinearMap) -> float:
+    """Power-iteration estimate of the weighted operator norm of A:
+    NORM_ESTIMATE_STEPS steps with A* A from a standard-normal start drawn
+    from PCG64(0), so the estimate is a fixed function of A."""
     rng = np.random.Generator(np.random.PCG64(0))
     v = HilbertVector(rng.standard_normal(A.dimension), A.weights)
     v = v / max(v.norm(), 1e-30)
     sigma = 0.0
-    for _ in range(n_iter):
+    for _ in range(NORM_ESTIMATE_STEPS):
         w = A.adjoint_apply(A(v))
         nw = w.norm()
         if nw == 0.0:
@@ -157,4 +158,4 @@ def _run(F, f_delta, delta, cfg, u0, method, step_size=None,
             return trajectory.report(u, STOPPED_BY_DISCREPANCY, a_n, n_stop=n)
     partial = trajectory.report(u, EXHAUSTED_HORIZON, sched.a(n_max - 1),
                                 n_stop=n_max - 1)
-    raise HorizonExceeded(f"within {n_max} steps", partial, n_max)
+    raise HorizonExceeded(f"within {n_max} steps", partial)

@@ -128,14 +128,13 @@ def phi_psi(
     f_delta: HilbertVector,
     a: float,
     tol: float | None = None,
-    warm_start: HilbertVector | None = None,
 ) -> tuple[float, float]:
     """Return (phi, psi) = (a * ||V_a||, ||V_a||) at the shift a.
 
     At the exact solution phi equals the data residual ||F(V_a) - f_delta||;
     with an inexact inner solve the two agree within the inner tolerance.
     """
-    sol = solve_regularized(F, f_delta, a, tol=tol, warm_start=warm_start)
+    sol = solve_regularized(F, f_delta, a, tol=tol)
     psi = sol.V.norm()
     return a * psi, psi
 

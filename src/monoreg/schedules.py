@@ -434,13 +434,14 @@ class ScheduleSearch:
     report: ConditionReport
 
 
-_DEFAULT_GRID = tuple(float(2 ** k) for k in range(21))
+# the scales find_continuous (d) and find_discrete (d0) try, smallest first
+SEARCH_GRID = tuple(float(2 ** k) for k in range(21))
 
 
-def _search(build, grid, params: ValidationParams, failure: str) -> ScheduleSearch:
-    # the first schedule build(x), x in grid, whose full condition set passes
-    # with an admissible lambda; BudgetExceeded(failure) when none does
-    for value in grid:
+def _search(build, params: ValidationParams, failure: str) -> ScheduleSearch:
+    # the first schedule build(x), x in SEARCH_GRID, whose full condition set
+    # passes with an admissible lambda; BudgetExceeded(failure) when none does
+    for value in SEARCH_GRID:
         try:
             schedule = build(value)
         except ConstraintViolated:
@@ -456,13 +457,13 @@ def find_continuous(
     b: float,
     c: float,
     params: ValidationParams,
-    d_grid: tuple[float, ...] = _DEFAULT_GRID,
 ) -> ScheduleSearch:
-    """Smallest d in the grid for which the kind's full condition set
-    passes (with an admissible lambda); the existence proofs promise only
-    'd sufficiently large', so this is the constructive counterpart."""
+    """Smallest d in SEARCH_GRID (1, 2, 4, ..., 2**20) for which the kind's
+    full condition set passes (with an admissible lambda); the existence
+    proofs promise only 'd sufficiently large', so this is the constructive
+    counterpart."""
     return _search(
-        lambda d: make_continuous(kind, b, c, d), d_grid, params,
+        lambda d: make_continuous(kind, b, c, d), params,
         f"no admissible d in the search grid for kind={kind!r}, b={b}, c={c}",
     )
 
@@ -472,11 +473,11 @@ def find_discrete(
     b: float,
     d_or_c: float,
     params: ValidationParams,
-    d0_grid: tuple[float, ...] = _DEFAULT_GRID,
 ) -> ScheduleSearch:
-    """Discrete counterpart of `find_continuous`, searching over d0."""
+    """Discrete counterpart of `find_continuous`, searching SEARCH_GRID
+    over d0."""
     return _search(
-        lambda d0: make_discrete(kind, b, d_or_c, d0), d0_grid, params,
+        lambda d0: make_discrete(kind, b, d_or_c, d0), params,
         f"no admissible d0 in the search grid for kind={kind!r}, b={b}, "
         f"d_or_c={d_or_c}",
     )

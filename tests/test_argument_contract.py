@@ -30,14 +30,8 @@ _ones = np.ones(4)
 _F, _U = diagonal_problem(4)
 
 
-def accept_candidate_keywords(**constants):
-    """accept_candidate on valid arguments with the acceptance constants
-    theta, C1 and C2 given as keywords."""
-    return accept_candidate(_F, _F(_U), 0.01, _U, 0.1, DPConfig(), **constants)
-
-
-# class (or call) -> (valid arguments, {numeric field or keyword: values
-# out of its range}); every one is also given a bool, which none takes
+# class -> (valid arguments, {numeric field: values out of its range});
+# every field is also given a bool, which none takes
 _VALID = {
     NoiseSpec: (dict(delta_rel=0.01, seed=0),
                 {"delta_rel": [nan, 0.0, -0.01], "seed": [nan, 0.5, -1]}),
@@ -51,8 +45,6 @@ _VALID = {
     ),
     DPConfig: (dict(), {"C": [nan, 1.0], "gamma": [nan, 0.0, 1.5],
                         "dp_tol": [nan, 0.0, 1.0]}),
-    accept_candidate_keywords: (dict(), {"theta": [nan, 0.0], "C1": [nan, 0.0],
-                                         "C2": [nan, 0.1]}),
     ContinuousInequality: (
         dict(p=2.0, alpha=_const, beta=_const, gamma=_const, mu=_const,
              mu_dot=_const, g0=0.5, horizon=10.0),
@@ -72,15 +64,11 @@ _CASES = [
     for field, values in bad.items()
     for value in [True, *values]
 ]
-# theta, C1 and C2 are DP settings that accept_candidate takes beside a
-# DPConfig, so their cases are named with DPConfig's
-_LABEL = {accept_candidate_keywords: "DPConfig"}
 
 
 @pytest.mark.parametrize(
     "cls, field, value", _CASES,
-    ids=[f"{_LABEL.get(cls, cls.__name__)}-{field}-{value!r}"
-         for cls, field, value in _CASES],
+    ids=[f"{cls.__name__}-{field}-{value!r}" for cls, field, value in _CASES],
 )
 def test_bad_argument_raises_invalid_config(cls, field, value):
     valid, _ = _VALID[cls]

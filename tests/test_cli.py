@@ -271,6 +271,11 @@ _CONST = {"form": "const", "value": 1.0}
                      "schedule": {"kind": "simple_iter", "b": 0.5,
                                   "d_or_c": 1.0, "d0": 1.0},
                      "stop": {"n_max": None}}, "stop: n_max must be int, got None"),
+        # NumPy's "Number of samples, -3, must be non-negative." and, for 0
+        # and 1 nodes, "need at least 2 nodes", naming no key
+        *[("dp", {"problem": {"kind": "hammerstein", "n_nodes": n},
+                  "dp": {"C": 1.5, "gamma": 0.9}},
+           f"problem: n_nodes must be >= 2, got {n}") for n in (-3, 0, 1)],
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
          "string-t-max", "dp-a-rtol", "dp-theta", "dp-c1", "dp-c2",
@@ -280,7 +285,8 @@ _CONST = {"form": "const", "value": 1.0}
          "nan-d-or-c", "nan-delta-rel", "nan-second-delta-rel",
          "negative-second-seed", "nan-g0",
          "nan-coef", "overflowing-int", "zero-dim", "list-section", "missing-mu",
-         "null-t-max", "null-n-max"],
+         "null-t-max", "null-n-max", "negative-n-nodes", "zero-n-nodes",
+         "one-n-nodes"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(

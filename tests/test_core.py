@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -718,6 +721,39 @@ def test_a_map_given_an_array_of_the_wrong_shape_fails_at_once():
     with pytest.raises(GridMismatch, match="matrix shape does not match the grid"):
         solve_shifted(LinearMap(lambda v: v, lambda v: v, weights, matrix=np.eye(3)),
                       1.0, HilbertVector(np.array([1.0, 2.0]), weights))
+
+
+def test_a_map_given_a_builder_checks_it_and_builds_once():
+    # LinearMap(matrix=builder) took the builder unchecked and called it at
+    # every use: the wrong shape raised NumPy's bare ValueError in the first
+    # solve, and three solves and one to_dense called a right one 4 times
+    grid = np.ones(3)
+    v = HilbertVector(np.array([1.0, 2.0, 3.0]), grid)
+    wrong = LinearMap(lambda v: v, lambda v: v, grid, matrix=lambda: np.eye(2))
+    with pytest.raises(GridMismatch, match="matrix shape does not match the grid"):
+        solve_shifted(wrong, 1.0, v)
+    built = []
+    A = LinearMap(lambda v: v, lambda v: v, grid,
+                  matrix=lambda: built.append(1) or np.eye(3))
+    for a in (0.5, 1.0, 2.0):
+        assert np.allclose(solve_shifted(A, a, v).values, v.values / (1.0 + a))
+    assert np.array_equal(A.to_dense(), np.eye(3))
+    assert built == [1]
+
+
+def test_a_matrix_map_is_freed_without_the_cycle_collector():
+    # a map whose products close over the map itself is freed only by a
+    # gc pass, so a run's per-step derivatives and their matrices pile up
+    grid = np.ones(3)
+    A = LinearMap.from_matrix(lambda: np.eye(3), grid)
+    A.to_dense()
+    freed = weakref.ref(A)
+    gc.disable()
+    try:
+        del A
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_to_dense_matches_callable_application():

@@ -127,8 +127,7 @@ def test_reject_perturbed_candidate(ham50, ham_data):
     rng = np.random.Generator(np.random.PCG64(13))
     bump = dp.V.with_values(rng.standard_normal(dp.V.size))
     bump = bump * (10.0 * theta * delta / dp.a_delta / bump.norm())
-    report = accept_candidate(F, f_delta, delta, dp.V + bump, dp.a_delta, cfg,
-                              theta=theta)
+    report = accept_candidate(F, f_delta, delta, dp.V + bump, dp.a_delta, cfg)
     assert not report.defect_ok
     assert report.defect_norm >= 10.0 * theta * delta * (1 - 1e-9)
 
@@ -151,8 +150,22 @@ def test_accept_candidate_consistency_with_inner_solver(ham50, ham_data):
     cfg, theta = DPConfig(C=1.01, gamma=0.9), 1.0
     dp = solve_dp(F, f_delta, delta, cfg)
     sol = solve_regularized(F, f_delta, dp.a_delta, tol=theta * delta)
-    report = accept_candidate(F, f_delta, delta, sol.V, dp.a_delta, cfg, theta=theta)
+    report = accept_candidate(F, f_delta, delta, sol.V, dp.a_delta, cfg)
     assert report.accepted
+
+
+def test_accept_candidate_evaluates_F_once():
+    # the defect and the residual are built from one F(v)
+    w = np.ones(2)
+    calls = []
+    F = NonlinearOperator(lambda u: calls.append(u) or u, lambda u: identity_map(w))
+    v, f = const_vector(0.5, w), const_vector(0.6, w)
+    report = accept_candidate(F, f, 0.2, v, 0.1, DPConfig(C=1.5, gamma=0.5))
+    assert len(calls) == 1
+    # F(v) + 0.1 v - f is -0.05 and F(v) - f is -0.1 at both nodes
+    assert report.defect_norm == pytest.approx(0.05 * math.sqrt(2), rel=1e-12)
+    assert report.residual == pytest.approx(0.1 * math.sqrt(2), rel=1e-12)
+    assert report.defect_ok and not report.residual_ok
 
 
 def test_nan_data_raises_non_finite(ham50, ham_data):
@@ -223,8 +236,6 @@ def test_config_validation():
         DPConfig(gamma=0.0)
     one = HilbertVector(np.ones(1), np.ones(1))
     F = identity_operator(np.ones(1))
-    with pytest.raises(InvalidConfig, match="need 0 < C1 < C2"):
-        accept_candidate(F, one, 0.1, one, 1.0, DPConfig(), C1=2.0, C2=1.0)
     with pytest.raises(InvalidConfig):
         accept_candidate(F, one, 0.1, one, 1.0, DPConfig(C=1.5, gamma=1.0))
 

@@ -1,7 +1,9 @@
 """The public surface: every name `monoreg/__init__.py` exports is listed in
 the README's API index under its module, and the index lists nothing else;
-and no module of the package imports another's private name."""
+no module of the package imports another's private name; and the count of
+settable values does not rise."""
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -51,3 +53,16 @@ def test_no_module_imports_a_private_name_of_another():
              for path in sorted((ROOT / "src" / "monoreg").glob("*.py"))
              if (names := private_imports(path))}
     assert found == {}, "import no private name; make a shared rule public"
+
+
+def test_settable_values_do_not_rise():
+    # A change that raises this count names, in CHANGES.md, two callers that
+    # are not tests and need different values of each new setting; a value
+    # only tests set is a constant (monkeypatched where a test needs another).
+    spec = importlib.util.spec_from_file_location(
+        "statement_trace", ROOT / "tools" / "statement_trace.py")
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    count = sum(trace.settable_values(ast.parse(path.read_text()))
+                for path in (ROOT / "src" / "monoreg").glob("*.py"))
+    assert count <= 68

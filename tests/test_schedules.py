@@ -236,7 +236,7 @@ def test_search_evaluates_each_candidate_schedule_once(monkeypatch):
             return method(self, t)
         monkeypatch.setattr(ContinuousSchedule, name, counted)
     result = find_continuous(NEWTON_FLOW, b=1.0, c=7.0, params=_params())
-    scales = [d for d in monoreg.schedules._DEFAULT_GRID if d <= result.schedule.d]
+    scales = [d for d in monoreg.schedules.SEARCH_GRID if d <= result.schedule.d]
     assert len(scales) == 7
     assert calls == {(name, d): 1 for name in ("a", "a_dot") for d in scales}
 
@@ -307,6 +307,17 @@ def test_scan_picks_the_lambda_and_report_of_full_validation(case):
         expected.to_dict())
 
 
+def test_a_failed_lambda_free_condition_ends_the_scan():
+    # d = 0.5 is below make_continuous's bound: decay_rate fails at every
+    # lambda, and the report is taken at the bare floor m1 / y_norm
+    schedule = ContinuousSchedule(GRADIENT_FLOW, 0.25, 1.0, 0.5)
+    table = monoreg.schedules._conditions(schedule, _params())
+    assert monoreg.schedules._scan_lambda(schedule.kind, table, _params()) is None
+    report = validate_conditions(schedule, _params())
+    assert report.lam == 2.0 and not report.passed
+    assert not {c.name: c for c in report.checks}["decay_rate"].satisfied
+
+
 def test_search_finds_discrete_scales():
     newton = find_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, params=_params())
     assert newton.report.passed
@@ -326,17 +337,17 @@ def test_search_finds_discrete_scales():
     assert simple.report.passed
 
 
-def test_search_without_an_admissible_value_raises():
+def test_search_without_an_admissible_value_raises(monkeypatch):
     # -1 violates the constraints, the other values fail validation
+    monkeypatch.setattr(monoreg.schedules, "SEARCH_GRID", (-1.0, 1.0, 32.0))
     with pytest.raises(BudgetExceeded) as info:
-        find_continuous(NEWTON_FLOW, b=1.0, c=7.0, params=_params(),
-                        d_grid=(-1.0, 1.0, 32.0))
+        find_continuous(NEWTON_FLOW, b=1.0, c=7.0, params=_params())
     assert str(info.value) == (
         "no admissible d in the search grid for kind='newton_flow', b=1.0, c=7.0"
     )
+    monkeypatch.setattr(monoreg.schedules, "SEARCH_GRID", (-1.0, 1.0, 64.0))
     with pytest.raises(BudgetExceeded) as info:
-        find_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, params=_params(),
-                      d0_grid=(-1.0, 1.0, 64.0))
+        find_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, params=_params())
     assert str(info.value) == (
         "no admissible d0 in the search grid for kind='newton_iter', b=1.0, "
         "d_or_c=1.0"
