@@ -61,8 +61,7 @@ DENSE_KERNEL_LIMIT = 72
 
 def trapezoid_weights(n_nodes: int) -> np.ndarray:
     """Composite trapezoid weights on n_nodes uniform points in [0, 1]."""
-    if n_nodes < 2:
-        raise InvalidConfig("need at least 2 nodes")
+    check_at_least("n_nodes", n_nodes, 2)
     h = 1.0 / (n_nodes - 1)
     w = np.full(n_nodes, h)
     w[0] = w[-1] = h / 2.0
@@ -81,7 +80,6 @@ class HammersteinProblem:
     # DENSE_KERNEL_LIMIT nodes; None above it, where products with K take
     # O(N) (`_exp_kernel`)
     kernel: np.ndarray | None
-    norm_mode: str
     exact_solution: HilbertVector
 
     @functools.cached_property
@@ -104,11 +102,10 @@ class HammersteinProblem:
 
 
 def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> HammersteinProblem:
-    check_at_least("n_nodes", n_nodes, 2)
+    qw = trapezoid_weights(n_nodes)
     if norm_mode not in (TRAPEZOID, EUCLIDEAN):
         raise InvalidConfig(f"unknown norm_mode {norm_mode!r}")
     x = np.linspace(0.0, 1.0, n_nodes)
-    qw = trapezoid_weights(n_nodes)
     kernel = None
     if n_nodes <= DENSE_KERNEL_LIMIT:
         kernel = np.exp(-np.abs(x[:, None] - x[None, :])) * qw[None, :]
@@ -119,7 +116,6 @@ def make_hammerstein(n_nodes: int = 50, norm_mode: str = TRAPEZOID) -> Hammerste
         weights=weights,
         quad_weights=qw,
         kernel=kernel,
-        norm_mode=norm_mode,
         exact_solution=HilbertVector(np.ones(n_nodes), weights),
     )
 
@@ -379,7 +375,7 @@ class Table1Config:
     """Benchmark experiment configuration (defaults reproduce the
     reference table: N = 50, C0 = 4, C = 1.01, gamma = 0.99, zero start)."""
 
-    delta_rel_list: tuple[float, ...] = (0.05, 0.03, 0.02, 0.01, 0.003, 0.001)
+    delta_rel: tuple[float, ...] = (0.05, 0.03, 0.02, 0.01, 0.003, 0.001)
     n_nodes: int = 50
     C0: float = 4.0
     C: float = 1.01
@@ -389,9 +385,11 @@ class Table1Config:
     n_max: int = 2000
 
     def __post_init__(self):
-        check_fields(self, ("C0", "n_max", "delta_rel_list"), ("seeds",))
+        check_fields(self, ("C0", "n_max", "delta_rel"), ("seeds",))
         check_at_least("n_nodes", self.n_nodes, 2)
         check_stop_constants(self, "C", "gamma")
+        if not self.delta_rel:
+            raise InvalidConfig("need at least one noise level")
         if not self.seeds:
             raise InvalidConfig("need at least one seed")
 
@@ -440,11 +438,11 @@ def run_table1(cfg: Table1Config) -> list[Table1Row]:
         return iter_newton(F, f_delta, delta, iter_cfg, HilbertVector.zeros(prob.weights))
 
     runs = sweep(lambda delta_rel, seed: gen_noise(f, NoiseSpec(delta_rel, seed)),
-                 cfg.delta_rel_list, cfg.seeds,
+                 cfg.delta_rel, cfg.seeds,
                  lambda f_delta, delta: stop_level(cfg.C, delta, cfg.gamma), solve,
-                 "bench.delta_rel_list")
+                 "bench.delta_rel")
     rows = []
-    for delta_rel in cfg.delta_rel_list:
+    for delta_rel in cfg.delta_rel:
         per_seed, failures = [], []
         for _, seed, delta, report, error in itertools.islice(runs, len(cfg.seeds)):
             if error is not None:

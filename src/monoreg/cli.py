@@ -3,13 +3,14 @@
 Subcommands: `dp` (parameter choice), `flow` and `iterate` (continuation
 runs over noise levels and seeds), `bench` (the reference table),
 `schedule-check` (admissibility report), `ineq` (inequality bound check).
-One JSON config file describes the experiment; selected flags override
-config keys.  A sweep (`dp`, `flow`, `iterate`, `bench`) is one
-`bench.sweep`: it checks every row's stop level before it solves any, and
-writes a row whose run raised a solver error with that error.  Exit
-codes: 0 success; 2 a solver error (in a sweep, a failed row, with the
-file still written) or a failed schedule condition; 3 config or usage
-error, before any row is solved.
+One JSON config file describes the experiment; every subcommand takes
+`--config`, and `--out` and `--format`, which override the config keys
+`output.dir` and `output.format`.  A sweep (`dp`, `flow`, `iterate`,
+`bench`) is one `bench.sweep`: it checks every row's stop level before it
+solves any, and writes a row whose run raised a solver error with that
+error.  Exit codes: 0 success; 2 a solver error (in a sweep, a failed
+row, with the file still written) or a failed schedule condition; 3
+config or usage error, before any row is solved.
 """
 from __future__ import annotations
 
@@ -29,13 +30,8 @@ import numpy as np
 from . import bench, flows, inequalities, iterations, schedules, synthetic
 from .core import HilbertVector, NonlinearOperator
 from .discrepancy import DP_SCALARS, DPConfig, solve_dp
-from .errors import (
-    ConstraintViolated,
-    GridMismatch,
-    InvalidConfig,
-    MonoregError,
-    check_number,
-)
+from .errors import (GridMismatch, InvalidConfig, MonoregError, check_at_least,
+                     check_number)
 from .reports import REPORT_SCALARS
 
 _FLOAT_FMT = "%.17g"
@@ -52,25 +48,21 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def emit_report(report, format: str, path, header=None) -> None:
-    """Serialize a report (or list of row dicts) with stable field order,
-    as JSON when `format` is "json" and as CSV otherwise.
+def emit_report(payload, format: str, path, header) -> None:
+    """Serialize `payload`, a dict or a list of row dicts, with stable field
+    order, as JSON when `format` is "json" and as CSV with the columns
+    `header` otherwise.
 
     CSV floats carry 17 significant digits so values round-trip exactly,
-    and a cell holding a comma or quote is quoted; the CSV columns are
-    `header` when given, else the scalar fields of the first row.  The
-    JSON mirror nests histories and per-seed detail.
+    and a cell holding a comma or quote is quoted.  The JSON mirror nests
+    histories and per-seed detail.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict() if hasattr(report, "to_dict") else report
     if format == "json":
         path.write_text(json.dumps(payload, indent=2) + "\n")
         return
     rows = [payload] if isinstance(payload, dict) else payload
-    if header is None:
-        first = rows[0] if rows else {}
-        header = [k for k, v in first.items() if not isinstance(v, (list, dict))]
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -124,7 +116,7 @@ def _read(cfg: dict, where: str, allowed, build: Callable):
         return build(section)
     except KeyError as exc:
         raise InvalidConfig(f"missing key {exc}", key=where) from exc
-    except (TypeError, ValueError, OverflowError, ConstraintViolated) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InvalidConfig) and exc.key is not None:
             raise
         raise InvalidConfig(str(exc), key=where) from exc
@@ -179,17 +171,13 @@ def build_problem(section: dict) -> ProblemBundle:
     return ProblemBundle(kind, F, u_exact, make_noise)
 
 
-def _levels_and_seeds(levels, seeds, args, where: str, level_key: str):
-    """The noise levels and seeds of a sweep after the --delta-rel and --seed
-    flags, each checked before any noise is drawn: nonempty lists of real
-    levels > 0 and of integer seeds >= 0."""
-    if args.delta_rel is not None:
-        levels = [float(x) for x in args.delta_rel.split(",")]
-    if args.seed is not None:
-        seeds = [args.seed]
-    for name, key, values, kind in (("delta_rel", level_key, levels, "float"),
-                                    ("seeds", "seeds", seeds, "int")):
-        key = f"{where}.{key}"
+def _levels_and_seeds(section: dict):
+    """The noise levels and seeds of the `noise` section, each checked
+    before any noise is drawn: nonempty lists of real levels > 0 and of
+    integer seeds >= 0."""
+    levels, seeds = section.get("delta_rel", [0.01]), section.get("seeds", [0])
+    for name, values, kind in (("delta_rel", levels, "float"), ("seeds", seeds, "int")):
+        key = f"noise.{name}"
         if not isinstance(values, (list, tuple)) or not values:
             raise InvalidConfig(f"must be a nonempty list, got {values!r}", key)
         for value in values:
@@ -219,8 +207,8 @@ def _output(cfg: dict, args, default_stem: str, history: bool = False):
     return _read(cfg, "output", keys, build)
 
 
-def _write(path: Path, fmt: str, report, header=None) -> None:
-    emit_report(report, fmt, path, header)
+def _write(path: Path, fmt: str, payload, header) -> None:
+    emit_report(payload, fmt, path, header)
     print(f"wrote {path}")
 
 
@@ -234,9 +222,7 @@ def _sweep(cfg: dict, args, problem: ProblemBundle, stem: str, solve, columns, l
     says whether it reads output.history.  The CSV columns are the noise
     columns and then `header`, whichever rows fail; a failed row's status
     names the error, which is printed, and the exit code is then 2."""
-    delta_rels, seeds = _read(cfg, "noise", {"delta_rel", "seeds"}, lambda section: (
-        _levels_and_seeds(section.get("delta_rel", [0.01]), section.get("seeds", [0]),
-                          args, "noise", "delta_rel")))
+    delta_rels, seeds = _read(cfg, "noise", {"delta_rel", "seeds"}, _levels_and_seeds)
     path, fmt, history = _output(cfg, args, stem, history)
     u_exact = problem.u_exact
     rows, failed = [], False
@@ -352,15 +338,8 @@ _TABLE1_HEADER = ["delta_rel", "n_iterations", "rel_error", "residual_at_stop",
 
 
 def _cmd_bench(cfg: dict, args) -> int:
-    def build(section):
-        levels, seeds = _levels_and_seeds(
-            section.get("delta_rel_list", bench.Table1Config.delta_rel_list),
-            section.get("seeds", bench.Table1Config.seeds),
-            args, "bench", "delta_rel_list")
-        return bench.Table1Config(**{**section, "delta_rel_list": levels,
-                                     "seeds": seeds})
-
-    table_cfg = _read(cfg, "bench", _keys(bench.Table1Config), build)
+    table_cfg = _read(cfg, "bench", _keys(bench.Table1Config),
+                      lambda section: bench.Table1Config(**section))
     path, fmt, _ = _output(cfg, args, "table1")
     rows = bench.run_table1(table_cfg)
     for row in rows:
@@ -385,7 +364,8 @@ def _cmd_schedule_check(cfg: dict, args) -> int:
     for name, status, margin, at in report.rows():
         print(f"{name:<20} {status:<8} {margin:<16.6g} {at:g}")
     # the CSV has one row per condition and leaves out `strict`
-    _write(path, fmt, report if fmt == "json" else [c.to_dict() for c in report.checks],
+    _write(path, fmt,
+           report.to_dict() if fmt == "json" else [c.to_dict() for c in report.checks],
            ["name", "satisfied", "margin", "worst_at"])
     return 0 if report.passed else 2
 
@@ -429,8 +409,7 @@ def _descriptor(section: dict, where: str):
 # comes from the mu descriptor) plus the step count of the continuous
 # check and the last index of the discrete coefficients
 _INSTANCES = {
-    "continuous": (_keys(inequalities.ContinuousInequality) - {"mu_dot"}
-                   | _keys(inequalities.check_n_steps)),
+    "continuous": _keys(inequalities.ContinuousInequality) - {"mu_dot"} | {"n_steps"},
     "discrete": _keys(inequalities.DiscreteInequality) | {"n_last"},
 }
 _COEFFICIENTS = ("alpha", "beta", "gamma", "mu", "h")
@@ -445,7 +424,7 @@ def _bound_check(section: dict):
         run = {}
         if "n_steps" in args:
             run["n_steps"] = args.pop("n_steps")
-            inequalities.check_n_steps(run["n_steps"])
+            check_at_least("n_steps", run["n_steps"], 1)
         inst = inequalities.ContinuousInequality(
             **args, **{key: fn for key, (fn, _) in fns.items()}, mu_dot=fns["mu"][1])
         return functools.partial(inequalities.bound_continuous, inst, **run)
@@ -465,40 +444,20 @@ def _cmd_ineq(cfg: dict, args) -> int:
         f"bound holds: {report.passed}; min margin {report.min_margin:.6g} "
         f"at {report.margin_at:g}"
     )
-    _write(path, fmt, report)
+    _write(path, fmt, report.to_dict(), ["passed", "min_margin", "margin_at"])
     return 0
 
 
-# override flag -> its argparse options; each flag overrides the config
-# keys named in its help
-_FLAGS = {
-    "--seed": dict(type=int, help="override noise seeds with a single seed"),
-    "--delta-rel": dict(dest="delta_rel",
-                        help="comma-separated relative noise levels"),
-    "--out": dict(help="override output directory"),
-    "--format": dict(choices=("csv", "json")),
-}
-_OUTPUT_FLAGS = ("--out", "--format")
-_SWEEP_FLAGS = ("--seed", "--delta-rel", *_OUTPUT_FLAGS)
 _CONTINUATION_SECTIONS = {"problem", "schedule", "stop", "noise", "output"}
 
-# subcommand -> (allowed top-level sections, runner, the override flags it
-# reads); a flag a subcommand does not read is a usage error
+# subcommand -> (allowed top-level sections, runner)
 _COMMANDS = {
-    "dp": ({"problem", "dp", "noise", "output"}, _cmd_dp, _SWEEP_FLAGS),
-    "flow": (
-        _CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "flow"),
-        _SWEEP_FLAGS,
-    ),
-    "iterate": (
-        _CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "iterate"),
-        _SWEEP_FLAGS,
-    ),
-    "bench": ({"bench", "output"}, _cmd_bench, _SWEEP_FLAGS),
-    "schedule-check": (
-        {"schedule", "params", "output"}, _cmd_schedule_check, _OUTPUT_FLAGS
-    ),
-    "ineq": ({"instance", "output"}, _cmd_ineq, _OUTPUT_FLAGS),
+    "dp": ({"problem", "dp", "noise", "output"}, _cmd_dp),
+    "flow": (_CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "flow")),
+    "iterate": (_CONTINUATION_SECTIONS, functools.partial(_cmd_continuation, "iterate")),
+    "bench": ({"bench", "output"}, _cmd_bench),
+    "schedule-check": ({"schedule", "params", "output"}, _cmd_schedule_check),
+    "ineq": ({"instance", "output"}, _cmd_ineq),
 }
 
 _CONFIG_EXIT = 3
@@ -512,11 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
         "noisy data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, flags) in _COMMANDS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--out", help="output directory; overrides output.dir")
+        p.add_argument("--format", choices=("csv", "json"),
+                       help="output format; overrides output.format")
     return parser
 
 
@@ -528,12 +488,12 @@ def main(argv=None) -> int:
         if exc.code == 2:
             return _CONFIG_EXIT
         raise
-    sections, command, _ = _COMMANDS[args.command]
+    sections, command = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         _expect_keys(cfg, sections, "<top>")
         return command(cfg, args)
-    except (InvalidConfig, ConstraintViolated, GridMismatch) as exc:
+    except (InvalidConfig, GridMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_EXIT
     except MonoregError as exc:

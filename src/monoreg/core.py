@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import (GridMismatch, InvalidConfig, NoDerivative, NonFinite,
-                     SolveFailed, check_fields)
+                     SolveFailed, check_at_least, check_fields)
 
 # Relative-error denominators are floored here to avoid division by zero.
 EPS_FLOOR = 1e-14
@@ -309,6 +309,9 @@ class BallSampler:
     radius: float
     seed: int = 0
 
+    def __post_init__(self):
+        check_fields(self, ("radius",), ("seed",))
+
     def points(self, n: int) -> Iterator[HilbertVector]:
         rng = np.random.Generator(np.random.PCG64(self.seed))
         dim = self.center.size
@@ -330,7 +333,6 @@ class MonotonicityReport:
 
     min_inner: float
     n_pairs: int
-    tol: float
     passed: bool
     worst_index: int
 
@@ -344,8 +346,7 @@ def check_monotonicity(
     finding about the operator, not an error in the check.  A NaN value is
     the worst and ends the sampling, so the report fails.
     """
-    if n_pairs < 1:
-        raise InvalidConfig("n_pairs must be >= 1")
+    check_at_least("n_pairs", n_pairs, 1)
     worst = np.inf
     worst_index = -1
     for i, (u, v) in enumerate(sampler.pairs(n_pairs)):
@@ -357,7 +358,6 @@ def check_monotonicity(
     return MonotonicityReport(
         min_inner=worst,
         n_pairs=n_pairs,
-        tol=tol,
         passed=worst >= -tol,
         worst_index=worst_index,
     )
@@ -378,10 +378,13 @@ def solve_shifted(
     of values of A + aI lies in Re z >= a, with one product with A per
     step and no adjoint.  Both paths check the residual with products
     with A and raise `SolveFailed` when it misses the tolerance; a
-    non-finite shift or right-hand side raises `NonFinite` at once.
+    non-finite shift or right-hand side raises `NonFinite` at once, and a
+    tolerance that is not > 0 `InvalidConfig`.
     """
     if a <= 0:
         raise InvalidConfig("shift a must be positive")
+    if not tol > 0:
+        raise InvalidConfig(f"tol must be positive, got {tol}")
     rhs_norm = rhs.norm()
     if not (math.isfinite(a) and math.isfinite(rhs_norm)):
         raise NonFinite(
@@ -530,6 +533,7 @@ def fd_derivative_check(
     (F(u + h w) - F(u - h w)) / (2 h); the central stencil has O(h^2)
     truncation error.
     """
+    check_at_least("n_directions", n_directions, 1)
     if not h > 0:
         raise InvalidConfig("h must be positive")
     A = F.deriv(u)

@@ -105,8 +105,9 @@ def check_fields(cfg, positive=(), nonnegative=()) -> None:
                 raise InvalidConfig(f"{name} must be {kind}, got {x}")
 
 
-class ConstraintViolated(MonoregError):
-    """A schedule parameter fails its admissibility inequality.
+class ConstraintViolated(InvalidConfig):
+    """A schedule parameter fails its admissibility inequality: an
+    InvalidConfig that names the inequality.
 
     Attributes
     ----------

@@ -219,7 +219,7 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
                                     report=trajectory.report(u, STEP_FLOOR, a, t_stop=t))
         if res_try <= thresh:
             t_stop, u_stop, res_stop = _refine_crossing(
-                state, thresh, u.values, d, t, h_step)
+                state, thresh, u.values, d, t, h_step, u_try, res_try)
             trajectory.record(t_stop, u_stop, res_stop)
             return trajectory.report(u_stop, STOPPED_BY_DISCREPANCY,
                                      sched.a(t_stop), t_stop=t_stop)
@@ -233,12 +233,12 @@ def _integrate(F, f_delta, delta, cfg, u0, method,
                           trajectory.report(u, EXHAUSTED_HORIZON, sched.a(t), t_stop=t))
 
 
-def _refine_crossing(state, thresh, u_prev, d, t_prev, h):
+def _refine_crossing(state, thresh, u_prev, d, t_prev, h, u_hi, res_hi):
     """Bisect the crossing step to locate the stop time within REFINE_RTOL
-    relative; the substate u(s) = u_prev - s d stays on the Euler segment.
+    relative; the substate u(s) = u_prev - s d stays on the Euler segment,
+    whose end state u_hi, with data residual res_hi, is at or below thresh.
     `state` maps values to (vector, values of F, data residual)."""
     lo, hi = 0.0, h
-    u_hi, _, res_hi = state(u_prev - d * float(hi))
     while hi - lo > REFINE_RTOL * max(t_prev + hi, 1e-30):
         mid = 0.5 * (lo + hi)
         u_mid, _, res_mid = state(u_prev - d * float(mid))

@@ -33,11 +33,6 @@ MIN_MARGIN = 1e-9  # least feasibility margin of an accepted random instance
 MAX_DRAWS = 500
 
 
-def check_n_steps(n_steps: int) -> None:
-    """Raise InvalidConfig unless n_steps, the RK4 step count, is an int >= 1."""
-    check_at_least("n_steps", n_steps, 1)
-
-
 @dataclass(frozen=True)
 class ContinuousInequality:
     """Coefficients of the continuous inequality on [tau0, horizon].
@@ -151,7 +146,9 @@ def precondition_margins(
     inst: ContinuousInequality, n_samples: int = N_CONDITION_SAMPLES
 ) -> dict:
     """Sampled worst margins of the feasibility inequality, the initial
-    smallness condition, and sign requirements on the horizon."""
+    smallness condition, and sign requirements on the horizon, at
+    n_samples >= 2 times from tau0 to the horizon."""
+    check_at_least("n_samples", n_samples, 2)
     t = np.linspace(inst.tau0, inst.horizon, n_samples)
     alpha, beta, gamma, mu, mud = _sample(
         (inst.alpha, inst.beta, inst.gamma, inst.mu, inst.mu_dot), t)
@@ -198,7 +195,8 @@ def bound_continuous(
     whose worst margin is reported).  Raises PreconditionFailed naming the
     violated hypothesis, or BoundViolated with the first crossing time.
     """
-    check_n_steps(n_steps)
+    check_at_least("n_steps", n_steps, 1)
+    check_at_least("n_condition_samples", n_condition_samples, 2)
     margins = precondition_margins(inst, n_condition_samples)
     _require_continuous_preconditions(margins)
 
@@ -335,10 +333,12 @@ def quadratic_case_margins(
         mu(tau0) g0 < 1
 
     Any instance satisfying these also satisfies the general feasibility
-    inequality: the two halves sum to exactly (1/mu)(gamma - mu'/mu).
+    inequality: the two halves sum to exactly (1/mu)(gamma - mu'/mu).  The
+    conditions are sampled at n_samples >= 2 times from tau0 to the horizon.
     """
     if inst.p != 2:
         raise InvalidConfig("the split conditions are specific to p = 2")
+    check_at_least("n_samples", n_samples, 2)
     t = np.linspace(inst.tau0, inst.horizon, n_samples)
     alpha, beta, gamma, mu, mud = _sample(
         (inst.alpha, inst.beta, inst.gamma, inst.mu, inst.mu_dot), t)
@@ -386,7 +386,7 @@ def evolution_norm_bound(
     once per time node, 3 times per step (k2 and k3 share t + dt/2), and
     h 4 times per step, besides the sampled conditions above.
     """
-    check_n_steps(n_steps)
+    check_at_least("n_steps", n_steps, 1)
     inst = replace(inst, g0=u0.norm(), horizon=T)
     margins = precondition_margins(inst)
     _require_continuous_preconditions(margins)

@@ -28,7 +28,6 @@ class RegularizedSolution:
     """A solution of F(V) + a V = f_delta to a stated residual tolerance."""
 
     V: HilbertVector
-    a: float
     residual: float
     inner_iterations: int
 
@@ -79,7 +78,7 @@ def _newton(F, fd, a, tol, V) -> RegularizedSolution:
     require_finite(ng, f"the defect at a = {a:g}")
     for it in range(MAX_NEWTON):
         if ng <= tol:
-            return RegularizedSolution(V, a, ng, it)
+            return RegularizedSolution(V, ng, it)
         direction = solve_shifted(F.deriv(V), a, HilbertVector._trusted(G, w),
                                   tol=1e-10).values
         s = 1.0
@@ -116,7 +115,7 @@ def _relaxation(F, fd, a, tol, V) -> RegularizedSolution:
         ng = weighted_norm(w, G)
         require_finite(ng, what)
         if ng <= tol:
-            return RegularizedSolution(V, a, ng, it)
+            return RegularizedSolution(V, ng, it)
         V = HilbertVector._trusted(V.values - G * float(s), w)
     raise NonConvergence(
         f"no convergence in {MAX_RELAX} relaxation steps (defect {ng:g}, tol {tol:g})"

@@ -427,10 +427,10 @@ def _scan_lambda(kind: str, table: list[_Condition],
 
 @dataclass(frozen=True)
 class ScheduleSearch:
-    """A validated schedule together with the lambda that certified it."""
+    """A validated schedule together with the report that certified it
+    (report.lam is the lambda)."""
 
     schedule: ContinuousSchedule | DiscreteSchedule
-    lam: float
     report: ConditionReport
 
 
@@ -448,7 +448,7 @@ def _search(build, params: ValidationParams, failure: str) -> ScheduleSearch:
             continue
         report = _scan_lambda(schedule.kind, _conditions(schedule, params), params)
         if report is not None and report.passed:
-            return ScheduleSearch(schedule, report.lam, report)
+            return ScheduleSearch(schedule, report)
     raise BudgetExceeded(failure)
 
 

@@ -22,7 +22,6 @@ class RankOneProblem:
     """F(u) = <u, p> p on R^dim with unit weights; p is the first basis
     vector and q (the noise direction) the second."""
 
-    dim: int
     F: NonlinearOperator
     p: HilbertVector
     q: HilbertVector
@@ -44,7 +43,7 @@ def rank_one_problem(dim: int = 2) -> RankOneProblem:
     p_vals, q_vals = np.eye(dim)[:2]  # the first two basis vectors
     A = LinearMap.from_matrix(np.outer(p_vals, p_vals), weights)
     F = NonlinearOperator(A, lambda u: A, OperatorBounds(m1=1.0))
-    return RankOneProblem(dim=dim, F=F, p=HilbertVector(p_vals, weights),
+    return RankOneProblem(F=F, p=HilbertVector(p_vals, weights),
                           q=HilbertVector(q_vals, weights))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from monoreg import (
+    BallSampler,
     ContinuousInequality,
     DiscreteInequality,
     DPConfig,
@@ -16,12 +17,17 @@ from monoreg import (
     NoiseSpec,
     ValidationParams,
     accept_candidate,
+    bound_continuous,
+    check_monotonicity,
     diagonal_problem,
+    fd_derivative_check,
+    precondition_margins,
+    quadratic_case_margins,
     random_monotone_problem,
     rank_one_problem,
     solve_regularized,
+    trapezoid_weights,
 )
-from monoreg.inequalities import check_n_steps
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "monoreg"
 
@@ -56,7 +62,12 @@ _VALID = {
              h=0.5 * _ones, g0=0.5),
         {"p": [nan, 1.0], "g0": [nan, -0.1]},
     ),
+    # radius 0 drew only (center, center) pairs, so a monotonicity check
+    # passed vacuously; seed -1 raised NumPy's bare ValueError at the draw
+    BallSampler: (dict(center=_U, radius=1.0),
+                  {"radius": [nan, 0.0, -1.0], "seed": [nan, 0.5, -1]}),
 }
+_INSTANCE = ContinuousInequality(**_VALID[ContinuousInequality][0])
 
 _CASES = [
     (cls, field, value)
@@ -102,7 +113,8 @@ def test_nan_argument_raises_invalid_config(call, name):
         (lambda: diagonal_problem(True), "dim must be int, got True"),
         (lambda: random_monotone_problem(dim=True), "dim must be int, got True"),
         (lambda: random_monotone_problem(seed=1.5), "seed must be int, got 1.5"),
-        (lambda: check_n_steps(2.5), "n_steps must be int, got 2.5"),
+        (lambda: bound_continuous(_INSTANCE, n_steps=2.5),
+         "n_steps must be int, got 2.5"),
         # 0 raised GridMismatch, -3 and seed -1 NumPy's bare ValueError
         (lambda: diagonal_problem(0), "dim must be >= 1, got 0"),
         (lambda: diagonal_problem(-3), "dim must be >= 1, got -3"),
@@ -110,10 +122,28 @@ def test_nan_argument_raises_invalid_config(call, name):
         (lambda: random_monotone_problem(seed=-1), "seed must be >= 0, got -1"),
         # read "rank-one problem needs dim >= 2"
         (lambda: rank_one_problem(1), "dim must be >= 2, got 1"),
+        # TypeError; 1 read "need at least 2 nodes", naming no argument
+        (lambda: trapezoid_weights(2.5), "n_nodes must be int, got 2.5"),
+        (lambda: check_monotonicity(_F, BallSampler(_U, 1.0), 2.5, 0.0),
+         "n_pairs must be int, got 2.5"),
+        # 0 and -3 returned 0.0, which reads as an exact derivative
+        *[(lambda n=n: fd_derivative_check(_F, _U, n),
+           f"n_directions must be >= 1, got {n}") for n in (0, -3)],
+        (lambda: fd_derivative_check(_F, _U, 2.5), "n_directions must be int, got 2.5"),
+        # 0 raised NumPy's "attempt to get argmin of an empty sequence", and
+        # 1 sampled tau0 alone
+        *[(lambda n=n, check=check: check(_INSTANCE, n), f"must be >= 2, got {n}")
+          for check in (precondition_margins, quadratic_case_margins,
+                        lambda inst, n: bound_continuous(inst, n_condition_samples=n))
+          for n in (0, 1)],
     ],
     ids=["diagonal-dim", "random-dim", "random-seed", "n_steps", "diagonal-dim-0",
          "diagonal-dim-negative", "random-dim-0", "random-seed-negative",
-         "rank-one-dim-1"],
+         "rank-one-dim-1", "trapezoid-n-nodes", "monotonicity-n-pairs",
+         "fd-n-directions-0", "fd-n-directions-negative", "fd-n-directions",
+         "precondition-n-samples-0", "precondition-n-samples-1",
+         "quadratic-n-samples-0", "quadratic-n-samples-1",
+         "bound-continuous-n-samples-0", "bound-continuous-n-samples-1"],
 )
 def test_integer_argument_of_no_config_class_is_checked(call, message):
     with pytest.raises(InvalidConfig, match=message):

@@ -77,7 +77,8 @@ def test_off_grid_points_take_the_vector_grid_rule(ham50, weights):
 
 
 def test_trapezoid_rule_needs_two_nodes():
-    with pytest.raises(InvalidConfig, match="need at least 2 nodes"):
+    # read "need at least 2 nodes", naming no argument
+    with pytest.raises(InvalidConfig, match="n_nodes must be >= 2, got 1"):
         trapezoid_weights(1)
 
 
@@ -295,7 +296,7 @@ def test_raw_noise_mean_is_centered():
 @pytest.fixture(scope="module")
 def small_table():
     cfg = Table1Config(
-        delta_rel_list=(0.05, 0.01, 0.001),
+        delta_rel=(0.05, 0.01, 0.001),
         seeds=tuple(range(5)),
     )
     return run_table1(cfg)
@@ -326,9 +327,15 @@ def test_table_without_a_seed_is_rejected():
         Table1Config(seeds=())
 
 
+def test_table_without_a_noise_level_is_rejected():
+    # ran no row and returned an empty table
+    with pytest.raises(InvalidConfig, match="need at least one noise level"):
+        Table1Config(delta_rel=())
+
+
 def test_table_row_without_a_successful_seed_fails():
     (row,) = run_table1(
-        Table1Config(delta_rel_list=(0.01,), seeds=(0, 1), n_max=1)
+        Table1Config(delta_rel=(0.01,), seeds=(0, 1), n_max=1)
     )
     assert row.status.startswith("failed: seed 0: ")
     assert "; seed 1: " in row.status
@@ -341,7 +348,7 @@ def test_table_row_without_a_successful_seed_fails():
 def test_table_row_with_a_failing_seed_is_partial():
     # from the zero start the iteration diverges on this seed at this level
     (row,) = run_table1(
-        Table1Config(delta_rel_list=(0.001,), seeds=(0, 818629864001),
+        Table1Config(delta_rel=(0.001,), seeds=(0, 818629864001),
                      n_nodes=50, norm_mode=EUCLIDEAN, n_max=60)
     )
     assert row.status.startswith("partial: seed 818629864001: ")
@@ -353,9 +360,9 @@ def test_table_row_with_a_failing_seed_is_partial():
 
 def test_table_euclidean_and_weighted_errors_comparable():
     # the relative error is norm-convention insensitive at matched noise
-    cfg_e = Table1Config(delta_rel_list=(0.01,), seeds=(0, 1, 2))
+    cfg_e = Table1Config(delta_rel=(0.01,), seeds=(0, 1, 2))
     cfg_w = Table1Config(
-        delta_rel_list=(0.01,), seeds=(0, 1, 2), norm_mode="trapezoid"
+        delta_rel=(0.01,), seeds=(0, 1, 2), norm_mode="trapezoid"
     )
     err_e = run_table1(cfg_e)[0].rel_error
     err_w = run_table1(cfg_w)[0].rel_error
@@ -363,8 +370,8 @@ def test_table_euclidean_and_weighted_errors_comparable():
 
 
 def test_coarser_grid_accuracy_is_comparable():
-    cfg20 = Table1Config(delta_rel_list=(0.01,), n_nodes=20, seeds=tuple(range(5)))
-    cfg50 = Table1Config(delta_rel_list=(0.01,), n_nodes=50, seeds=tuple(range(5)))
+    cfg20 = Table1Config(delta_rel=(0.01,), n_nodes=20, seeds=tuple(range(5)))
+    cfg50 = Table1Config(delta_rel=(0.01,), n_nodes=50, seeds=tuple(range(5)))
     err20 = run_table1(cfg20)[0].rel_error
     err50 = run_table1(cfg50)[0].rel_error
     assert err20 / err50 <= 1.5 and err50 / err20 <= 1.5
@@ -377,11 +384,11 @@ def test_schedule_scale_value():
 
 @pytest.mark.parametrize(
     "levels, seeds, message",
-    [((0.05, -0.1), (0, 1, 2), "delta_rel_list must be positive, got -0.1"),
+    [((0.05, -0.1), (0, 1, 2), "delta_rel must be positive, got -0.1"),
      ((0.05,), (0, -1), "seeds must be nonnegative, got -1"),
      # a stop level below delta was recorded as a failed row after the
      # 0.05 runs: "failed: seed 0: stop level ..."
-     ((0.05, 0.5), (0, 1), r"delta_rel_list: stop level C \* delta\*\*e = 4.29007 "
+     ((0.05, 0.5), (0, 1), r"delta_rel: stop level C \* delta\*\*e = 4.29007 "
       r"must exceed delta = 4.31011 at delta_rel = 0.5")],
 )
 def test_table1_config_checks_every_level_and_seed_before_any_run(
@@ -392,7 +399,7 @@ def test_table1_config_checks_every_level_and_seed_before_any_run(
     monkeypatch.setattr("monoreg.bench.iter_newton",
                         lambda *args, **kwargs: calls.append(args))
     with pytest.raises(InvalidConfig, match=message):
-        run_table1(Table1Config(delta_rel_list=levels, seeds=seeds))
+        run_table1(Table1Config(delta_rel=levels, seeds=seeds))
     assert calls == []
 
 

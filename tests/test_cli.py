@@ -30,7 +30,7 @@ def small_bench_config(tmp_path, out_dir, fmt="csv", name="cfg.json"):
         tmp_path,
         {
             "bench": {
-                "delta_rel_list": [0.05, 0.01],
+                "delta_rel": [0.05, 0.01],
                 "n_nodes": 20,
                 "seeds": [0, 1],
             },
@@ -124,7 +124,7 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         {
-            "bench": {"delta_rel_list": [0.05], "n_nodes": 20, "seeds": [0]},
+            "bench": {"delta_rel": [0.05], "n_nodes": 20, "seeds": [0]},
             "outputs": {"dir": "x"},
         },
     )
@@ -191,8 +191,8 @@ _CONST = {"form": "const", "value": 1.0}
                   "stop": {"t_max": -1.0}}, "stop: t_max must be positive"),
         ("bench", {"bench": {"n_max": 0}}, "bench: n_max must be positive"),
         # wrote a NaN row, "failed: seed 0: stop level ...", and exited 0
-        ("bench", {"bench": {"delta_rel_list": [0.5], "seeds": [0, 1]}},
-         "bench.delta_rel_list: stop level C * delta**e = 4.29007 must exceed "
+        ("bench", {"bench": {"delta_rel": [0.5], "seeds": [0, 1]}},
+         "bench.delta_rel: stop level C * delta**e = 4.29007 must exceed "
          "delta = 4.31011 at delta_rel = 0.5"),
         # read "need at least 2 nodes", naming no section
         ("bench", {"bench": {"n_nodes": 1}}, "bench: n_nodes must be >= 2, got 1"),
@@ -297,22 +297,35 @@ def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag", [[], ["--delta-rel", "0.01,nan"]])
+@pytest.mark.parametrize(
+    "command, config, key, bad",
+    [
+        ("flow", "flow_gradient_hammerstein.json", "noise.delta_rel", -0.5),
+        ("flow", "flow_gradient_hammerstein.json", "noise.delta_rel", math.nan),
+        ("dp", "dp_hammerstein.json", "noise.delta_rel", math.nan),
+        ("iterate", "iterate_newton_hammerstein.json", "noise.delta_rel", math.nan),
+        ("bench", "table1.json", "bench.delta_rel", math.nan),
+    ],
+    ids=["flow-negative", "flow-nan", "dp-nan", "iterate-nan", "bench-nan"],
+)
 def test_every_noise_level_is_checked_before_the_first_solve(
-    tmp_path, capsys, monkeypatch, flag
+    tmp_path, capsys, monkeypatch, command, config, key, bad
 ):
     # the first level is valid: no noise is drawn for it either
     drawn = []
     monkeypatch.setattr("monoreg.bench.gen_noise",
                         lambda *args: drawn.append(args))
-    cfg = json.loads((CONFIGS / "flow_gradient_hammerstein.json").read_text())
-    cfg["noise"]["delta_rel"] = [0.01, -0.5] if not flag else [0.01]
-    path = write_config(tmp_path, {**cfg, "output": {"dir": str(tmp_path)}})
-    assert main(["flow", "--config", path, *flag]) == 3
-    bad = "-0.5" if not flag else "nan"
-    assert (f"noise.delta_rel: delta_rel must be positive, got {bad}"
-            in capsys.readouterr().err)
+    cfg = json.loads((CONFIGS / config).read_text())
+    section, name = key.split(".")
+    cfg[section][name] = [0.01, bad]
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {**cfg, "output": {"dir": str(out)}})
+    assert main([command, "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: {section}" in err
+    assert f"delta_rel must be positive, got {bad}" in err
     assert drawn == []
+    assert not out.exists()
 
 
 _NEWTON_ITER_SCHEDULE = {"kind": "newton_iter", "b": 1.0, "d_or_c": 1.0,
@@ -348,10 +361,11 @@ def test_sweep_checks_every_stop_level_before_the_first_solve(
 
     monkeypatch.setitem(monoreg.cli._CONTINUATION["iterate"][0], "newton_iter",
                         runner)
+    cfg = json.loads((CONFIGS / "iterate_newton_hammerstein.json").read_text())
+    cfg["noise"]["delta_rel"] = [0.01, 50]
     out = tmp_path / "out"
-    assert main(["iterate", "--config",
-                 str(CONFIGS / "iterate_newton_hammerstein.json"),
-                 "--delta-rel", "0.01,50", "--out", str(out)]) == 3
+    assert main(["iterate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "noise.delta_rel: stop level C * delta**e" in err
     assert "at delta_rel = 50" in err
@@ -512,6 +526,10 @@ def test_dp_sweep_checks_every_match_tolerance_before_the_first_solve(
         # the schedule kind picks the method
         ("flow", "flow_newton_hammerstein.json", ["--method", "newton"]),
         ("iterate", "iterate_newton_hammerstein.json", ["--method", "newton"]),
+        # the noise levels and seeds come from the config only
+        ("dp", "dp_rank_one.json", ["--seed", "3"]),
+        ("iterate", "iterate_newton_hammerstein.json", ["--delta-rel", "0.5"]),
+        ("bench", "table1.json", ["--seed", "3"]),
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_rejected(
@@ -605,14 +623,19 @@ def test_schedule_check_names_an_unknown_kind(tmp_path, capsys):
 def test_negative_seed_exits_3_before_any_noise_is_drawn(
     tmp_path, capsys, monkeypatch, command, config, key
 ):
+    # the first seed is valid: no noise is drawn for it either
     drawn = []
     monkeypatch.setattr("monoreg.bench.gen_noise",
                         lambda *args: drawn.append(args))
+    cfg = json.loads((CONFIGS / config).read_text())
+    section, name = key.split(".")
+    cfg[section][name] = [0, -1]
     out = tmp_path / "out"
-    assert main([command, "--config", str(CONFIGS / config), "--seed", "-1",
+    assert main([command, "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert f"{key}: seeds must be nonnegative, got -1" in err
+    assert f"config error: {section}" in err
+    assert "seeds must be nonnegative, got -1" in err
     assert "Traceback" not in err
     assert drawn == []
     assert not out.exists()
@@ -919,13 +942,6 @@ def test_iterate_history_in_json_output(tmp_path):
     assert all(r > 0 for _, r in history)
 
 
-def test_delta_rel_flag_overrides_config(tmp_path):
-    cfg = small_bench_config(tmp_path, tmp_path / "out")
-    assert main(["bench", "--config", cfg, "--delta-rel", "0.05"]) == 0
-    rows = (tmp_path / "out" / "table1.csv").read_text().strip().splitlines()
-    assert len(rows) == 2  # header + single row
-
-
 def test_json_round_trip_is_exact(tmp_path):
     values = {
         "a": 0.1 + 0.2,
@@ -934,7 +950,7 @@ def test_json_round_trip_is_exact(tmp_path):
         "n": 42,
     }
     path = tmp_path / "report.json"
-    emit_report(values, "json", path)
+    emit_report(values, "json", path, list(values))
     back = json.loads(path.read_text())
     assert back == values
 
@@ -1005,7 +1021,7 @@ def _foreign_key_cases():
     # only flow and iterate write histories
     for command, cfg in (
         ("dp", {**_DP_BASE, "problem": {"kind": "rank_one"}}),
-        ("bench", {"bench": {"delta_rel_list": [0.05], "n_nodes": 20,
+        ("bench", {"bench": {"delta_rel": [0.05], "n_nodes": 20,
                              "seeds": [0]}}),
         ("schedule-check", json.loads((CONFIGS / "schedule_check.json")
                                       .read_text())),

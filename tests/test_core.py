@@ -263,6 +263,21 @@ def test_shifted_solve_zero_map():
     assert x.values == pytest.approx([2.0])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("path", ["matrix", "gmres"])
+def test_shifted_solve_rejects_a_tolerance_that_is_not_positive(path, tol):
+    # the matrix path raised SolveFailed, blaming the operator; GMRES
+    # returned at tol 0
+    diag = np.linspace(0.0, 3.0, 8)
+    if path == "matrix":
+        A = LinearMap.from_matrix(np.diag(diag), np.ones(8))
+    else:
+        scale = lambda v: v.with_values(diag * v.values)
+        A = LinearMap(scale, scale, np.ones(8))
+    with pytest.raises(InvalidConfig, match=f"tol must be positive, got {tol}"):
+        solve_shifted(A, 0.1, vec(np.cos(np.arange(8)), np.ones(8)), tol=tol)
+
+
 def test_shifted_solve_of_a_zero_right_hand_side_calls_no_solver():
     def no_solver(a):
         raise AssertionError("a zero right-hand side needs no solve")

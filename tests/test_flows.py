@@ -171,6 +171,29 @@ def test_simple_flow_first_order_convergence():
 # -------------------------------------------------------- trivial returns
 
 
+@pytest.mark.parametrize("flow, schedule", [
+    (flow_newton, make_continuous(NEWTON_FLOW, b=1.0, c=7.0, d=10.0)),
+    (flow_gradient, make_continuous(GRADIENT_FLOW, b=0.25, c=1.0, d=1.3)),
+    (flow_simple, make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0)),
+], ids=["newton", "gradient", "simple"])
+def test_a_flow_never_evaluates_the_same_state_twice_in_a_row(flow, schedule):
+    # the bisection of the crossing step evaluated the step's end state
+    # again, right after the step had
+    F, f = scalar_problem()
+    seen = []
+
+    def apply(u):
+        seen.append(u.values.copy())
+        return F(u)
+
+    recorded = NonlinearOperator(apply, F.derivative, F.bounds)
+    cfg = FlowConfig(schedule=schedule, C1=1.5, zeta=0.9, step_init=0.1,
+                     t_max=1e7)
+    report = flow(recorded, f, 0.05, cfg, HilbertVector.zeros(np.ones(1)))
+    assert report.status == STOPPED_BY_DISCREPANCY and report.steps_taken > 1
+    assert not any(np.array_equal(x, y) for x, y in zip(seen, seen[1:]))
+
+
 def test_compatible_start_returns_immediately():
     F, f = scalar_problem()
     u0 = f.with_values(np.array([0.999]))
@@ -486,7 +509,7 @@ def test_newton_flow_tracks_regularized_path(ham50, newton_flow_setup):
     # tracking bound against the independently solved path point
     V_stop = solve_regularized(F, f_delta, report.a_at_stop, tol=1e-12).V
     assert (report.u_final - V_stop).norm() <= (
-        report.a_at_stop / search.lam * 1.5
+        report.a_at_stop / search.report.lam * 1.5
     )
 
 

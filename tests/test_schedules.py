@@ -51,6 +51,17 @@ def test_newton_flow_boundary_is_rejected_with_note():
     assert "boundary" in info.value.note
 
 
+def test_a_failed_inequality_is_the_one_argument_error():
+    # InvalidConfig is the library's one argument error, so a caller (the
+    # CLI included) catches one type
+    with pytest.raises(InvalidConfig) as info:
+        make_continuous(NEWTON_FLOW, b=1.0, c=5.0, d=10.0)
+    assert isinstance(info.value, ConstraintViolated)
+    assert isinstance(info.value, ValueError)
+    assert (info.value.constraint, info.value.margin, info.value.key) == (
+        "c > 6*b", -1.0, None)
+
+
 def test_gradient_flow_product_condition():
     # d**2 * c**(1 - 2b) = 1.69 >= 6b = 1.5
     s = make_continuous(GRADIENT_FLOW, b=0.25, c=1.0, d=1.3)
@@ -204,7 +215,7 @@ def test_search_finds_newton_flow_scale():
     assert result.report.passed
     # the certified schedule re-validates with the parameters used
     again = validate_conditions(
-        result.schedule, _params(lam=result.lam)
+        result.schedule, _params(lam=result.report.lam)
     )
     assert again.passed
 
@@ -391,9 +402,9 @@ def test_search_with_a_given_lambda_reports_at_it():
     # the free search takes d0 128 at lambda 4; the given, larger lambda
     # needs a larger scale
     free = find_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, params=_params())
-    assert (free.schedule.d0, free.lam) == (128.0, 4.0)
+    assert (free.schedule.d0, free.report.lam) == (128.0, 4.0)
     params = _params(lam=16.0)
     fixed = find_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, params=params)
-    assert (fixed.schedule.d0, fixed.lam) == (512.0, 16.0)
+    assert (fixed.schedule.d0, fixed.report.lam) == (512.0, 16.0)
     assert repr(fixed.report.to_dict()) == repr(
         validate_conditions(fixed.schedule, params).to_dict())

@@ -2,7 +2,9 @@
 
 Traces, in one process, the lines of the package that run in
 
-1. the Tier-1 suite (`tests` and `perfbench/tests`, through pytest.main);
+1. the Tier-1 suite (`tests` and `perfbench/tests`, through pytest.main),
+   with Hypothesis derandomized and without its example database, so
+   that the property tests draw the same examples in every trace;
 2. the ten shipped configs under `configs/`, each in both output formats,
    through `monoreg.cli.main` into a temporary directory;
 3. one pass of every operation of the four benchmark workloads
@@ -66,7 +68,10 @@ def trace_lines(run):
 def run_everything() -> list[str]:
     """Run the three parts; return what failed."""
     import pytest
+    from hypothesis import settings
 
+    settings.register_profile("statement-trace", derandomize=True, database=None)
+    settings.load_profile("statement-trace")
     failed = []
     code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
                         str(ROOT / "tests"), str(ROOT / "perfbench" / "tests")])
