@@ -389,9 +389,9 @@ class Table1Config:
         check_at_least("n_nodes", self.n_nodes, 2)
         check_stop_constants(self, "C", "gamma")
         if not self.delta_rel:
-            raise InvalidConfig("need at least one noise level")
+            raise InvalidConfig("need at least one noise level", field="delta_rel")
         if not self.seeds:
-            raise InvalidConfig("need at least one seed")
+            raise InvalidConfig("need at least one seed", field="seeds")
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,9 @@ def _read(cfg: dict, where: str, allowed, build: Callable):
 
     A missing key, a value of the wrong type and a value out of range (an
     integer too large for a float included) all become one InvalidConfig
-    that names the section, unless the error already names its key.
+    that names the section, and the key at fault when the error names a
+    field that is a key of the section, unless the error already names its
+    key.
     """
     section = cfg.get(where, {})
     _expect_keys(section, allowed, where)
@@ -119,7 +121,9 @@ def _read(cfg: dict, where: str, allowed, build: Callable):
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InvalidConfig) and exc.key is not None:
             raise
-        raise InvalidConfig(str(exc), key=where) from exc
+        field = getattr(exc, "field", None)
+        key = f"{where}.{field}" if field in section else where
+        raise InvalidConfig(str(exc), key=key) from exc
 
 
 def load_config(path):
@@ -177,14 +181,13 @@ def _levels_and_seeds(section: dict):
     integer seeds >= 0."""
     levels, seeds = section.get("delta_rel", [0.01]), section.get("seeds", [0])
     for name, values, kind in (("delta_rel", levels, "float"), ("seeds", seeds, "int")):
-        key = f"noise.{name}"
         if not isinstance(values, (list, tuple)) or not values:
-            raise InvalidConfig(f"must be a nonempty list, got {values!r}", key)
+            raise InvalidConfig(f"must be a nonempty list, got {values!r}", field=name)
         for value in values:
-            check_number(name, value, kind, key)
+            check_number(name, value, kind)
             if not (value > 0 or (value == 0 and name == "seeds")):
                 low = "nonnegative" if name == "seeds" else "positive"
-                raise InvalidConfig(f"{name} must be {low}, got {value}", key)
+                raise InvalidConfig(f"{name} must be {low}, got {value}", field=name)
     return levels, seeds
 
 
@@ -200,7 +203,8 @@ def _output(cfg: dict, args, default_stem: str, history: bool = False):
         keep = section.get("history", False)
         for key, value, kind in (("stem", stem, str), ("history", keep, bool)):
             if not isinstance(value, kind):
-                raise InvalidConfig(f"{key} must be {kind.__name__}, got {value!r}")
+                raise InvalidConfig(f"{key} must be {kind.__name__}, got {value!r}",
+                                    field=key)
         return out_dir / f"{stem}.{fmt}", fmt, keep
 
     keys = {"dir", "format", "stem", "history"} if history else {"dir", "format", "stem"}
@@ -398,10 +402,13 @@ def _descriptor(section: dict, where: str):
     are finite floats."""
     form, args = _dispatch(
         section, {form: _keys(make) for form, make in _FORMS.items()}, where, "form")
-    for key, value in args.items():
-        check_number(key, value, "float", where)
-        if not math.isfinite(value):
-            raise InvalidConfig(f"{key} must be finite, got {value}", key=where)
+    try:
+        for key, value in args.items():
+            check_number(key, value, "float")
+            if not math.isfinite(value):
+                raise InvalidConfig(f"{key} must be finite, got {value}")
+    except InvalidConfig as exc:
+        raise InvalidConfig(str(exc), key=where) from exc
     return _FORMS[form](**args)
 
 

@@ -45,10 +45,12 @@ class InvalidConfig(MonoregError, ValueError):
     The library's one argument error and the CLI's one config error (exit
     code 3); it is also a ValueError, so callers that catch ValueError keep
     working.  `key`, when given, is the config key at fault, and the
-    message starts with it."""
+    message starts with it.  `field`, when given, is the argument or config
+    field at fault, which the CLI names under its section."""
 
-    def __init__(self, message: str, key: str | None = None):
-        self.key = key
+    def __init__(self, message: str, key: str | None = None,
+                 field: str | None = None):
+        self.key, self.field = key, field
         super().__init__(message if key is None else f"{key}: {message}")
 
 
@@ -60,13 +62,13 @@ def _is_number(value, kind: str) -> bool:
     return not isinstance(value, bool) and isinstance(value, _NUMBERS[kind])
 
 
-def check_number(name: str, value, kind: str, key: str | None = None) -> None:
-    """Raise InvalidConfig (naming `key`, if given) unless `value` is a
+def check_number(name: str, value, kind: str) -> None:
+    """Raise InvalidConfig naming the field `name` unless `value` is a
     number of type `kind`: a `float` takes a real number, an `int` an
     integer, and a bool is neither.  The rule check_fields applies to each
     numeric field, for the numbers that are no field of a config class."""
     if not _is_number(value, kind):
-        raise InvalidConfig(f"{name} must be {kind}, got {value!r}", key)
+        raise InvalidConfig(f"{name} must be {kind}, got {value!r}", field=name)
 
 
 def check_at_least(name: str, value, least: int) -> None:
@@ -74,7 +76,7 @@ def check_at_least(name: str, value, least: int) -> None:
     at least `least`: the rule of a size, count or seed argument."""
     check_number(name, value, "int")
     if not value >= least:
-        raise InvalidConfig(f"{name} must be >= {least}, got {value}")
+        raise InvalidConfig(f"{name} must be >= {least}, got {value}", field=name)
 
 
 def check_fields(cfg, positive=(), nonnegative=()) -> None:
@@ -84,8 +86,9 @@ def check_fields(cfg, positive=(), nonnegative=()) -> None:
     `tuple[X, ...]` a tuple or list of X.  The annotations are read as
     strings, as postponed evaluation leaves them.  Then the same for the
     first field named in `positive` (`nonnegative`), or item of such a
-    tuple field, that is set but not > 0 (>= 0); NaN is neither.  Each
-    config class declares its ranges in one call from `__post_init__`."""
+    tuple field, that is set but not > 0 (>= 0); NaN is neither.  The
+    error's `field` is the field at fault.  Each config class declares its
+    ranges in one call from `__post_init__`."""
     for f in dataclasses.fields(cfg):
         kind = f.type.removesuffix(" | None")
         value = getattr(cfg, f.name)
@@ -96,13 +99,14 @@ def check_fields(cfg, positive=(), nonnegative=()) -> None:
             kind = kind[len("tuple["):-len(", ...]")]
             items = value if isinstance(value, (tuple, list)) else [None]
         if kind in _NUMBERS and not all(_is_number(x, kind) for x in items):
-            raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}")
+            raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}",
+                                field=f.name)
     for name in positive + nonnegative:
         value = getattr(cfg, name)
         for x in value if isinstance(value, (tuple, list)) else [value]:
             if not (x is None or x > 0 or (x == 0 and name in nonnegative)):
                 kind = "nonnegative" if name in nonnegative else "positive"
-                raise InvalidConfig(f"{name} must be {kind}, got {x}")
+                raise InvalidConfig(f"{name} must be {kind}, got {x}", field=name)
 
 
 class ConstraintViolated(InvalidConfig):

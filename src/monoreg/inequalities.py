@@ -196,7 +196,6 @@ def bound_continuous(
     violated hypothesis, or BoundViolated with the first crossing time.
     """
     check_at_least("n_steps", n_steps, 1)
-    check_at_least("n_condition_samples", n_condition_samples, 2)
     margins = precondition_margins(inst, n_condition_samples)
     _require_continuous_preconditions(margins)
 

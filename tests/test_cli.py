@@ -154,22 +154,23 @@ _CONST = {"form": "const", "value": 1.0}
     [
         # a value out of range inside the problem constructor
         ("dp", {"problem": {"kind": "rank_one", "dim": 1},
-                "dp": {"C": 1.5, "gamma": 1.0}}, "problem: "),
+                "dp": {"C": 1.5, "gamma": 1.0}}, "problem.dim: dim must be >= 2, got 1"),
         # a value of the wrong type
         ("ineq", {"instance": {"kind": "continuous", "p": "two", "g0": 0.5,
                                "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
-                               "gamma": _CONST, "mu": _CONST}}, "instance: "),
+                               "gamma": _CONST, "mu": _CONST}},
+         "instance.p: p must be float, got 'two'"),
         # a misspelt start must not run as the regularized start
         ("flow", {"problem": {"kind": "diagonal", "dim": 6},
                   "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
                                "d": 1.0},
                   "stop": {"start": "zeroo"}}, "stop.start: "),
         # values of the wrong type that no range check reads
-        ("bench", {"bench": {"n_nodes": "20"}}, "bench: n_nodes"),
+        ("bench", {"bench": {"n_nodes": "20"}}, "bench.n_nodes: n_nodes"),
         ("flow", {"problem": {"kind": "diagonal", "dim": 6},
                   "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
                                "d": 1.0},
-                  "stop": {"t_max": "1e5"}}, "stop: t_max"),
+                  "stop": {"t_max": "1e5"}}, "stop.t_max: t_max"),
         # a_rtol is a module constant, not a key of the dp section
         ("dp", {"problem": {"kind": "rank_one"},
                 "dp": {"C": 1.5, "gamma": 1.0, "a_rtol": 1e-12}}, "dp: "),
@@ -184,18 +185,18 @@ _CONST = {"form": "const", "value": 1.0}
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
                      "schedule": {"kind": "simple_iter", "b": 0.5,
                                   "d_or_c": 1.0, "d0": 1.0},
-                     "stop": {"n_max": 0}}, "stop: n_max must be positive"),
+                     "stop": {"n_max": 0}}, "stop.n_max: n_max must be positive"),
         ("flow", {"problem": {"kind": "diagonal", "dim": 6},
                   "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
                                "d": 1.0},
-                  "stop": {"t_max": -1.0}}, "stop: t_max must be positive"),
-        ("bench", {"bench": {"n_max": 0}}, "bench: n_max must be positive"),
+                  "stop": {"t_max": -1.0}}, "stop.t_max: t_max must be positive"),
+        ("bench", {"bench": {"n_max": 0}}, "bench.n_max: n_max must be positive"),
         # wrote a NaN row, "failed: seed 0: stop level ...", and exited 0
         ("bench", {"bench": {"delta_rel": [0.5], "seeds": [0, 1]}},
          "bench.delta_rel: stop level C * delta**e = 4.29007 must exceed "
          "delta = 4.31011 at delta_rel = 0.5"),
         # read "need at least 2 nodes", naming no section
-        ("bench", {"bench": {"n_nodes": 1}}, "bench: n_nodes must be >= 2, got 1"),
+        ("bench", {"bench": {"n_nodes": 1}}, "bench.n_nodes: n_nodes must be >= 2, got 1"),
         # m1 comes from the operator; a tolerance no solve can meet ran before
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
                      "schedule": {"kind": "simple_iter", "b": 0.5,
@@ -205,23 +206,23 @@ _CONST = {"form": "const", "value": 1.0}
                      "schedule": {"kind": "newton_iter", "b": 0.5,
                                   "d_or_c": 1.0, "d0": 1.0},
                      "stop": {"inner_tol": 0.0}},
-         "stop: inner_tol must be positive"),
+         "stop.inner_tol: inner_tol must be positive"),
         # the bound check is built, with its step count checked, before it runs
         ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
                                "horizon": 10.0, "n_steps": 0, "alpha": _CONST,
                                "beta": _CONST, "gamma": _CONST, "mu": _CONST}},
-         "instance: n_steps must be >= 1, got 0"),
+         "instance.n_steps: n_steps must be >= 1, got 0"),
         ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
                                "horizon": 10.0, "n_steps": -5, "alpha": _CONST,
                                "beta": _CONST, "gamma": _CONST, "mu": _CONST}},
-         "instance: n_steps must be >= 1, got -5"),
+         "instance.n_steps: n_steps must be >= 1, got -5"),
         # NaN fails every range check, the coefficient descriptors included
         ("schedule-check",
          {"schedule": {"kind": "newton_flow", "b": 1.0, "c": 7.0,
                        "d": 32.0},
           "params": {"m1": 1.73, "c0": 0.53, "c1": 5.0, "y_norm": math.nan,
                      "residual0": 1.3, "horizon": 1e5}},
-         "params: y_norm must be positive"),
+         "params.y_norm: y_norm must be positive"),
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
                      "schedule": {"kind": "simple_iter", "b": 0.5,
                                   "d_or_c": math.nan, "d0": 1.0}},
@@ -243,7 +244,7 @@ _CONST = {"form": "const", "value": 1.0}
         ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": math.nan,
                                "horizon": 10.0, "alpha": _CONST, "beta": _CONST,
                                "gamma": _CONST, "mu": _CONST}},
-         "instance: g0 must be nonnegative"),
+         "instance.g0: g0 must be nonnegative"),
         ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
                                "horizon": 10.0,
                                "alpha": {"form": "exp", "coef": math.nan},
@@ -256,7 +257,7 @@ _CONST = {"form": "const", "value": 1.0}
                                "mu": _CONST}}, "instance: "),
         # dim 0 raised GridMismatch, which exited 3 without naming dim
         ("dp", {"problem": {"kind": "diagonal", "dim": 0},
-                "dp": {"C": 1.5, "gamma": 0.9}}, "problem: dim must be >= 1, got 0"),
+                "dp": {"C": 1.5, "gamma": 0.9}}, "problem.dim: dim must be >= 1, got 0"),
         ("dp", {"problem": {"kind": "rank_one"}, "dp": [1.5]},
          "dp: section must be an object, got list"),
         ("ineq", {"instance": {"kind": "continuous", "p": 2.0, "g0": 0.5,
@@ -266,16 +267,19 @@ _CONST = {"form": "const", "value": 1.0}
         ("flow", {"problem": {"kind": "diagonal", "dim": 6},
                   "schedule": {"kind": "simple_flow", "b": 0.5, "c": 9.0,
                                "d": 1.0},
-                  "stop": {"t_max": None}}, "stop: t_max must be float, got None"),
+                  "stop": {"t_max": None}}, "stop.t_max: t_max must be float, got None"),
         ("iterate", {"problem": {"kind": "diagonal", "dim": 6},
                      "schedule": {"kind": "simple_iter", "b": 0.5,
                                   "d_or_c": 1.0, "d0": 1.0},
-                     "stop": {"n_max": None}}, "stop: n_max must be int, got None"),
+                     "stop": {"n_max": None}}, "stop.n_max: n_max must be int, got None"),
         # NumPy's "Number of samples, -3, must be non-negative." and, for 0
         # and 1 nodes, "need at least 2 nodes", naming no key
         *[("dp", {"problem": {"kind": "hammerstein", "n_nodes": n},
                   "dp": {"C": 1.5, "gamma": 0.9}},
-           f"problem: n_nodes must be >= 2, got {n}") for n in (-3, 0, 1)],
+           f"problem.n_nodes: n_nodes must be >= 2, got {n}") for n in (-3, 0, 1)],
+        ("bench", {"bench": {"delta_rel": []}},
+         "bench.delta_rel: need at least one noise level"),
+        ("bench", {"bench": {"seeds": []}}, "bench.seeds: need at least one seed"),
     ],
     ids=["out-of-range", "wrong-type", "unknown-start", "string-n-nodes",
          "string-t-max", "dp-a-rtol", "dp-theta", "dp-c1", "dp-c2",
@@ -286,7 +290,7 @@ _CONST = {"form": "const", "value": 1.0}
          "negative-second-seed", "nan-g0",
          "nan-coef", "overflowing-int", "zero-dim", "list-section", "missing-mu",
          "null-t-max", "null-n-max", "negative-n-nodes", "zero-n-nodes",
-         "one-n-nodes"],
+         "one-n-nodes", "empty-bench-levels", "empty-bench-seeds"],
 )
 def test_malformed_config_exits_3(tmp_path, capsys, command, config, section):
     cfg = write_config(
@@ -322,8 +326,7 @@ def test_every_noise_level_is_checked_before_the_first_solve(
     path = write_config(tmp_path, {**cfg, "output": {"dir": str(out)}})
     assert main([command, "--config", path]) == 3
     err = capsys.readouterr().err
-    assert f"config error: {section}" in err
-    assert f"delta_rel must be positive, got {bad}" in err
+    assert f"config error: {key}: delta_rel must be positive, got {bad}" in err
     assert drawn == []
     assert not out.exists()
 
@@ -346,7 +349,7 @@ def test_schedule_check_zero_divisor_exits_3(tmp_path, capsys, schedule, key):
     path = write_config(tmp_path, {**cfg, "output": {"dir": str(out)}})
     assert main(["schedule-check", "--config", path]) == 3
     err = capsys.readouterr().err
-    assert f"params: {key} must be positive, got 0" in err
+    assert f"params.{key}: {key} must be positive, got 0" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -634,8 +637,7 @@ def test_negative_seed_exits_3_before_any_noise_is_drawn(
     assert main([command, "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert f"config error: {section}" in err
-    assert "seeds must be nonnegative, got -1" in err
+    assert f"config error: {key}: seeds must be nonnegative, got -1" in err
     assert "Traceback" not in err
     assert drawn == []
     assert not out.exists()
@@ -1072,21 +1074,21 @@ def _hammerstein_dp(**problem):
         ("dp", {**_DP_BASE, "problem": {"kind": "diagonal", "n_nodes": 500}},
          "problem: unknown key 'n_nodes'"),
         ("dp", _hammerstein_dp(n_nodes=50.7),
-         "problem: n_nodes must be int, got 50.7"),
+         "problem.n_nodes: n_nodes must be int, got 50.7"),
         ("dp", _hammerstein_dp(n_nodes="20"),
-         "problem: n_nodes must be int, got '20'"),
+         "problem.n_nodes: n_nodes must be int, got '20'"),
         ("dp", {**_DP_BASE, "problem": {"kind": "rank_one"},
                 "noise": {"delta_rel": [0.01], "seeds": [1.7]}},
          "noise.seeds: seeds must be int, got 1.7"),
         ("dp", {**_DP_BASE, "problem": {"kind": "diagonal", "dim": True}},
-         "problem: dim must be int, got True"),
+         "problem.dim: dim must be int, got True"),
         ("ineq", _shipped("ineq_demo.json",
                           lambda cfg: cfg["instance"].update(n_steps=2.5)),
-         "instance: n_steps must be int, got 2.5"),
+         "instance.n_steps: n_steps must be int, got 2.5"),
         # strings were converted to numbers
         ("ineq", _shipped("ineq_demo.json",
                           lambda cfg: cfg["instance"].update(p="2")),
-         "instance: p must be float, got '2'"),
+         "instance.p: p must be float, got '2'"),
         ("ineq", _shipped("ineq_demo.json",
                           lambda cfg: cfg["instance"]["alpha"].update(coef="0.25")),
          "instance.alpha: coef must be float, got '0.25'"),
@@ -1102,10 +1104,10 @@ def _hammerstein_dp(**problem):
          "noise.delta_rel: must be a nonempty list, got 0.01"),
         ("iterate", _shipped("iterate_newton_hammerstein.json",
                              lambda cfg: cfg["output"].update(history="no")),
-         "output: history must be bool, got 'no'"),
+         "output.history: history must be bool, got 'no'"),
         ("ineq", _shipped("ineq_demo.json",
                           lambda cfg: cfg["output"].update(stem=5)),
-         "output: stem must be str, got 5"),
+         "output.stem: stem must be str, got 5"),
     ],
     ids=["diagonal-n-nodes", "fractional-n-nodes", "string-n-nodes",
          "fractional-seed", "bool-dim", "fractional-n-steps", "string-p",
