@@ -187,9 +187,6 @@ class LinearMap:
         knows most of it already (bench.hammerstein_derivative) builds it
         cheaper than the generic expression, and passes both builders: the
         gradient direction applies only the adjoint."""
-        weights = np.asarray(weights, dtype=float)
-        forward = _checked_matrix(matrix, weights)
-
         def apply_fn(v: HilbertVector) -> HilbertVector:
             return HilbertVector._trusted(forward() @ v.values, v.weights)
 
@@ -206,7 +203,11 @@ class LinearMap:
                     adj /= weights[:, None]
             return HilbertVector._trusted(adj @ v.values, v.weights)
 
-        return cls(apply_fn, adjoint_fn, weights, matrix=forward)
+        # __init__ checks the matrix once; the products take its checked
+        # builder and weights, bound here before any product can run
+        A = cls(apply_fn, adjoint_fn, weights, matrix=matrix)
+        forward, weights = A._matrix, A.weights
+        return A
 
     def __call__(self, v: HilbertVector) -> HilbertVector:
         return self._apply(v)
@@ -275,18 +276,38 @@ class OperatorBounds:
         check_fields(self, nonnegative=("m1", "m2"))
 
 
+class _Bounds:
+    """The `bounds` field of NonlinearOperator.  It holds what was given;
+    a zero-argument function runs at the first read of the field, and its
+    OperatorBounds replace it, so every read gets the same object."""
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            return None  # the field's default
+        bounds = op.__dict__["bounds"]
+        if callable(bounds):
+            bounds = op.__dict__["bounds"] = bounds()
+        return bounds
+
+    def __set__(self, op, bounds):
+        op.__dict__["bounds"] = bounds
+
+
 @dataclass(frozen=True)
 class NonlinearOperator:
     """An evaluable map u -> F(u) with optional derivative access.
 
     `derivative`, when present, maps a point to the `LinearMap` of the
     Frechet derivative there.  `bounds` carries declared norm bounds used
-    by derivative-free fallbacks and schedule validation.
+    by derivative-free fallbacks and schedule validation: an
+    `OperatorBounds`, or a zero-argument function returning one, which
+    runs at the first read of `bounds` (so a run that never reads them
+    never computes them), or None for an operator that declares none.
     """
 
     apply: Callable[[HilbertVector], HilbertVector]
     derivative: Callable[[HilbertVector], LinearMap] | None = None
-    bounds: OperatorBounds | None = None
+    bounds: OperatorBounds | Callable[[], OperatorBounds] | None = _Bounds()
 
     def __call__(self, u: HilbertVector) -> HilbertVector:
         return self.apply(u)

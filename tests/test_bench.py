@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from monoreg import (
+    DPConfig,
+    FlowConfig,
     GridMismatch,
     HilbertVector,
     InvalidConfig,
@@ -13,17 +15,26 @@ from monoreg import (
     NonFinite,
     Table1Config,
     fd_derivative_check,
+    flow_newton,
+    flow_simple,
     gen_noise,
     hammerstein_apply,
     hammerstein_derivative,
     hammerstein_operator,
+    init_u0,
     iter_newton,
+    iter_simple,
+    make_continuous,
     make_discrete,
     make_hammerstein,
+    operator_norm_estimate,
     run_table1,
+    solve_dp,
+    solve_regularized,
     solve_shifted,
     trapezoid_weights,
 )
+from monoreg import bench
 from monoreg.bench import (
     DENSE_KERNEL_LIMIT,
     EUCLIDEAN,
@@ -32,7 +43,8 @@ from monoreg.bench import (
     schedule_scale,
     sweep,
 )
-from monoreg.schedules import NEWTON_ITER
+from monoreg.reports import STOPPED_BY_DISCREPANCY
+from monoreg.schedules import NEWTON_FLOW, NEWTON_ITER, SIMPLE_FLOW, SIMPLE_ITER
 
 from helpers import const_vector
 
@@ -421,3 +433,80 @@ def test_sweep_keeps_a_solver_error_in_its_row_and_raises_a_config_error():
                                (2.0, 0, 2.0, None, errors[2.0])]
     with pytest.raises(InvalidConfig, match="^bad$"):
         run((1.0, 3.0))
+
+
+# ------------------------------------------------------ bounds on first read
+
+
+def test_slope_maxima_are_what_the_scan_finds():
+    # the scan the constants come from: the slope and its derivative decay
+    # at infinity, so [-30, 30] holds both maxima
+    u = np.linspace(-30.0, 30.0, 200_001)
+    s = nonlinearity_slope(u)
+    scan = (float(s.max()), float(np.abs(np.gradient(s, u)).max()))
+    assert scan == (0.944487289823468, 1.4384899576417638)
+    assert bench._pointwise_slope_bounds() == scan
+
+
+def counted_norm_estimates(monkeypatch) -> list:
+    """The maps bench.operator_norm_estimate is called on from now on."""
+    calls = []
+    monkeypatch.setattr(bench, "operator_norm_estimate",
+                        lambda A: calls.append(A) or operator_norm_estimate(A))
+    return calls
+
+
+def test_runs_that_never_read_the_bounds_never_estimate_them(monkeypatch):
+    calls = counted_norm_estimates(monkeypatch)
+    prob = make_hammerstein(50, TRAPEZOID)
+    F = hammerstein_operator(prob)
+    f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.01, seed=0))
+    schedule = make_discrete(NEWTON_ITER, b=1.0, d_or_c=1.0, d0=0.05)
+    cfg = IterConfig(schedule=schedule, C1=1.01, gamma_or_zeta=0.99, n_max=500)
+    report = iter_newton(F, f_delta, delta, cfg, HilbertVector.zeros(prob.weights))
+    assert report.status == STOPPED_BY_DISCREPANCY
+    schedule = make_continuous(NEWTON_FLOW, b=1.0, c=7.0, d=32.0)
+    cfg = FlowConfig(schedule=schedule, C1=1.5, zeta=0.9, step_init=0.1, t_max=1e6)
+    u0 = init_u0(F, f_delta, float(schedule.a(0.0)))
+    assert flow_newton(F, f_delta, delta, cfg, u0).status == STOPPED_BY_DISCREPANCY
+    solve_regularized(F, f_delta, 0.1)
+    solve_dp(F, f_delta, delta, DPConfig(C=1.01, gamma=0.9))
+    (row,) = run_table1(Table1Config(delta_rel=(0.01,), seeds=(0,)))
+    assert row.status == "ok"
+    assert calls == []
+
+
+def test_gradient_and_simple_runs_estimate_the_bounds_once(monkeypatch):
+    calls = counted_norm_estimates(monkeypatch)
+    prob = make_hammerstein(50, TRAPEZOID)
+    F = hammerstein_operator(prob)
+    f_delta, delta = gen_noise(F(prob.exact_solution), NoiseSpec(0.05, seed=0))
+    assert calls == []
+    schedule = make_continuous(SIMPLE_FLOW, b=0.5, c=9.0, d=1.0)
+    cfg = FlowConfig(schedule=schedule, C1=1.5, zeta=0.9, step_init=0.1, t_max=1e6)
+    u0 = init_u0(F, f_delta, float(schedule.a(0.0)))
+    assert flow_simple(F, f_delta, delta, cfg, u0).status == STOPPED_BY_DISCREPANCY
+    assert len(calls) == 1
+    schedule = make_discrete(SIMPLE_ITER, b=0.5, d_or_c=400.0, d0=1.0)
+    cfg = IterConfig(schedule=schedule, C1=1.2, gamma_or_zeta=1.0, n_max=50_000)
+    report = iter_simple(F, f_delta, delta, cfg, HilbertVector.zeros(prob.weights))
+    assert report.status == STOPPED_BY_DISCREPANCY
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_nodes, kernel_map", [
+    (50, lambda prob: LinearMap.from_matrix(prob.kernel, prob.weights)),
+    (200, bench._matrix_free_map),
+], ids=["dense", "matrix-free"])
+def test_bounds_read_lazily_equal_the_eager_estimate(monkeypatch, n_nodes,
+                                                     kernel_map):
+    calls = counted_norm_estimates(monkeypatch)
+    prob = make_hammerstein(n_nodes, TRAPEZOID)
+    F = hammerstein_operator(prob)
+    assert calls == []
+    bounds = F.bounds
+    assert F.bounds is bounds
+    assert len(calls) == 1
+    d_max, dd_max = 0.944487289823468, 1.4384899576417638
+    assert bounds.m1 == 1.05 * operator_norm_estimate(kernel_map(prob)) + d_max
+    assert bounds.m2 == 1.05 * dd_max

@@ -97,6 +97,24 @@ def test_operator_bounds_must_be_nonnegative(m1, m2):
         OperatorBounds(m1, m2)
 
 
+@pytest.mark.parametrize("m1", [np.nan, -1.0])
+def test_bounds_builder_is_checked_at_the_first_read(m1):
+    F = NonlinearOperator(lambda u: u, bounds=lambda: OperatorBounds(m1))
+    with pytest.raises(InvalidConfig, match=f"^m1 must be nonnegative, got {m1}$"):
+        F.bounds
+
+
+def test_bounds_builder_runs_once_at_the_first_read():
+    built = []
+    F = NonlinearOperator(lambda u: u,
+                          bounds=lambda: built.append(1) or OperatorBounds(2.0))
+    assert built == []
+    bounds = F.bounds
+    assert F.bounds is bounds and bounds == OperatorBounds(2.0)
+    assert built == [1]
+    assert NonlinearOperator(lambda u: u).bounds is None
+
+
 def test_norm_zero_iff_zero_vector():
     assert vec([0.0, 0.0]).norm() == 0.0
     assert vec([0.0, 1e-150]).norm() > 0.0

@@ -145,11 +145,12 @@ def test_newton_step_bound_on_benchmark(ham50, ham_data):
 
 
 def test_gradient_contraction_factor_on_benchmark(ham50, ham_data, monkeypatch):
-    # power iteration (80 steps) on I - alpha A_a* A_a stays within 1 - alpha a^2
-    monkeypatch.setattr(monoreg.iterations, "NORM_ESTIMATE_STEPS", 80)
+    # power iteration (80 steps) on I - alpha A_a* A_a stays within 1 - alpha a^2;
+    # m1 is read first, since the operator estimates it at the first read
     prob, F = ham50
-    f_delta, delta = gen_noise(ham_data, NoiseSpec(0.05, seed=0))
     m1 = F.bounds.m1
+    monkeypatch.setattr(monoreg.iterations, "NORM_ESTIMATE_STEPS", 80)
+    f_delta, delta = gen_noise(ham_data, NoiseSpec(0.05, seed=0))
     schedule = make_discrete(GRADIENT_ITER, b=0.25, d_or_c=3000.0, d0=0.9)
     cfg = IterConfig(
         schedule=schedule, C1=1.2, gamma_or_zeta=1.0, n_max=50_000,
